@@ -30,7 +30,6 @@ from .graphs import (
     make_cycle,
     make_hoffman_singleton,
     make_petersen,
-    metrics,
 )
 from .symmetry import (
     is_locally_s_arc_transitive,
@@ -145,7 +144,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"# induced the degree-{sg.n_base} group on the subdivision vertices")
     lo, hi = _parse_s_range(args.s)
     if args.property in ("distance", "local-distance"):
-        d = metrics(g).diameter
+        d = g.diameter()
         if hi > d:
             raise GraphError(f"s range {lo}..{hi} exceeds diameter {d}")
     reports = []

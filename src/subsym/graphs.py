@@ -15,6 +15,8 @@ import numpy as np
 from . import kernels
 
 UNREACHED = -1  # sentinel used by distance arrays for disconnected pairs
+_GIRTH_BLOCK = 1 << 18  # matrix entries per root block in Graph.girth
+_UNKNOWN = object()  # marks a cached fact not computed yet (None is a valid girth)
 
 
 class GraphError(ValueError):
@@ -39,6 +41,7 @@ class Graph:
         "_indptr",
         "_indices",
         "_apsp",
+        "_girth",
         "_edge_index",
         "_neighbor_masks",
         "__weakref__",
@@ -70,6 +73,7 @@ class Graph:
         self._indptr = None
         self._indices = None
         self._apsp = None
+        self._girth = _UNKNOWN
         self._edge_index = None
         self._neighbor_masks = None
 
@@ -113,6 +117,53 @@ class Graph:
             indptr, indices = self._csr()
             self._apsp = kernels.all_pairs_distances(indptr, indices, self.n)
         return self._apsp
+
+    def diameter(self) -> int:
+        """Largest hop distance. Rejects empty and disconnected graphs."""
+        if self.n == 0:
+            raise DisconnectedGraphError("empty graph has no diameter")
+        dist = self.distances_matrix()
+        if int(dist.min()) < 0:
+            raise DisconnectedGraphError("diameter undefined for disconnected graph")
+        return int(dist.max())
+
+    def girth(self) -> Optional[int]:
+        """Length of a shortest cycle, or None for acyclic graphs.
+
+        Read off the distance matrix D. For a root r, an edge {u, w} with
+        D[r,u] = D[r,w] closes a walk of length 2*D[r,u] + 1, and a vertex x
+        with two neighbours at distance D[r,x] - 1 closes one of length
+        2*D[r,x]; each such walk contains a cycle no longer than itself. A
+        shortest cycle is isometric, so a root on it realises its length as
+        one of these two cases, and the minimum over all roots is the girth.
+        Unreached (-1) entries never match a reached one and are masked out.
+        """
+        if self._girth is _UNKNOWN:
+            self._girth = self._girth_from_distances() if self.m else None
+        return self._girth
+
+    def _girth_from_distances(self) -> Optional[int]:
+        dist = self.distances_matrix()
+        indptr, indices = self._csr()
+        u, w = np.array(self.edge_list, dtype=np.intp).T
+        source = np.repeat(np.arange(self.n), np.diff(indptr))
+        lengths = []
+        # Root blocks bound the O(rows * m) temporaries.
+        step = max(1, _GIRTH_BLOCK // (2 * self.m))
+        for lo in range(0, self.n, step):
+            d = dist[lo:lo + step]
+            du = d[:, u]
+            level = du[(du == d[:, w]) & (du >= 0)]
+            if level.size:
+                lengths.append(2 * int(level.min()) + 1)
+            # parents[:, k] counts the arcs among the first k (in CSR order)
+            # that step back one level towards the root
+            parents = np.zeros((d.shape[0], 2 * self.m + 1), dtype=np.int32)
+            np.cumsum(d[:, indices] == d[:, source] - 1, axis=1, dtype=np.int32, out=parents[:, 1:])
+            level = d[parents[:, indptr[1:]] - parents[:, indptr[:-1]] >= 2]
+            if level.size:
+                lengths.append(2 * int(level.min()))
+        return min(lengths, default=None)
 
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Index of each edge in sorted edge_list order."""
@@ -208,11 +259,6 @@ def make_petersen() -> Graph:
     return Graph(10, edges)
 
 
-def petersen_vertex_pairs() -> tuple[tuple[int, int], ...]:
-    """The 2-subset behind each Petersen vertex id (documents the id scheme)."""
-    return tuple((a, b) for a in range(1, 6) for b in range(a + 1, 6))
-
-
 def make_hoffman_singleton() -> Graph:
     """Robertson construction: pentagons P_h (vertices 5h+j, j in Z_5, edges
     j ~ j+-1), pentagrams Q_k (vertices 25+5k+j, edges j ~ j+-2), and cross
@@ -233,8 +279,7 @@ def make_hoffman_singleton() -> Graph:
     g = Graph(50, sorted(edges))
     if g.n != 50 or any(g.degree(v) != 7 for v in range(50)):
         raise GraphError("Hoffman-Singleton self-check failed: not 7-regular on 50 vertices")
-    met = metrics(g)
-    if met.girth != 5 or met.diameter != 2:
+    if g.girth() != 5 or g.diameter() != 2:
         raise GraphError("Hoffman-Singleton self-check failed: girth/diameter wrong")
     return g
 
@@ -250,33 +295,8 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
 
 
 def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or None for acyclic graphs.
-
-    BFS from every vertex; for each non-tree edge {u,w} the walk root->u,
-    u-w, w->root closes a cycle of length d[u]+d[w]+1. Every such value is
-    >= girth, and equality is attained for roots on a shortest cycle.
-    """
-    best: Optional[int] = None
-    for root in range(g.n):
-        dist = g.bfs_from(root)
-        parent = [-1] * g.n
-        for v in range(g.n):
-            if dist[v] > 0:
-                for w in g.adjacency[v]:
-                    if dist[w] == dist[v] - 1:
-                        parent[v] = w
-                        break
-        for u, w in g.edge_list:
-            if dist[u] < 0 or dist[w] < 0:
-                continue
-            if parent[u] == w or parent[w] == u:
-                continue
-            c = int(dist[u]) + int(dist[w]) + 1
-            if best is None or c < best:
-                best = c
-        if best == 3:
-            return 3
-    return best
+    """Length of a shortest cycle, or None for acyclic graphs (see Graph.girth)."""
+    return g.girth()
 
 
 def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
@@ -301,12 +321,7 @@ def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
 
 def metrics(g: Graph) -> Metrics:
     """Diameter, girth and bipartition. Rejects disconnected graphs."""
-    if g.n == 0:
-        raise DisconnectedGraphError("empty graph has no diameter")
-    dist = g.distances_matrix()
-    if int(dist.min()) < 0:
-        raise DisconnectedGraphError("diameter undefined for disconnected graph")
-    return Metrics(diameter=int(dist.max()), girth=girth(g), bipartition=bipartition(g))
+    return Metrics(diameter=g.diameter(), girth=g.girth(), bipartition=bipartition(g))
 
 
 def distance_sphere(g: Graph, v: int, i: int) -> frozenset[int]:

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _arc_tuples_from, metrics
+from .graphs import Graph, GraphError, _arc_tuples_from
 from .groups import (
     PermGroup,
     orbit_partition,
@@ -285,7 +285,7 @@ def is_locally_arc_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
 
 def is_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
     """G transitive on the ordered pairs at distance i for every i <= s."""
-    d = metrics(g).diameter
+    d = g.diameter()
     if not (1 <= s <= d):
         raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
     kind = PropertyKind("s-distance", local=False, s=s)
@@ -293,7 +293,7 @@ def is_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityRepo
 
 
 def is_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    d = metrics(g).diameter
+    d = g.diameter()
     if d < 1:
         raise GraphError("distance transitivity needs at least two vertices")
     kind = PropertyKind("distance", local=False, s=d)
@@ -303,7 +303,7 @@ def is_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
 def is_locally_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
     """Every vertex stabilizer transitive on its distance-i spheres for i <= s
     (vacuously on empty spheres), with the level-s sphere nonempty somewhere."""
-    d = metrics(g).diameter
+    d = g.diameter()
     if not (1 <= s <= d):
         raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
     kind = PropertyKind("s-distance", local=True, s=s)
@@ -311,7 +311,7 @@ def is_locally_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> Transiti
 
 
 def is_locally_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    d = metrics(g).diameter
+    d = g.diameter()
     if d < 1:
         raise GraphError("distance transitivity needs at least two vertices")
     kind = PropertyKind("distance", local=True, s=d)

@@ -27,7 +27,6 @@ from .graphs import (
     make_cycle,
     make_hoffman_singleton,
     make_petersen,
-    metrics,
     random_connected_graph,
 )
 from .groups import (
@@ -158,7 +157,7 @@ def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOut
     instance = f"g=({g.n},{g.m}) |G|={G.order()} s={s}"
     if not g.is_connected() or g.n < 2:
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    d = metrics(g).diameter
+    d = g.diameter()
     if s > 2 * d - 1:
         return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
     t = _ceil_half_succ(s)
@@ -241,7 +240,7 @@ def check_girth_bound(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
         return _outcome(name, instance, None, {}, "s must be a positive even integer")
     if not g.is_connected() or g.n < 2:
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    d = metrics(g).diameter
+    d = g.diameter()
     if s > 2 * d - 1:
         return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
     sg = subdivide(g)
@@ -263,7 +262,7 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
     if gr is None or gr < 5:
         return _outcome(name, instance, None, {"girth": gr}, "needs girth >= 5")
     sg = subdivide(g)
-    diam_s = metrics(sg.graph).diameter
+    diam_s = sg.graph.diameter()
     Gs = induced_subdivision_action(G, sg)
     premise = is_locally_s_distance_transitive(sg.graph, Gs, 4).verdict
     conclusion = is_s_arc_transitive(g, G, 3).verdict
@@ -739,7 +738,7 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
         for label, g, G in _named_group_instances():
             push(lambda g=g, G=G: check_edge_stabilizer_conditions(g, G), "edge-stabilizer-conditions", label)
             push(lambda g=g, G=G: check_small_s_equivalences(g, G), "small-s-equivalences", label)
-            d = metrics(g).diameter
+            d = g.diameter()
             for s in range(2, min(2 * d - 1, config.s_max) + 1, 2):
                 push(lambda g=g, G=G, s=s: check_girth_bound(g, G, s), "girth-bound", f"{label} s={s}")
             gr = girth(g)
@@ -778,7 +777,7 @@ def _sweep_equivalences(
     out: list[CheckOutcome] = []
     if out_of_budget():
         return [CheckOutcome("equivalence-sweep", label, SKIPPED, {"reason": "budget exhausted"})]
-    d = metrics(g).diameter
+    d = g.diameter()
     t_max = _ceil_half_succ(s_max)
     sg = subdivide(g)
     Gs = induced_subdivision_action(G, sg)

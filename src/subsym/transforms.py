@@ -14,11 +14,11 @@ from typing import Optional
 import numpy as np
 
 from .graphs import (
+    UNREACHED,
     DisconnectedGraphError,
     Graph,
     GraphError,
     make_cycle,
-    metrics,
 )
 
 V_PART = "V"
@@ -188,7 +188,8 @@ def reconstruct_from_ambient(gamma: Graph) -> Graph:
 
 def subdivision_distance(sg: SubdivisionGraph, a: int, b: int) -> int:
     """Distance in the subdivision graph by the closed three-case formula
-    (2d for V/V, 2*min+1 for V/E, 2*min+2 for E/E), not by BFS."""
+    (2d for V/V, 2*min+1 for V/E, 2*min+2 for E/E), not by BFS; UNREACHED
+    (-1) for vertices in different components."""
     g = sg.graph
     if not (0 <= a < g.n and 0 <= b < g.n):
         raise GraphError("vertex id out of range for subdivision graph")
@@ -199,45 +200,50 @@ def subdivision_distance(sg: SubdivisionGraph, a: int, b: int) -> int:
     a_is_v = sg.is_v_vertex(a)
     b_is_v = sg.is_v_vertex(b)
     if a_is_v and b_is_v:
-        return 2 * int(dist[a, b])
-    if a_is_v != b_is_v:
+        base, offset = int(dist[a, b]), 0
+    elif a_is_v != b_is_v:
         if b_is_v:
             a, b = b, a
         u, v = sg.edge_of[b - n]
-        return 2 * min(int(dist[a, u]), int(dist[a, v])) + 1
-    x, u = sg.edge_of[a - n]
-    y, v = sg.edge_of[b - n]
-    return (
-        2
-        * min(int(dist[x, y]), int(dist[x, v]), int(dist[y, u]), int(dist[u, v]))
-        + 2
-    )
+        base, offset = min(int(dist[a, u]), int(dist[a, v])), 1
+    else:
+        x, u = sg.edge_of[a - n]
+        y, v = sg.edge_of[b - n]
+        base, offset = min(int(dist[x, y]), int(dist[x, v]), int(dist[y, u]), int(dist[u, v])), 2
+    return UNREACHED if base < 0 else 2 * base + offset
 
 
 def subdivision_distance_matrix(sg: SubdivisionGraph) -> np.ndarray:
     """All subdivision-graph distances by the closed formula, vectorised.
 
     Same three cases as subdivision_distance; the diagonal of the E/E block is
-    zeroed since the formula's minimum is over two distinct edges.
+    zeroed since the formula's minimum is over two distinct edges. The
+    endpoints of an edge share a component, so each minimum is over base
+    distances that are either all UNREACHED or all reached.
     """
     d = sg.base.distances_matrix()
     n, m = sg.n_base, sg.m_base
     out = np.empty((n + m, n + m), dtype=np.int32)
-    out[:n, :n] = 2 * d
+    out[:n, :n] = _scale(d, 0)
     if m:
         u = np.fromiter((e[0] for e in sg.edge_of), dtype=np.int64, count=m)
         v = np.fromiter((e[1] for e in sg.edge_of), dtype=np.int64, count=m)
-        ve = 2 * np.minimum(d[:, u], d[:, v]) + 1
+        ve = _scale(np.minimum(d[:, u], d[:, v]), 1)
         out[:n, n:] = ve
         out[n:, :n] = ve.T
         ee = np.minimum(
             np.minimum(d[np.ix_(u, u)], d[np.ix_(u, v)]),
             np.minimum(d[np.ix_(v, u)], d[np.ix_(v, v)]),
         )
-        ee = 2 * ee + 2
+        ee = _scale(ee, 2)
         np.fill_diagonal(ee, 0)
         out[n:, n:] = ee
     return out
+
+
+def _scale(base: np.ndarray, offset: int) -> np.ndarray:
+    """2*base + offset on reached entries; UNREACHED stays UNREACHED."""
+    return np.where(base < 0, UNREACHED, 2 * base + offset)
 
 
 def delta_of(g: Graph) -> DeltaReport:
@@ -249,37 +255,19 @@ def delta_of(g: Graph) -> DeltaReport:
     """
     if g.n < 2:
         raise GraphError("need at least 2 vertices")
-    d = metrics(g).diameter
-    sg = subdivide(g)
-    diam_s = metrics(sg.graph).diameter
+    d = g.diameter()
+    diam_s = subdivide(g).graph.diameter()
     delta = diam_s - 2 * d
     if delta not in (0, 1, 2):
         raise AssertionError(f"delta out of range: {delta}")
-    if (delta == 2) != _has_delta2_witness(g, d):
+    if (delta == 2) != (delta2_witness(g) is not None):
         raise AssertionError("delta=2 witness criterion disagrees with BFS diameter")
     return DeltaReport(d=d, diam_s=diam_s, delta=delta)
 
 
-def _has_delta2_witness(g: Graph, d: int) -> bool:
-    dist = g.distances_matrix()
-    edges = g.edge_list
-    for i in range(len(edges)):
-        x, y = edges[i]
-        for j in range(i + 1, len(edges)):
-            u, v = edges[j]
-            if (
-                dist[x, u] == d
-                and dist[x, v] == d
-                and dist[y, u] == d
-                and dist[y, v] == d
-            ):
-                return True
-    return False
-
-
 def delta2_witness(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
     """An edge pair witnessing delta=2, or None."""
-    d = metrics(g).diameter
+    d = g.diameter()
     dist = g.distances_matrix()
     edges = g.edge_list
     for i in range(len(edges)):

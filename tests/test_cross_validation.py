@@ -1,16 +1,21 @@
 """Defense-in-depth checks of the core engines against independent routes:
-a naive all-vertices/all-elements evaluation of the local predicates, and
-sympy's permutation-group machinery for chain orders."""
+a naive all-vertices/all-elements evaluation of the local predicates,
+sympy's permutation-group machinery for chain orders, and networkx's girth
+and diameter."""
 
+import math
 import random
 
 import pytest
 
 from subsym.autgrp import automorphism_group
 from subsym.graphs import (
+    Graph,
+    girth,
     make_complete,
     make_complete_bipartite,
     make_cycle,
+    make_hoffman_singleton,
     make_petersen,
     metrics,
     random_connected_graph,
@@ -126,7 +131,6 @@ class TestAgainstSympy:
         from sympy.combinatorics import Permutation, PermutationGroup
 
         from subsym.groups import pgammal_2_8, wreath_s2
-        from subsym.graphs import make_hoffman_singleton
 
         cases = [
             pgammal_2_8(),
@@ -151,3 +155,36 @@ class TestAgainstSympy:
         sympy_group = PermutationGroup([Permutation(list(q.images)) for q in G.generators])
         for v in range(3):
             assert sympy_group.stabilizer(v).order() == stabilizer_point(G, v).order()
+
+
+class TestAgainstNetworkx:
+    def test_girth_and_diameter_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        def to_nx(g):
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edge_list)
+            return h
+
+        rng = random.Random(31337)
+        bases = [
+            make_complete(2),
+            make_complete(5),
+            make_complete_bipartite(3, 4),
+            make_cycle(7),
+            make_petersen(),
+            make_hoffman_singleton(),
+            Graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)]),
+        ]
+        bases += [random_connected_graph(rng, rng.randint(3, 12)) for _ in range(20)]
+        for g in bases:
+            sg = subdivide(g).graph
+            nx_girths = []
+            for h in (g, sg):
+                ref = to_nx(h)
+                nx_girth = nx.girth(ref)
+                nx_girths.append(nx_girth)
+                assert girth(h) == (None if nx_girth == math.inf else nx_girth), g.edge_list
+                assert h.diameter() == nx.diameter(ref), g.edge_list
+            assert nx_girths[1] == 2 * nx_girths[0]

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsym import graphs
 from subsym.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -130,6 +131,9 @@ class TestMetrics:
     def test_disconnected_metrics_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             metrics(Graph(3, [(0, 1)]))
+        for g in (Graph(3, [(0, 1)]), Graph(0, [])):
+            with pytest.raises(DisconnectedGraphError):
+                g.diameter()
 
     def test_acyclic_girth_is_none(self):
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -140,6 +144,27 @@ class TestMetrics:
         for _ in range(40):
             g = random_connected_graph(rng, rng.randint(3, 9))
             assert girth(g) == brute_girth(g)
+        assert girth(Graph(0, [])) is None and girth(Graph(1, [])) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=10))
+    def test_girth_matches_oracle_on_any_edge_set(self, g):
+        # disconnected graphs and forests included
+        assert girth(g) == brute_girth(g)
+
+    def test_girth_in_one_root_block_per_root(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_GIRTH_BLOCK", 1)
+        rng = random.Random(77)
+        cases = [make_petersen(), make_complete_bipartite(2, 3), Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])]
+        cases += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(20)]
+        for g in cases:
+            assert girth(g) == brute_girth(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy())
+    def test_diameter_matches_oracle(self, g):
+        if g.is_connected():
+            assert g.diameter() == brute_diameter(g)
 
     def test_distance_sphere(self):
         p = make_petersen()

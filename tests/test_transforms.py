@@ -2,9 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from subsym.autgrp import is_isomorphic
 from subsym.graphs import (
+    UNREACHED,
     DisconnectedGraphError,
     Graph,
     girth,
@@ -29,6 +31,7 @@ from subsym.transforms import (
 )
 
 from _oracles import brute_distances
+from test_graphs import random_graph_strategy
 
 
 def small_corpus():
@@ -181,6 +184,22 @@ class TestSubdivisionDistance:
             sg = subdivide(g)
             formula = subdivision_distance_matrix(sg)
             assert np.array_equal(formula, sg.graph.distances_matrix())
+
+    def test_disconnected_base_gives_unreached(self):
+        sg = subdivide(Graph(4, [(0, 1), (2, 3)]))
+        assert np.array_equal(subdivision_distance_matrix(sg), sg.graph.distances_matrix())
+        assert subdivision_distance(sg, 0, 2) == UNREACHED
+        assert subdivision_distance(sg, 4, 5) == UNREACHED
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy())
+    def test_formula_equals_bfs_on_any_edge_set(self, g):
+        sg = subdivide(g)
+        formula = subdivision_distance_matrix(sg)
+        assert np.array_equal(formula, sg.graph.distances_matrix())
+        for a in range(sg.graph.n):
+            for b in range(sg.graph.n):
+                assert subdivision_distance(sg, a, b) == formula[a, b]
 
     def test_scalar_matches_matrix(self):
         sg = subdivide(make_petersen())
