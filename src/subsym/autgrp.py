@@ -13,7 +13,7 @@ from collections import Counter, defaultdict, deque
 from typing import Optional, Sequence
 
 from .graphs import Graph, GraphError
-from .groups import PermGroup, orbit_transversal
+from .groups import PermGroup, orbit_partition, point_action
 from .perms import Perm
 
 
@@ -213,9 +213,9 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     if g.n == 0:
         return PermGroup(0, ())
     search = _MappingSearch(g, g, node_budget)
+    image = point_action(g.n).apply
     base: list[int] = []
     all_gens: list[Perm] = []
-    level_gens: list[list[Perm]] = []
     order = 1
 
     while True:
@@ -234,21 +234,20 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
             break
         b = min(target.s)
         gens_here: list[Perm] = []
-        level_gens.append(gens_here)
         prefix = [(p, p) for p in base]
-        in_orbit = {b}
+        in_orbit = {b: 0}  # orbit of b under gens_here, as an orbit index
         excluded: set[int] = set()
         for w in sorted(target.s):
             if w in in_orbit or w in excluded:
                 continue
             mapping = search.find(prescribed=prefix + [(b, w)])
             if mapping is None:
-                excluded |= set(orbit_transversal(gens_here, w, g.n))
+                excluded.update(orbit_partition(PermGroup(g.n, gens_here), [w], image)[1])
                 continue
             perm = Perm(mapping)
             gens_here.append(perm)
             all_gens.append(perm)
-            in_orbit = set(orbit_transversal(gens_here, b, g.n))
+            in_orbit = orbit_partition(PermGroup(g.n, gens_here), [b], image)[1]
         order *= len(in_orbit)
         base.append(b)
 

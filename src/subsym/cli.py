@@ -52,11 +52,14 @@ def _effective(args: argparse.Namespace, keys: list[str]) -> str:
 
 
 def _parse_s_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, sep, hi = text.partition("..")
+    try:
+        bounds = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise GraphError(f"--s {text!r}: expected N or A..B with integers") from None
+    if not 1 <= bounds[0] <= bounds[1]:
+        raise GraphError(f"--s {text!r}: need 1 <= A <= B")
+    return bounds
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -120,13 +123,21 @@ def _load_group(source: str, graph_path: str, g):
     if os.path.exists(cache):
         return read_generators(cache)
     G = automorphism_group(g)
-    write_generators(cache, G, comment=f"automorphism generators, order {G.order()}")
+    # write beside the cache and rename, so a crash never leaves a truncated cache
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        write_generators(tmp, G, comment=f"automorphism generators, order {G.order()}")
+        os.replace(tmp, cache)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     print(f"cached automorphism generators in {cache}")
     return G
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     print(_effective(args, ["graph", "group", "property", "s", "out"]))
+    lo, hi = _parse_s_range(args.s)
     g = read_graph(args.graph)
     G = _load_group(args.group, args.graph, g)
     if G.degree != g.n:
@@ -142,7 +153,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
         G = induced_subdivision_action(G, sg)
         print(f"# induced the degree-{sg.n_base} group on the subdivision vertices")
-    lo, hi = _parse_s_range(args.s)
     if args.property in ("distance", "local-distance"):
         d = g.diameter()
         if hi > d:

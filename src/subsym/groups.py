@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -172,9 +173,6 @@ class StabilizerChain:
             out = out * lvl.transversal[target]
         return out
 
-    def strong_generators(self) -> list[Perm]:
-        return self.generators_at(0)
-
 
 class PermGroup:
     """A permutation group given by generators, with a lazily built chain."""
@@ -194,7 +192,8 @@ class PermGroup:
         self.generators = tuple(gens)
         self._chain = _chain
         self._lock = threading.Lock()
-        self._validated_graphs: list = []
+        # graphs known to be preserved; equal graphs share one entry
+        self._validated_graphs: weakref.WeakSet = weakref.WeakSet()
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
@@ -219,24 +218,9 @@ class PermGroup:
 
     def point_orbits(self) -> list[list[int]]:
         """Orbits on 0..degree-1, each sorted, ordered by least element."""
-        seen = [False] * self.degree
-        orbits = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orb = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for g in self.generators:
-                    y = g.images[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orb.append(y)
-                        queue.append(y)
-            orbits.append(sorted(orb))
-        return orbits
+        act = point_action(self.degree)
+        orbits, _ = orbit_partition(self, act.domain, act.apply)
+        return [sorted(orb) for orb in orbits]
 
     def is_transitive(self) -> bool:
         return len(self.point_orbits()) <= 1 or self.degree == 0
@@ -273,39 +257,32 @@ def pair_set_action(domain: Iterable[tuple[int, int]]) -> Action:
 
 def orbit(G: PermGroup, x: Any, act: Action) -> list:
     """The orbit of x, in deterministic BFS insertion order."""
-    seen = {x}
-    out = [x]
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
-        for g in G.generators:
-            z = act.apply(g, y)
-            if z not in seen:
-                seen.add(z)
-                out.append(z)
-                queue.append(z)
-    return out
+    orbits, _ = orbit_partition(G, [x], act.apply)
+    return orbits[0]
 
 
 def orbit_partition(G: PermGroup, domain: Sequence, apply: Callable[[Perm, Any], Any]) -> tuple[list[list], dict]:
-    """All orbits of G on a G-invariant domain; returns (orbits, element->orbit id)."""
+    """All orbits of G on a G-invariant domain; returns (orbits, element->orbit id).
+
+    Orbits are listed by their first element in domain order, and each orbit
+    in BFS insertion order from that element. Points reached from a domain
+    element are indexed even when the domain itself omits them.
+    """
     index: dict[Any, int] = {}
     orbits: list[list] = []
+    gens = G.generators
     for x in domain:
         if x in index:
             continue
         oid = len(orbits)
         orb = [x]
         index[x] = oid
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g in G.generators:
+        for y in orb:  # the list grows while it is read: a FIFO queue
+            for g in gens:
                 z = apply(g, y)
                 if z not in index:
                     index[z] = oid
                     orb.append(z)
-                    queue.append(z)
         orbits.append(orb)
     return orbits, index
 
@@ -526,13 +503,12 @@ def is_graph_automorphism(g: Graph, p: Perm) -> bool:
 
 def validate_automorphisms(g: Graph, G: PermGroup) -> None:
     """Check every generator preserves adjacency; cached per (graph, group)."""
-    for known in G._validated_graphs:
-        if known is g:
-            return
+    if g in G._validated_graphs:
+        return
     for i, p in enumerate(G.generators):
         if not is_graph_automorphism(g, p):
             raise NotAnAutomorphismError(i, "does not preserve adjacency")
-    G._validated_graphs.append(g)
+    G._validated_graphs.add(g)
 
 
 def induced_edge_action(G: PermGroup, g: Graph) -> Action:

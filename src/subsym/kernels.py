@@ -1,24 +1,41 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Breadth-first-search kernels over CSR adjacency.
 
-Set SUBSYM_PURE_PYTHON=1 to force the fallback (useful for the benchmark and
-for debugging the compiled path).
+Graphs are passed in CSR form: ``indices[indptr[v]:indptr[v+1]]`` are the
+neighbours of ``v``. Both kernels convert the arrays to plain lists once and
+run the same BFS loop, which is much faster in CPython than indexing numpy
+arrays element by element.
 """
 
-import os
+import numpy as np
 
-from . import _kernels_py
 
-try:
-    from . import _kernels_c
-except ImportError:  # extension not built
-    _kernels_c = None
+def _adjacency(indptr, indices, n: int) -> list[list[int]]:
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    return [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)]
 
-if _kernels_c is not None and not os.environ.get("SUBSYM_PURE_PYTHON"):
-    _impl = _kernels_c
-    ACTIVE = "cython"
-else:
-    _impl = _kernels_py
-    ACTIVE = "python"
 
-bfs_distances = _impl.bfs_distances
-all_pairs_distances = _impl.all_pairs_distances
+def _bfs(adj: list[list[int]], source: int) -> list[int]:
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = [source]
+    for v in queue:  # the list grows while it is read: a FIFO queue
+        d = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
+    return dist
+
+
+def bfs_distances(indptr, indices, n, source):
+    """Hop distances from ``source``; unreached vertices get -1."""
+    return np.array(_bfs(_adjacency(indptr, indices, n), source), dtype=np.int32)
+
+
+def all_pairs_distances(indptr, indices, n):
+    """(n, n) matrix of hop distances; -1 marks unreachable pairs."""
+    adj = _adjacency(indptr, indices, n)
+    out = np.empty((n, n), dtype=np.int32)
+    for s in range(n):
+        out[s] = _bfs(adj, s)
+    return out

@@ -348,13 +348,5 @@ def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
         apply = lambda p, t: p.apply_tuple(t)
     else:
         apply = lambda p, x: p.images[x]
-    seen = {w.first}
-    frontier = [w.first]
-    while frontier:
-        x = frontier.pop()
-        for gen in group.generators:
-            y = apply(gen, x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return w.second not in seen
+    _, orbit_of_first = orbit_partition(group, [w.first], apply)
+    return w.second not in orbit_of_first

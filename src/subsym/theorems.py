@@ -468,7 +468,8 @@ def check_known_exception() -> CheckOutcome:
     return _outcome(
         name, instance, ok,
         {"verdicts": verdicts, "four_transitive": four_transitive,
-         "note": "counterexample to the published table; verified by brute force"},
+         "note": "counterexample to the published table; verdicts from exact orbit "
+                 "partitions of the vertex stabilizers of A_5 acting on S(K_5)"},
     )
 
 
@@ -646,26 +647,31 @@ class CorpusConfig:
                 if "=" not in line:
                     raise GraphError(f"{path}:{lineno}: expected key = value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key in ("seed", "random_graphs", "random_n_min", "random_n_max",
-                           "subgroup_samples", "s_max"):
-                    setattr(cfg, key, int(value))
-                elif key in ("kn_range", "knn_range"):
-                    lo, hi = value.split("..")
-                    setattr(cfg, key, (int(lo), int(hi)))
-                elif key == "cycle_large_ns":
-                    cfg.cycle_large_ns = tuple(int(x) for x in value.split(",") if x.strip())
-                elif key == "sections":
-                    parts = tuple(x.strip() for x in value.split(",") if x.strip())
-                    for part in parts:
-                        if part not in ALL_SECTIONS:
-                            raise GraphError(f"{path}:{lineno}: unknown section {part!r}")
-                    cfg.sections = parts
-                elif key == "heavy":
-                    cfg.heavy = value.lower() in ("1", "true", "yes", "on")
-                elif key == "budget_seconds":
-                    cfg.budget_seconds = float(value)
-                else:
-                    raise GraphError(f"{path}:{lineno}: unknown key {key!r}")
+                try:
+                    if key in ("seed", "random_graphs", "random_n_min", "random_n_max",
+                               "subgroup_samples", "s_max"):
+                        setattr(cfg, key, int(value))
+                    elif key in ("kn_range", "knn_range"):
+                        lo, hi = value.split("..")
+                        setattr(cfg, key, (int(lo), int(hi)))
+                    elif key == "cycle_large_ns":
+                        cfg.cycle_large_ns = tuple(int(x) for x in value.split(",") if x.strip())
+                    elif key == "sections":
+                        parts = tuple(x.strip() for x in value.split(",") if x.strip())
+                        for part in parts:
+                            if part not in ALL_SECTIONS:
+                                raise GraphError(f"{path}:{lineno}: unknown section {part!r}")
+                        cfg.sections = parts
+                    elif key == "heavy":
+                        cfg.heavy = value.lower() in ("1", "true", "yes", "on")
+                    elif key == "budget_seconds":
+                        cfg.budget_seconds = float(value)
+                    else:
+                        raise GraphError(f"{path}:{lineno}: unknown key {key!r}")
+                except GraphError:
+                    raise
+                except ValueError:  # int()/float() or an "A..B" without ".."
+                    raise GraphError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
         return cfg
 
 

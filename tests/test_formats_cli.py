@@ -1,8 +1,10 @@
+import glob
 import os
 import random
 
 import pytest
 
+from subsym import cli
 from subsym.cli import main
 from subsym.formats import (
     FormatError,
@@ -229,3 +231,48 @@ class TestCli:
         cfg.write_text("nonsense without equals\n")
         assert main(["verify", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = abc", "bad value 'abc' for seed"),
+        ("kn_range = a..b", "bad value 'a..b' for kn_range"),
+        ("kn_range = 5", "bad value '5' for kn_range"),
+        ("budget_seconds = soon", "bad value 'soon' for budget_seconds"),
+        ("colour = blue", "unknown key 'colour'"),
+        ("sections = nowhere", "unknown section 'nowhere'"),
+    ])
+    def test_verify_bad_config_value(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+    @pytest.mark.parametrize("s", ["x", "3..1", "0", "1..y", "..2"])
+    def test_analyze_bad_s_range(self, tmp_path, capsys, s):
+        g_path = str(tmp_path / "p.g")
+        main(["build", "petersen", "--out", g_path])
+        capsys.readouterr()
+        rc = main(["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", s])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --s") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["p.g"]  # rejected before any aut search or cache write
+
+    def test_analyze_aut_cache_write_is_atomic(self, tmp_path, capsys, monkeypatch):
+        g_path = str(tmp_path / "p.g")
+        main(["build", "petersen", "--out", g_path])
+
+        def write_then_fail(path, G, comment=None):
+            with open(path, "w") as fh:
+                fh.write(f"degree {G.degree}\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_generators", write_then_fail)
+        args = ["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", "1..2"]
+        assert main(args) == 2
+        assert os.listdir(tmp_path) == ["p.g"]
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "cached automorphism" in capsys.readouterr().out
+        (cache,) = glob.glob(str(tmp_path / "*.gens"))
+        assert read_generators(cache).order() == 120

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from subsym.groups import (
     symmetric_group,
     trivial_group,
     tuple_action,
+    validate_automorphisms,
     wreath_s2,
 )
 from subsym.perms import Perm, PermError
@@ -234,6 +236,16 @@ class TestInducedActions:
         big = automorphism_group(sg.graph)
         assert all(p in big for p in Gs.generators)
 
+    def test_validated_graphs_are_not_kept_alive(self):
+        G = dihedral_group(6)
+        g = make_cycle(6)
+        validate_automorphisms(g, G)
+        validate_automorphisms(make_cycle(6), G)  # an equal graph shares the entry
+        assert len(G._validated_graphs) == 1
+        del g
+        gc.collect()
+        assert len(G._validated_graphs) == 0
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_action_axioms(self, seed):
@@ -313,3 +325,22 @@ class TestOrbitPartition:
         edges = make_cycle(6).edge_list
         orbs, _ = orbit_partition(half, list(edges), pair_set_action(edges).apply)
         assert len(orbs) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))))
+    def test_orbit_routines_match_closure(self, case):
+        degree, images = case
+        G = PermGroup(degree, [Perm(p) for p in images])
+        elements = brute_closure(G.generators, degree)
+        assert G.order() == len(elements)
+        expected = sorted({tuple(sorted({e[x] for e in elements})) for x in range(degree)})
+        assert [tuple(o) for o in G.point_orbits()] == expected
+        orbits, index = orbit_partition(G, range(degree), lambda p, x: p.images[x])
+        assert sorted(tuple(sorted(o)) for o in orbits) == expected
+        for x in range(degree):
+            orb = orbit(G, x, point_action(degree))
+            assert orb[0] == x and sorted(orb) == sorted({e[x] for e in elements})
+            assert {y for y in range(degree) if index[y] == index[x]} == set(orb)
+        pair = (0, degree - 1)
+        assert set(orbit(G, pair, tuple_action([pair]))) == {(e[0], e[degree - 1]) for e in elements}

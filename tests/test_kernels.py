@@ -1,42 +1,35 @@
 import random
 
 import numpy as np
+from hypothesis import given, settings
 
-from subsym import _kernels_py, kernels
-from subsym.graphs import make_complete_bipartite, make_petersen, random_connected_graph
+from subsym import kernels
+from subsym.graphs import Graph, make_complete_bipartite, make_petersen, random_connected_graph
 from subsym.transforms import subdivide
 
 from _oracles import brute_distances
-
-try:
-    from subsym import _kernels_c
-except ImportError:
-    _kernels_c = None
+from test_graphs import random_graph_strategy
 
 
-def implementations():
-    out = [_kernels_py]
-    if _kernels_c is not None:
-        out.append(_kernels_c)
-    return out
+def oracle_row(g, source):
+    dist = brute_distances(g, source)
+    return [dist.get(v, -1) for v in range(g.n)]
 
 
-def test_active_implementation_known():
-    assert kernels.ACTIVE in ("cython", "python")
+@settings(max_examples=100, deadline=None)
+@given(random_graph_strategy(max_n=12))
+def test_single_source_matches_oracle(g):
+    # any edge set: disconnected graphs and isolated vertices included
+    indptr, indices = g._csr()
+    mat = kernels.all_pairs_distances(indptr, indices, g.n)
+    assert mat.shape == (g.n, g.n) and mat.dtype == np.int32
+    for s in range(g.n):
+        dist = kernels.bfs_distances(indptr, indices, g.n, s)
+        assert dist.tolist() == oracle_row(g, s)
+        assert mat[s].tolist() == dist.tolist()
 
 
-def test_single_source_matches_oracle():
-    rng = random.Random(12)
-    for _ in range(10):
-        g = random_connected_graph(rng, rng.randint(3, 20))
-        indptr, indices = g._csr()
-        oracle = brute_distances(g, 0)
-        for impl in implementations():
-            dist = impl.bfs_distances(indptr, indices, g.n, 0)
-            assert [int(x) for x in dist] == [oracle[v] for v in range(g.n)]
-
-
-def test_all_pairs_implementations_agree():
+def test_all_pairs_matches_oracle():
     graphs = [
         make_petersen(),
         subdivide(make_complete_bipartite(4, 4)).graph,
@@ -45,16 +38,12 @@ def test_all_pairs_implementations_agree():
     graphs += [random_connected_graph(rng, rng.randint(4, 25)) for _ in range(6)]
     for g in graphs:
         indptr, indices = g._csr()
-        mats = [impl.all_pairs_distances(indptr, indices, g.n) for impl in implementations()]
-        for m in mats[1:]:
-            assert np.array_equal(mats[0], m)
+        mat = kernels.all_pairs_distances(indptr, indices, g.n)
+        assert mat.tolist() == [oracle_row(g, s) for s in range(g.n)]
 
 
 def test_unreachable_is_minus_one():
-    from subsym.graphs import Graph
-
     g = Graph(4, [(0, 1), (2, 3)])
     indptr, indices = g._csr()
-    for impl in implementations():
-        dist = impl.bfs_distances(indptr, indices, 4, 0)
-        assert list(dist) == [0, 1, -1, -1]
+    assert kernels.bfs_distances(indptr, indices, 4, 0).tolist() == [0, 1, -1, -1]
+    assert kernels.all_pairs_distances(*Graph(0, [])._csr(), 0).shape == (0, 0)
