@@ -31,17 +31,18 @@ from .graphs import (
     make_hoffman_singleton,
     make_petersen,
 )
-from .symmetry import (
-    is_locally_s_arc_transitive,
-    is_locally_s_distance_transitive,
-    is_s_arc_transitive,
-    is_s_distance_transitive,
-)
+from .symmetry import transitivity_reports
 from .theorems import REFUTED, CorpusConfig, run_corpus, summarize
 from .transforms import distance_two_graph, line_graph, reconstruct_from_ambient, subdivide
 
 FAMILIES = ("complete", "complete-bipartite", "cycle", "petersen", "hoffman-singleton")
-PROPERTIES = ("arc", "local-arc", "distance", "local-distance")
+# --property -> (kind name, local) for transitivity_reports
+PROPERTIES = {
+    "arc": ("s-arc", False),
+    "local-arc": ("s-arc", True),
+    "distance": ("s-distance", False),
+    "local-distance": ("s-distance", True),
+}
 
 
 def _effective(args: argparse.Namespace, keys: list[str]) -> str:
@@ -157,18 +158,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         d = g.diameter()
         if hi > d:
             raise GraphError(f"s range {lo}..{hi} exceeds diameter {d}")
-    reports = []
-    for s in range(lo, hi + 1):
-        if args.property == "arc":
-            rep = is_s_arc_transitive(g, G, s)
-        elif args.property == "local-arc":
-            rep = is_locally_s_arc_transitive(g, G, s)
-        elif args.property == "distance":
-            rep = is_s_distance_transitive(g, G, s)
-        else:
-            rep = is_locally_s_distance_transitive(g, G, s)
-        reports.append(rep)
-        print(f"s={s}: {'true' if rep.verdict else 'false'}")
+    name, local = PROPERTIES[args.property]
+    reports = transitivity_reports(g, G, name, local, range(lo, hi + 1))
+    for rep in reports:
+        print(f"s={rep.kind.s}: {'true' if rep.verdict else 'false'}")
     if args.out:
         write_json_lines(args.out, [r.to_json_dict() for r in reports])
         print(f"wrote {args.out}")

@@ -6,16 +6,20 @@ G-orbit of vertices: if w = v^g then G_w = g^-1 G_v g and the spheres / arcs
 at w are the g-images of those at v, so the verdicts coincide. Transitivity
 on a set is decided by an orbit partition, which also yields the per-level
 orbit counts and a concrete witness pair on failure.
+
+All eight predicates go through ``transitivity_reports``: it validates the
+inputs once, builds one profile (the per-level orbit statistics) up to the
+largest s asked for, and reads the report for every s off that profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _arc_tuples_from
+from .graphs import Graph, GraphError, _arc_tuples_from, distance_sphere
 from .groups import (
     PermGroup,
     orbit_partition,
@@ -94,7 +98,14 @@ class LevelStat:
     witness: Optional[tuple[Any, Any]]
 
 
+# A profile maps each vertex-orbit representative v to the statistics of G_v
+# on its level-1..s_max sets; a global profile has the single key None.
+Profile = dict[Optional[int], list[LevelStat]]
+
+
 def _check_inputs(g: Graph, G: PermGroup) -> None:
+    if g.n == 0:
+        raise GraphError("transitivity predicates need a graph with at least one vertex")
     if G.degree != g.n:
         raise GraphError(f"group degree {G.degree} != vertex count {g.n}")
     if not g.is_connected():
@@ -112,6 +123,10 @@ def is_vertex_transitive(g: Graph, G: PermGroup) -> bool:
     return len(G.point_orbits()) == 1
 
 
+def _apply_tuple(p, t):
+    return p.apply_tuple(t)
+
+
 def _partition_stats(group: PermGroup, domain: list, apply) -> LevelStat:
     if not domain:
         return LevelStat(size=0, orbits=0, witness=None)
@@ -123,66 +138,55 @@ def _partition_stats(group: PermGroup, domain: list, apply) -> LevelStat:
 # -- profiles ---------------------------------------------------------------
 
 
-def global_arc_profile(g: Graph, G: PermGroup, s_max: int) -> list[LevelStat]:
-    """Orbit statistics of G on the i-arc sets, i = 1..s_max."""
-    _check_inputs(g, G)
+def _arc_stats(g: Graph, group: PermGroup, starts, s_max: int) -> list[LevelStat]:
+    """Orbit statistics of group on the i-arcs from the start vertices,
+    i = 1..s_max. Each level extends the one before instead of enumerating
+    from scratch, and comes out in the same lexicographic order."""
     stats = []
-    apply = lambda p, t: p.apply_tuple(t)
-    for i in range(1, s_max + 1):
-        arcs = [t for v in range(g.n) for t in _arc_tuples_from(g, v, i)]
-        stats.append(_partition_stats(G, arcs, apply))
-        if not arcs:
-            # no i-arcs means no longer arcs either
-            for _ in range(i + 1, s_max + 1):
-                stats.append(LevelStat(size=0, orbits=0, witness=None))
-            break
+    arcs = [(v,) for v in starts]
+    for _ in range(s_max):
+        arcs = [
+            t + (w,) for t in arcs for w in g.adjacency[t[-1]] if len(t) < 2 or w != t[-2]
+        ]
+        stats.append(_partition_stats(group, arcs, _apply_tuple))
     return stats
 
 
-def global_distance_profile(g: Graph, G: PermGroup, s_max: int) -> list[LevelStat]:
+def global_arc_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
+    """Orbit statistics of G on the i-arc sets, i = 1..s_max."""
+    _check_inputs(g, G)
+    return {None: _arc_stats(g, G, range(g.n), s_max)}
+
+
+def global_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     """Orbit statistics of G on the ordered distance-i pair sets."""
     _check_inputs(g, G)
     dist = g.distances_matrix()
-    apply = lambda p, t: p.apply_tuple(t)
     stats = []
     for i in range(1, s_max + 1):
         pairs = [(int(a), int(b)) for a, b in np.argwhere(dist == i)]
-        stats.append(_partition_stats(G, pairs, apply))
-    return stats
+        stats.append(_partition_stats(G, pairs, _apply_tuple))
+    return {None: stats}
 
 
-def local_arc_profile(
-    g: Graph, G: PermGroup, s_max: int
-) -> dict[int, list[LevelStat]]:
+def local_arc_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     """Per orbit-representative vertex v: orbit statistics of G_v on the
     i-arcs starting at v, i = 1..s_max."""
     _check_inputs(g, G)
-    apply = lambda p, t: p.apply_tuple(t)
-    out: dict[int, list[LevelStat]] = {}
-    for v in vertex_orbit_reps(g, G):
-        Gv = stabilizer_point(G, v)
-        stats = []
-        for i in range(1, s_max + 1):
-            arcs = _arc_tuples_from(g, v, i)
-            stats.append(_partition_stats(Gv, arcs, apply))
-            if not arcs:
-                for _ in range(i + 1, s_max + 1):
-                    stats.append(LevelStat(size=0, orbits=0, witness=None))
-                break
-        out[v] = stats
-    return out
+    return {
+        v: _arc_stats(g, stabilizer_point(G, v), [v], s_max)
+        for v in vertex_orbit_reps(g, G)
+    }
 
 
-def local_distance_profile(
-    g: Graph, G: PermGroup, s_max: int
-) -> dict[int, list[LevelStat]]:
+def local_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     """Per orbit-representative vertex v: orbit statistics of G_v on the
     distance-i spheres around v, i = 1..s_max."""
     _check_inputs(g, G)
-    out: dict[int, list[LevelStat]] = {}
+    out: Profile = {}
     for v in vertex_orbit_reps(g, G):
         Gv = stabilizer_point(G, v)
-        dist = g.bfs_from(v)
+        dist = g.distances_matrix()[v]  # cached; checking an s range builds it
         # one orbit partition of G_v on all vertices; spheres are unions of cells
         _, orbit_id = orbit_partition(
             Gv, list(range(g.n)), lambda p, x: p.images[x]
@@ -206,34 +210,22 @@ def local_distance_profile(
     return out
 
 
+_PROFILES = {
+    ("arc", False): global_arc_profile,
+    ("arc", True): local_arc_profile,
+    ("distance", False): global_distance_profile,
+    ("distance", True): local_distance_profile,
+}
+
+
 # -- predicate assembly -------------------------------------------------------
 
 
-def report_from_global_profile(
-    kind: PropertyKind, stats: list[LevelStat], s: int
-) -> TransitivityReport:
-    """Assemble a report from a profile computed to s_max >= s."""
-    stats = stats[:s]
-    orbit_counts = {i + 1: st.orbits for i, st in enumerate(stats)}
-    for i, st in enumerate(stats):
-        if st.orbits > 1:
-            return TransitivityReport(
-                kind,
-                False,
-                Witness(level=i + 1, first=st.witness[0], second=st.witness[1]),
-                orbit_counts,
-            )
-    if stats[s - 1].size == 0:
-        return TransitivityReport(
-            kind, False, Witness(level=s, note="empty"), orbit_counts
-        )
-    return TransitivityReport(kind, True, None, orbit_counts)
+def report_from_profile(kind: PropertyKind, profile: Profile, s: int) -> TransitivityReport:
+    """Assemble the level-s report from a profile computed to s_max >= s.
 
-
-def report_from_local_profile(
-    kind: PropertyKind, profile: dict[int, list[LevelStat]], s: int
-) -> TransitivityReport:
-    """Assemble a report from per-representative profiles with s_max >= s."""
+    orbit_counts holds the worst count over the representatives; the witness
+    is the lowest failing level at the first representative that fails."""
     orbit_counts = {
         i: max(stats[i - 1].orbits for stats in profile.values())
         for i in range(1, s + 1)
@@ -256,97 +248,131 @@ def report_from_local_profile(
     return TransitivityReport(kind, True, None, orbit_counts)
 
 
+def transitivity_reports(
+    g: Graph,
+    G: PermGroup,
+    name: str,
+    local: bool,
+    s_values: Optional[Iterable[int]] = None,
+) -> list[TransitivityReport]:
+    """One report per s in s_values, all read off one profile of (g, G).
+
+    name is "s-arc" or "s-distance" with the s values to report, or the
+    unparameterised "arc" (level 1) or "distance" (level diam g) with
+    s_values omitted. The inputs are validated once and the profile is built
+    once, up to the largest level asked for."""
+    if (s_values is None) != (name in ("arc", "distance")):
+        raise ValueError(f"{name!r} needs s values exactly when it is parameterised")
+    if name.endswith("distance"):
+        d = g.diameter()
+    if name == "arc":
+        kinds = [PropertyKind("arc", local)]
+    elif name == "distance":
+        if d < 1:
+            raise GraphError("distance transitivity needs at least two vertices")
+        kinds = [PropertyKind("distance", local, s=d)]
+    else:
+        s_values = list(s_values)
+        for s in s_values:
+            if name == "s-arc" and s < 1:
+                raise GraphError("s must be >= 1")
+            if name == "s-distance" and not (1 <= s <= d):
+                raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
+        kinds = [PropertyKind(name, local, s=s) for s in s_values]
+    if not kinds:
+        return []
+    levels = [1 if k.s is None else k.s for k in kinds]
+    profile = _PROFILES[name.removeprefix("s-"), local](g, G, max(levels))
+    return [report_from_profile(k, profile, level) for k, level in zip(kinds, levels)]
+
+
 def is_s_arc_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
     """G transitive on the i-arcs for every i <= s, with some s-arc existing."""
-    if s < 1:
-        raise GraphError("s must be >= 1")
-    kind = PropertyKind("s-arc", local=False, s=s)
-    return report_from_global_profile(kind, global_arc_profile(g, G, s), s)
+    return transitivity_reports(g, G, "s-arc", False, [s])[0]
 
 
 def is_arc_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    kind = PropertyKind("arc", local=False)
-    return report_from_global_profile(kind, global_arc_profile(g, G, 1), 1)
+    return transitivity_reports(g, G, "arc", False)[0]
 
 
 def is_locally_s_arc_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
     """Every vertex stabilizer transitive on the i-arcs from its vertex for
     i <= s (vacuously on empty sets), with an s-arc from some vertex."""
-    if s < 1:
-        raise GraphError("s must be >= 1")
-    kind = PropertyKind("s-arc", local=True, s=s)
-    return report_from_local_profile(kind, local_arc_profile(g, G, s), s)
+    return transitivity_reports(g, G, "s-arc", True, [s])[0]
 
 
 def is_locally_arc_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    kind = PropertyKind("arc", local=True)
-    return report_from_local_profile(kind, local_arc_profile(g, G, 1), 1)
+    return transitivity_reports(g, G, "arc", True)[0]
 
 
 def is_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
     """G transitive on the ordered pairs at distance i for every i <= s."""
-    d = g.diameter()
-    if not (1 <= s <= d):
-        raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
-    kind = PropertyKind("s-distance", local=False, s=s)
-    return report_from_global_profile(kind, global_distance_profile(g, G, s), s)
+    return transitivity_reports(g, G, "s-distance", False, [s])[0]
 
 
 def is_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    d = g.diameter()
-    if d < 1:
-        raise GraphError("distance transitivity needs at least two vertices")
-    kind = PropertyKind("distance", local=False, s=d)
-    return report_from_global_profile(kind, global_distance_profile(g, G, d), d)
+    return transitivity_reports(g, G, "distance", False)[0]
 
 
 def is_locally_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
     """Every vertex stabilizer transitive on its distance-i spheres for i <= s
     (vacuously on empty spheres), with the level-s sphere nonempty somewhere."""
-    d = g.diameter()
-    if not (1 <= s <= d):
-        raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
-    kind = PropertyKind("s-distance", local=True, s=s)
-    return report_from_local_profile(kind, local_distance_profile(g, G, s), s)
+    return transitivity_reports(g, G, "s-distance", True, [s])[0]
 
 
 def is_locally_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    d = g.diameter()
-    if d < 1:
-        raise GraphError("distance transitivity needs at least two vertices")
-    kind = PropertyKind("distance", local=True, s=d)
-    return report_from_local_profile(kind, local_distance_profile(g, G, d), d)
+    return transitivity_reports(g, G, "distance", True)[0]
 
 
 def neighborhood_two_transitive(g: Graph, G: PermGroup) -> bool:
     """True iff every vertex stabilizer is 2-transitive on that vertex's
     neighbours (single orbit on ordered distinct neighbour pairs)."""
     _check_inputs(g, G)
-    apply = lambda p, t: p.apply_tuple(t)
     for v in vertex_orbit_reps(g, G):
         nbrs = g.adjacency[v]
         pairs = [(a, b) for a in nbrs for b in nbrs if a != b]
         if not pairs:
             continue
         Gv = stabilizer_point(G, v)
-        orbits, _ = orbit_partition(Gv, pairs, apply)
+        orbits, _ = orbit_partition(Gv, pairs, _apply_tuple)
         if len(orbits) > 1:
             return False
     return True
 
 
+def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[int], x) -> bool:
+    """Whether x is in the level's class for the kind: a level-arc, an ordered
+    pair at distance level, or (local distance) a vertex at distance level from
+    vertex. Local arcs start at vertex."""
+    if kind.name.endswith("arc"):
+        return (
+            isinstance(x, tuple) and len(x) == level + 1 and x[0] in range(g.n)
+            and vertex in (None, x[0]) and x in _arc_tuples_from(g, x[0], level)
+        )
+    if vertex is None:
+        return (
+            isinstance(x, tuple) and len(x) == 2 and x[0] in range(g.n)
+            and x[1] in distance_sphere(g, x[0], level)
+        )
+    return x in distance_sphere(g, vertex, level)
+
+
 def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
-    """Check a failure witness: both objects in the stated class, and an orbit
-    recomputation confirming they lie in distinct orbits."""
+    """Check a failure witness: both objects in the level's class for the
+    report's kind, and an orbit recomputation confirming they lie in distinct
+    orbits; a note "empty" only when the level's set is empty."""
     if report.verdict or report.witness is None:
         return False
-    w = report.witness
+    w, kind = report.witness, report.kind
     if w.note == "empty":
-        return True
-    group = G if w.vertex is None else stabilizer_point(G, w.vertex)
-    if isinstance(w.first, tuple):
-        apply = lambda p, t: p.apply_tuple(t)
-    else:
-        apply = lambda p, x: p.images[x]
+        if kind.name.endswith("arc"):
+            return w.vertex is None and not any(_arc_tuples_from(g, v, w.level) for v in range(g.n))
+        return w.vertex is None and not (g.distances_matrix() == w.level).any()
+    if w.vertex not in (range(g.n) if kind.local else (None,)):
+        return False
+    if not all(_in_level_class(g, kind, w.level, w.vertex, x) for x in (w.first, w.second)):
+        return False
+    group = stabilizer_point(G, w.vertex) if kind.local else G
+    apply = _apply_tuple if isinstance(w.first, tuple) else (lambda p, x: p.images[x])
     _, orbit_of_first = orbit_partition(group, [w.first], apply)
     return w.second not in orbit_of_first

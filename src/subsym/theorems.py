@@ -53,15 +53,11 @@ from .groups import (
 )
 from .perms import Perm
 from .symmetry import (
-    PropertyKind,
     is_locally_s_distance_transitive,
     is_s_arc_transitive,
     is_vertex_transitive,
-    local_arc_profile,
     local_distance_profile,
-    global_arc_profile,
-    report_from_global_profile,
-    report_from_local_profile,
+    transitivity_reports,
 )
 from .transforms import (
     SubdivisionGraph,
@@ -119,7 +115,57 @@ def _ceil_half_succ(s: int) -> int:
     return (s + 2) // 2
 
 
+def _lift(g: Graph, G: PermGroup) -> tuple[SubdivisionGraph, PermGroup]:
+    """The subdivision graph S(g) and the action G induces on it."""
+    sg = subdivide(g)
+    return sg, induced_subdivision_action(G, sg)
+
+
+def _verdicts(g: Graph, G: PermGroup, name: str, s_values, local: bool = True) -> dict[int, bool]:
+    """Verdict per s, in the order given, all read off one profile."""
+    return {r.kind.s: r.verdict for r in transitivity_reports(g, G, name, local, s_values)}
+
+
 # -- equivalence checks --------------------------------------------------------
+
+
+ARC_EQUIVALENCE = "local-arc-equivalence"
+DISTANCE_EQUIVALENCE = "local-distance-equivalence"
+
+
+def _equivalences(g: Graph, G: PermGroup, arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
+    """The local arc equivalence for each s in arc_s and the local distance
+    equivalence for each s in distance_s, ordered by s (arc first). Each side
+    reads all its verdicts off one profile: the subdivision side off the
+    lifted pair, the base side off (g, G) at t = ceil((s+1)/2)."""
+    # a single edge with even s is the degenerate case of the arc equivalence
+    arc_evaluated = [s for s in arc_s if g.n != 2 or s % 2 == 1]
+    sg, Gs = _lift(g, G)
+    sides = {
+        ARC_EQUIVALENCE: _verdicts(sg.graph, Gs, "s-arc", arc_evaluated),
+        DISTANCE_EQUIVALENCE: _verdicts(sg.graph, Gs, "s-distance", distance_s),
+    }
+    t_values = sorted({_ceil_half_succ(s) for side in sides.values() for s in side})
+    base = _verdicts(g, G, "s-arc", t_values, local=False)
+    out = []
+    for s in sorted({*arc_s, *distance_s}):
+        t = _ceil_half_succ(s)
+        for name, s_values in ((ARC_EQUIVALENCE, arc_s), (DISTANCE_EQUIVALENCE, distance_s)):
+            if s not in s_values:
+                continue
+            instance = f"{prefix} s={s}"
+            if s not in sides[name]:
+                out.append(_outcome(
+                    name, instance, None, {},
+                    "single-edge base graph with even s: level-s nonemptiness is only "
+                    "witnessed at a degree-1 side, the equivalence is not defined here",
+                ))
+                continue
+            lhs, rhs = sides[name][s], base[t]
+            out.append(_outcome(
+                name, instance, lhs == rhs, {"s": s, "t": t, "subdivision_side": lhs, "base_side": rhs}
+            ))
+    return out
 
 
 def check_local_arc_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
@@ -130,42 +176,26 @@ def check_local_arc_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     side can be vacuously true while the base side has no s/2+1-arcs at all;
     that instance is reported as skipped rather than stretched either way.
     """
-    name = "local-arc-equivalence"
-    instance = f"g=({g.n},{g.m}) |G|={G.order()} s={s}"
+    prefix = f"g=({g.n},{g.m}) |G|={G.order()}"
     if not g.is_connected() or g.n < 2:
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    if g.n == 2 and s % 2 == 0 and s >= 2:
-        return _outcome(
-            name, instance, None, {},
-            "single-edge base graph with even s: level-s nonemptiness is only "
-            "witnessed at a degree-1 side, the equivalence is not defined here",
-        )
-    t = _ceil_half_succ(s)
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
-    lhs = report_from_local_profile(
-        PropertyKind("s-arc", local=True, s=s), local_arc_profile(sg.graph, Gs, s), s
-    ).verdict
-    rhs = is_s_arc_transitive(g, G, t).verdict
-    return _outcome(name, instance, lhs == rhs, {"s": s, "t": t, "subdivision_side": lhs, "base_side": rhs})
+        return _outcome(ARC_EQUIVALENCE, f"{prefix} s={s}", None, {},
+                        "need a connected graph on >= 2 vertices")
+    return _equivalences(g, G, [s], [], prefix)[0]
 
 
 def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     """For s <= 2*diam-1: local s-distance transitivity of the subdivision
     graph is equivalent to ceil((s+1)/2)-arc transitivity of the base graph."""
-    name = "local-distance-equivalence"
-    instance = f"g=({g.n},{g.m}) |G|={G.order()} s={s}"
+    prefix = f"g=({g.n},{g.m}) |G|={G.order()}"
+    instance = f"{prefix} s={s}"
     if not g.is_connected() or g.n < 2:
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+        return _outcome(DISTANCE_EQUIVALENCE, instance, None, {},
+                        "need a connected graph on >= 2 vertices")
     d = g.diameter()
     if s > 2 * d - 1:
-        return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
-    t = _ceil_half_succ(s)
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
-    lhs = is_locally_s_distance_transitive(sg.graph, Gs, s).verdict
-    rhs = is_s_arc_transitive(g, G, t).verdict
-    return _outcome(name, instance, lhs == rhs, {"s": s, "t": t, "subdivision_side": lhs, "base_side": rhs})
+        return _outcome(DISTANCE_EQUIVALENCE, instance, None, {"d": d},
+                        f"s={s} exceeds 2d-1={2 * d - 1}")
+    return _equivalences(g, G, [], [s], prefix)[0]
 
 
 def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
@@ -178,22 +208,15 @@ def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
     if g.n == 2:
         return _outcome(name, instance, None, {}, "single-edge graph excluded")
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
-    ldist = local_distance_profile(sg.graph, Gs, 3)
-    larc = local_arc_profile(sg.graph, Gs, 3)
-    a = report_from_local_profile(PropertyKind("s-distance", local=True, s=2), ldist, 2).verdict
-    b = is_s_arc_transitive(g, G, 2).verdict
-    c = report_from_local_profile(PropertyKind("s-arc", local=True, s=3), larc, 3).verdict
-    dd = report_from_local_profile(PropertyKind("s-distance", local=True, s=3), ldist, 3).verdict
-    verdicts = {"loc2dist": a, "base2arc": b, "loc3arc": c, "loc3dist": dd}
+    sg, Gs = _lift(g, G)
+    ldist = _verdicts(sg.graph, Gs, "s-distance", [2, 3])
+    verdicts = {
+        "loc2dist": ldist[2],
+        "base2arc": is_s_arc_transitive(g, G, 2).verdict,
+        "loc3arc": _verdicts(sg.graph, Gs, "s-arc", [3])[3],
+        "loc3dist": ldist[3],
+    }
     return _outcome(name, instance, len(set(verdicts.values())) == 1, verdicts)
-
-
-def _edge_vertex_stats(sg: SubdivisionGraph, Gs: PermGroup, depth: int):
-    """Per E-vertex-representative orbit stats of its stabilizer on spheres."""
-    profile = local_distance_profile(sg.graph, Gs, depth)
-    return {v: stats for v, stats in profile.items() if not sg.is_v_vertex(v)}
 
 
 def check_edge_stabilizer_conditions(g: Graph, G: PermGroup) -> CheckOutcome:
@@ -206,15 +229,16 @@ def check_edge_stabilizer_conditions(g: Graph, G: PermGroup) -> CheckOutcome:
     instance = f"g=({g.n},{g.m}) |G|={G.order()}"
     if not g.is_connected() or g.n < 2:
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
-    stats = _edge_vertex_stats(sg, Gs, 2)
-    left_a = all(st[0].orbits <= 1 for st in stats.values())
+    sg, Gs = _lift(g, G)
+    # orbit stats of each E-vertex representative's stabilizer on its spheres
+    profile = local_distance_profile(sg.graph, Gs, 2)
+    stats = [st for v, st in profile.items() if not sg.is_v_vertex(v)]
+    left_a = all(st[0].orbits <= 1 for st in stats)
     a_holds = (not left_a) or is_vertex_transitive(g, G)
     details: dict = {"endpoint_transitive": left_a, "vertex_transitive": is_vertex_transitive(g, G)}
     if g.n == 2:
         return _outcome(name, instance, a_holds, details)
-    left_b = left_a and all(st[1].orbits <= 1 for st in stats.values())
+    left_b = left_a and all(st[1].orbits <= 1 for st in stats)
     two_arc = is_s_arc_transitive(g, G, 2).verdict
     exceptional = _is_even_cycle_half_dihedral(g, G)
     right_b = two_arc or exceptional
@@ -243,8 +267,7 @@ def check_girth_bound(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     d = g.diameter()
     if s > 2 * d - 1:
         return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
+    sg, Gs = _lift(g, G)
     premise = is_locally_s_distance_transitive(sg.graph, Gs, s).verdict
     gr = girth(g)
     holds = (not premise) or (gr is not None and gr >= s + 2)
@@ -261,9 +284,8 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
     gr = girth(g)
     if gr is None or gr < 5:
         return _outcome(name, instance, None, {"girth": gr}, "needs girth >= 5")
-    sg = subdivide(g)
+    sg, Gs = _lift(g, G)
     diam_s = sg.graph.diameter()
-    Gs = induced_subdivision_action(G, sg)
     premise = is_locally_s_distance_transitive(sg.graph, Gs, 4).verdict
     conclusion = is_s_arc_transitive(g, G, 3).verdict
     ok = diam_s >= 5 and ((not premise) or conclusion)
@@ -420,18 +442,15 @@ def check_classification_row(row: str, G: Optional[PermGroup] = None, n: Optiona
         G = default_G
     instance = f"row={row}{'' if n is None else f'(n={n})'} |G|={G.order()}"
     report = delta_of(g)
-    sg = subdivide(g)
     diam_s = 2 * report.d + report.delta
-    Gs = induced_subdivision_action(G, sg)
+    sg, Gs = _lift(g, G)
     s_max = _expected_s_max(row, g, G, n, diam_s)
-    profile = local_distance_profile(sg.graph, Gs, diam_s)
-    verdicts = {}
-    ok = report.d == d_pub and report.delta == delta_pub
-    for s in range(1, diam_s + 1):
-        v = report_from_local_profile(PropertyKind("s-distance", local=True, s=s), profile, s).verdict
-        verdicts[s] = v
-        if v != (s <= s_max):
-            ok = False
+    verdicts = _verdicts(sg.graph, Gs, "s-distance", range(1, diam_s + 1))
+    ok = (
+        report.d == d_pub
+        and report.delta == delta_pub
+        and all(v == (s <= s_max) for s, v in verdicts.items())
+    )
     return _outcome(
         name,
         instance,
@@ -456,13 +475,8 @@ def check_known_exception() -> CheckOutcome:
     g = make_complete(5)
     G = alternating_group(5)
     instance = "K_5 with A_5"
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
-    profile = local_distance_profile(sg.graph, Gs, 4)
-    verdicts = {
-        s: report_from_local_profile(PropertyKind("s-distance", local=True, s=s), profile, s).verdict
-        for s in range(1, 5)
-    }
+    sg, Gs = _lift(g, G)
+    verdicts = _verdicts(sg.graph, Gs, "s-distance", range(1, 5))
     four_transitive = is_k_transitive(G, 4)
     ok = all(verdicts.values()) and not four_transitive
     return _outcome(
@@ -558,8 +572,7 @@ def check_bipartite_conditions(n: int, G: PermGroup) -> CheckOutcome:
     if G.degree != 2 * n:
         raise GraphError("group degree must be 2n")
     conds = _bipartite_conditions(g, G)
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
+    sg, Gs = _lift(g, G)
     rhs = is_locally_s_distance_transitive(sg.graph, Gs, 4).verdict
     lhs = all(conds.values())
     return _outcome(name, instance, lhs == rhs, {**conds, "local_4_distance": rhs})
@@ -577,17 +590,9 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
     instance = f"C_{n}"
     g = make_cycle(n)
     G = dihedral_group(n)
-    sg = subdivide(g)
     s_values = [n] + ([n - 1] if n % 2 == 1 else [])
-    for s in s_values:
-        if s != n and s % 2 != 0:
-            return _outcome(name, instance, False, {"s": s, "note": "odd s in the n=s+1 branch"})
-    Gs = induced_subdivision_action(G, sg)
-    profile = local_distance_profile(sg.graph, Gs, n)
-    positives = {
-        s: report_from_local_profile(PropertyKind("s-distance", local=True, s=s), profile, s).verdict
-        for s in s_values
-    }
+    sg, Gs = _lift(g, G)
+    positives = _verdicts(sg.graph, Gs, "s-distance", s_values)
     subs = [H for H in random_subgroups(G, 3 * subgroup_count, seed) if H.order() < G.order()]
     fallback = [cyclic_group(n), trivial_group(n), PermGroup(n, [dihedral_group(n).generators[1]])]
     if n % 2 == 0:
@@ -601,14 +606,12 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
             proper.append(H)
         if len(proper) >= subgroup_count:
             break
-    negatives = {}
-    for idx, H in enumerate(proper):
-        Hs = induced_subdivision_action(H, sg)
-        prof = local_distance_profile(sg.graph, Hs, max(s_values))
-        negatives[f"sub{idx}(|H|={H.order()})"] = {
-            s: report_from_local_profile(PropertyKind("s-distance", local=True, s=s), prof, s).verdict
-            for s in s_values
-        }
+    negatives = {
+        f"sub{idx}(|H|={H.order()})": _verdicts(
+            sg.graph, induced_subdivision_action(H, sg), "s-distance", s_values
+        )
+        for idx, H in enumerate(proper)
+    }
     ok = all(positives.values()) and all(
         not v for vs in negatives.values() for v in vs.values()
     )
@@ -770,50 +773,15 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
                 continue
             aut = automorphism_group(g)
             groups = [aut] + random_subgroups(aut, config.subgroup_samples, rng.randrange(2**30))[2:]
+            s_values = range(1, config.s_max + 1)
+            distance_s = range(1, min(config.s_max, 2 * g.diameter() - 1) + 1)
             for gi, G in enumerate(groups):
                 label = f"{inst} G#{gi}(|G|={G.order()})"
-                outcomes.extend(_sweep_equivalences(g, G, config.s_max, label, out_of_budget))
+                if out_of_budget():
+                    outcomes.append(skip("equivalence-sweep", label))
+                else:
+                    outcomes.extend(_equivalences(g, G, s_values, distance_s, label))
     return outcomes
-
-
-def _sweep_equivalences(
-    g: Graph, G: PermGroup, s_max: int, label: str, out_of_budget: Callable[[], bool]
-) -> list[CheckOutcome]:
-    """Both equivalence checks for s = 1..s_max, computing each profile once."""
-    out: list[CheckOutcome] = []
-    if out_of_budget():
-        return [CheckOutcome("equivalence-sweep", label, SKIPPED, {"reason": "budget exhausted"})]
-    d = g.diameter()
-    t_max = _ceil_half_succ(s_max)
-    sg = subdivide(g)
-    Gs = induced_subdivision_action(G, sg)
-    garc = global_arc_profile(g, G, t_max)
-    larc = local_arc_profile(sg.graph, Gs, s_max)
-    dist_smax = min(s_max, 2 * d - 1)
-    ldist = local_distance_profile(sg.graph, Gs, dist_smax) if dist_smax >= 1 else {}
-    for s in range(1, s_max + 1):
-        t = _ceil_half_succ(s)
-        rhs = report_from_global_profile(PropertyKind("s-arc", local=False, s=t), garc, t).verdict
-        if g.n == 2 and s % 2 == 0:
-            out.append(CheckOutcome(
-                "local-arc-equivalence", f"{label} s={s}", SKIPPED,
-                {"reason": "single-edge base graph with even s"},
-            ))
-        else:
-            lhs = report_from_local_profile(PropertyKind("s-arc", local=True, s=s), larc, s).verdict
-            out.append(_outcome(
-                "local-arc-equivalence", f"{label} s={s}", lhs == rhs,
-                {"s": s, "t": t, "subdivision_side": lhs, "base_side": rhs},
-            ))
-        if s <= dist_smax:
-            lhs_d = report_from_local_profile(
-                PropertyKind("s-distance", local=True, s=s), ldist, s
-            ).verdict
-            out.append(_outcome(
-                "local-distance-equivalence", f"{label} s={s}", lhs_d == rhs,
-                {"s": s, "t": t, "subdivision_side": lhs_d, "base_side": rhs},
-            ))
-    return out
 
 
 def _s3_times_s3() -> PermGroup:

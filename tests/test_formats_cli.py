@@ -1,10 +1,11 @@
 import glob
+import json
 import os
 import random
 
 import pytest
 
-from subsym import cli
+from subsym import cli, symmetry
 from subsym.cli import main
 from subsym.formats import (
     FormatError,
@@ -20,6 +21,9 @@ from subsym.groups import dihedral_group, pgammal_2_8
 from subsym.transforms import subdivide
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "golden_verify.jsonl")
+# the corpus GOLDEN_VERIFY was written with (343 records, all 12 check names)
+GOLDEN_CONFIG = "random_graphs = 3\nkn_range = 4..5\nknn_range = 2..3\ncycle_large_ns = 16,17\n"
 
 
 class TestGraphFiles:
@@ -226,6 +230,21 @@ class TestCli:
         assert main(["verify", "--config", str(cfg), "--out", rep2]) == 0
         assert open(rep1, "rb").read() == open(rep2, "rb").read()
 
+    def test_verify_report_matches_golden(self, tmp_path):
+        # the committed report pins verdicts, witnesses and details across
+        # refactors; regenerate it only for an intended change of the report
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(GOLDEN_CONFIG)
+        out = tmp_path / "r.jsonl"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        want = open(GOLDEN_VERIFY).read().splitlines()
+        got = out.read_text().splitlines()
+        assert len(got) == len(want) == 343
+        assert len({json.loads(line)["name"] for line in want}) == 12
+        for i, (a, b) in enumerate(zip(got, want)):
+            rec = json.loads(b)
+            assert a == b, f"record {i}: {rec['name']} [{rec['instance']}]"
+
     def test_verify_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense without equals\n")
@@ -256,6 +275,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: --s") and err.count("\n") == 1
         assert os.listdir(tmp_path) == ["p.g"]  # rejected before any aut search or cache write
+
+    @pytest.mark.parametrize("prop", sorted(cli.PROPERTIES))
+    def test_analyze_graph_without_vertices(self, tmp_path, capsys, prop):
+        g_path = tmp_path / "empty.g"
+        g_path.write_text("0 0\n")
+        rc = main(["analyze", "--graph", str(g_path), "--group", "aut", "--property", prop, "--s", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_analyze_range_builds_one_profile(self, tmp_path, capsys, monkeypatch):
+        sg_path = str(tmp_path / "sp.g")
+        write_subdivision(sg_path, subdivide(make_petersen()))
+        calls = []
+        stabilizer_point = symmetry.stabilizer_point
+
+        def counting(G, v):
+            calls.append(v)
+            return stabilizer_point(G, v)
+
+        monkeypatch.setattr(symmetry, "stabilizer_point", counting)
+        rc = main([
+            "analyze", "--graph", sg_path,
+            "--group", os.path.join(FIXTURES, "petersen_aut.gens"),
+            "--property", "local-distance", "--s", "1..4",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.count(": true\n") == 4
+        assert calls == [0, 10]  # one stabilizer per vertex orbit, not one per s
 
     def test_analyze_aut_cache_write_is_atomic(self, tmp_path, capsys, monkeypatch):
         g_path = str(tmp_path / "p.g")

@@ -27,6 +27,9 @@ from subsym.groups import (
 )
 from subsym.perms import Perm
 from subsym.symmetry import (
+    PropertyKind,
+    TransitivityReport,
+    Witness,
     is_arc_transitive,
     is_distance_transitive,
     is_locally_arc_transitive,
@@ -37,6 +40,7 @@ from subsym.symmetry import (
     is_s_distance_transitive,
     is_vertex_transitive,
     neighborhood_two_transitive,
+    transitivity_reports,
     verify_witness,
 )
 from subsym.transforms import subdivide
@@ -246,6 +250,157 @@ class TestStructuralInvariants:
                 if not rep.verdict:
                     assert rep.witness is not None
                     assert verify_witness(g, G, rep)
+
+
+class TestVerifyWitness:
+    @staticmethod
+    def false_report(name, local, s, **witness):
+        return TransitivityReport(PropertyKind(name, local, s), False, Witness(level=s, **witness))
+
+    def test_local_distance_objects_must_be_on_the_sphere(self):
+        p = make_petersen()  # neighbours of 0: 7, 8, 9; vertex 1 is at distance 2
+        T = trivial_group(10)
+        assert verify_witness(p, T, self.false_report("s-distance", True, 1, vertex=0, first=7, second=8))
+        assert not verify_witness(p, T, self.false_report("s-distance", True, 1, vertex=0, first=7, second=1))
+        assert not verify_witness(p, T, self.false_report("s-distance", True, 1, vertex=None, first=7, second=8))
+
+    def test_arc_objects_must_be_arcs(self):
+        p = make_petersen()
+        T = trivial_group(10)
+        assert verify_witness(p, T, self.false_report("s-arc", False, 1, first=(0, 7), second=(0, 8)))
+        assert not verify_witness(p, T, self.false_report("s-arc", False, 1, first=(0, 1), second=(0, 2)))
+        assert not verify_witness(p, T, self.false_report("s-arc", False, 2, first=(0, 7, 0), second=(0, 8, 3)))
+        local = self.false_report("s-arc", True, 1, vertex=7, first=(0, 7), second=(0, 8))
+        assert not verify_witness(p, T, local)  # local arcs start at the vertex
+
+    def test_global_distance_objects_must_be_pairs_at_that_distance(self):
+        c = make_cycle(6)
+        G = cyclic_group(6)
+        assert verify_witness(c, G, self.false_report("s-distance", False, 1, first=(0, 1), second=(1, 0)))
+        assert not verify_witness(c, G, self.false_report("s-distance", False, 1, first=(0, 1), second=(0, 2)))
+
+    def test_empty_note_only_for_an_empty_level(self):
+        p = make_petersen()
+        T = trivial_group(10)
+        assert not verify_witness(p, T, self.false_report("s-arc", False, 4, note="empty"))
+        assert not verify_witness(p, T, self.false_report("s-distance", True, 2, note="empty"))
+        assert verify_witness(p, T, self.false_report("s-distance", False, 3, note="empty"))
+        k2 = make_complete(2)
+        assert verify_witness(k2, symmetric_group(2), self.false_report("s-arc", True, 2, note="empty"))
+
+    def test_distinct_orbits_still_required(self):
+        p = make_petersen()
+        G = automorphism_group(p)
+        assert not verify_witness(p, G, self.false_report("s-arc", False, 1, first=(0, 7), second=(0, 8)))
+
+
+def _sampled_pairs(seed=11, count=6):
+    """Small random connected graphs with their Aut and sampled subgroups,
+    and the subdivisions of the first two with the induced actions."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        g = random_connected_graph(rng, rng.randint(3, 6))
+        aut = automorphism_group(g)
+        for G in [aut] + random_subgroups(aut, 2, rng.randrange(2**30)):
+            pairs.append((g, G))
+            if i < 2:
+                sg = subdivide(g)
+                pairs.append((sg.graph, induced_subdivision_action(G, sg)))
+    return pairs
+
+
+class TestOneEvaluationPath:
+    """A range evaluation reads every s off one profile; each report must be
+    the one a single-s call gives."""
+
+    S_MAX_ARC = 5
+
+    def test_range_equals_single_s_calls(self):
+        single = {
+            ("s-arc", False): is_s_arc_transitive,
+            ("s-arc", True): is_locally_s_arc_transitive,
+            ("s-distance", False): is_s_distance_transitive,
+            ("s-distance", True): is_locally_s_distance_transitive,
+        }
+        for g, G in _sampled_pairs():
+            d = g.diameter()
+            for (name, local), predicate in single.items():
+                s_max = self.S_MAX_ARC if name == "s-arc" else d
+                ranged = transitivity_reports(g, G, name, local, range(1, s_max + 1))
+                assert [r.kind.s for r in ranged] == list(range(1, s_max + 1))
+                for s, rep in zip(range(1, s_max + 1), ranged):
+                    assert rep.to_json_dict() == predicate(g, G, s).to_json_dict(), (name, local, s)
+
+    def test_unparameterised_predicates_match_their_level(self):
+        def without_kind(rep):
+            out = rep.to_json_dict()
+            del out["kind"], out["s"]
+            return out
+
+        for g, G in _sampled_pairs():
+            d = g.diameter()
+            for local, arc, dist in (
+                (False, is_arc_transitive, is_distance_transitive),
+                (True, is_locally_arc_transitive, is_locally_distance_transitive),
+            ):
+                arc_rep, dist_rep = arc(g, G), dist(g, G)
+                assert arc_rep.kind.s is None and dist_rep.kind.s == d
+                ranged = transitivity_reports(g, G, "s-arc", local, [1])[0]
+                assert without_kind(arc_rep) == without_kind(ranged)
+                ranged = transitivity_reports(g, G, "s-distance", local, range(1, d + 1))[-1]
+                assert without_kind(dist_rep) == without_kind(ranged)
+
+    def test_bad_s_values_rejected(self):
+        g, G = make_petersen(), automorphism_group(make_petersen())
+        with pytest.raises(GraphError):
+            transitivity_reports(g, G, "s-distance", True, [1, 2, 3])
+        with pytest.raises(GraphError):
+            transitivity_reports(g, G, "s-arc", False, [2, 0])
+        with pytest.raises(ValueError):
+            transitivity_reports(g, G, "arc", False, [1])
+        with pytest.raises(ValueError):
+            transitivity_reports(g, G, "s-arc", False)
+
+
+def test_arc_levels_come_in_enumeration_order(monkeypatch):
+    # orbit order, and so every arc witness, follows the order of the domain
+    from subsym import symmetry
+    from subsym.graphs import Graph, enumerate_s_arcs, s_arcs_from
+
+    domains = []
+    partition_stats = symmetry._partition_stats
+
+    def recording(group, domain, apply):
+        domains.append(list(domain))
+        return partition_stats(group, domain, apply)
+
+    monkeypatch.setattr(symmetry, "_partition_stats", recording)
+    rng = random.Random(8)
+    graphs = [Graph(3, [(0, 1), (1, 2)]), make_petersen()]
+    graphs += [random_connected_graph(rng, rng.randint(3, 7)) for _ in range(4)]
+    for g in graphs:
+        T = trivial_group(g.n)
+        domains.clear()
+        symmetry.global_arc_profile(g, T, 4)
+        assert domains == [[a.vertices for a in enumerate_s_arcs(g, i)] for i in range(1, 5)]
+        domains.clear()
+        symmetry.local_arc_profile(g, T, 4)
+        assert domains == [
+            [a.vertices for a in s_arcs_from(g, v, i)] for v in range(g.n) for i in range(1, 5)
+        ]
+
+
+@pytest.mark.parametrize("predicate", [
+    is_arc_transitive, is_locally_arc_transitive, is_distance_transitive, is_locally_distance_transitive,
+    lambda g, G: is_s_arc_transitive(g, G, 1), lambda g, G: is_locally_s_arc_transitive(g, G, 1),
+    lambda g, G: is_s_distance_transitive(g, G, 1), lambda g, G: is_locally_s_distance_transitive(g, G, 1),
+])
+def test_graph_without_vertices_rejected(predicate):
+    from subsym.graphs import Graph
+
+    with pytest.raises(GraphError):
+        predicate(Graph(0, []), trivial_group(0))
 
 
 class TestReportSerialization:
