@@ -215,15 +215,6 @@ class SArc:
                 raise GraphError(f"immediate backtrack at position {j}")
 
 
-@dataclass(frozen=True, slots=True)
-class Metrics:
-    """diameter, girth (None = acyclic) and bipartition (None = not bipartite)."""
-
-    diameter: int
-    girth: Optional[int]
-    bipartition: Optional[tuple[frozenset[int], frozenset[int]]]
-
-
 # -- named constructions ----------------------------------------------------
 
 
@@ -297,31 +288,6 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None for acyclic graphs (see Graph.girth)."""
     return g.girth()
-
-
-def bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in g.adjacency[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    a = frozenset(v for v in range(g.n) if color[v] == 0)
-    b = frozenset(v for v in range(g.n) if color[v] == 1)
-    return (a, b)
-
-
-def metrics(g: Graph) -> Metrics:
-    """Diameter, girth and bipartition. Rejects disconnected graphs."""
-    return Metrics(diameter=g.diameter(), girth=g.girth(), bipartition=bipartition(g))
 
 
 def distance_sphere(g: Graph, v: int, i: int) -> frozenset[int]:

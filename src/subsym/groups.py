@@ -177,7 +177,9 @@ class StabilizerChain:
 class PermGroup:
     """A permutation group given by generators, with a lazily built chain."""
 
-    __slots__ = ("degree", "generators", "_chain", "_lock", "_validated_graphs", "__weakref__")
+    __slots__ = (
+        "degree", "generators", "_chain", "_stabilizers", "_lock", "_validated_graphs", "__weakref__",
+    )
 
     def __init__(self, degree: int, generators: Iterable[Perm] = (), _chain: Optional[StabilizerChain] = None):
         gens = []
@@ -191,6 +193,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain = _chain
+        self._stabilizers: dict[int, PermGroup] = {}  # point -> G_v, see stabilizer_point
         self._lock = threading.Lock()
         # graphs known to be preserved; equal graphs share one entry
         self._validated_graphs: weakref.WeakSet = weakref.WeakSet()
@@ -285,21 +288,6 @@ def orbit_partition(G: PermGroup, domain: Sequence, apply: Callable[[Perm, Any],
                     orb.append(z)
         orbits.append(orb)
     return orbits, index
-
-
-def orbit_transversal(gens: Sequence[Perm], x: int, degree: int) -> dict[int, Perm]:
-    """Orbit of a point with witness elements: result[y] maps x to y."""
-    out = {x: Perm.identity(degree)}
-    queue = deque([x])
-    while queue:
-        y = queue.popleft()
-        u = out[y]
-        for g in gens:
-            z = g.images[y]
-            if z not in out:
-                out[z] = u * g
-                queue.append(z)
-    return out
 
 
 # -- group constructors -------------------------------------------------------
@@ -439,52 +427,56 @@ def pgammal_2_8() -> PermGroup:
 # -- stabilizers ---------------------------------------------------------------
 
 
-def stabilizer_point(G: PermGroup, v: int) -> PermGroup:
-    """The point stabilizer G_v, via a chain based at v."""
+def _check_point(G: PermGroup, v: int) -> None:
     if not (0 <= v < G.degree):
         raise PermError(f"point {v} out of range")
-    chain = StabilizerChain(G.degree, G.generators, base_prefix=[v])
-    if len(chain.levels) < 2:
-        return PermGroup(G.degree, ())
-    tail = chain.levels[1:]
-    return PermGroup(
-        G.degree,
-        chain.generators_at(1),
-        _chain=StabilizerChain._from_levels(G.degree, tail),
-    )
+
+
+def stabilizer_point(G: PermGroup, v: int) -> PermGroup:
+    """The point stabilizer G_v, via a chain based at v. It is built once per
+    (G, v) and memoised on G behind the lock that guards G's chain, so every
+    later call returns the same object."""
+    _check_point(G, v)
+    Gv = G._stabilizers.get(v)
+    if Gv is None:
+        with G._lock:
+            Gv = G._stabilizers.get(v)
+            if Gv is None:
+                chain = StabilizerChain(G.degree, G.generators, base_prefix=[v])
+                if len(chain.levels) < 2:
+                    Gv = PermGroup(G.degree, ())
+                else:
+                    Gv = PermGroup(
+                        G.degree,
+                        chain.generators_at(1),
+                        _chain=StabilizerChain._from_levels(G.degree, chain.levels[1:]),
+                    )
+                G._stabilizers[v] = Gv
+    return Gv
 
 
 def stabilizer_edge(G: PermGroup, e: tuple[int, int]) -> PermGroup:
-    """Setwise stabilizer of a 2-set: the pointwise stabilizer extended by one
-    endpoint-swapping coset representative when such an element exists."""
+    """Setwise stabilizer of a 2-set {u, v}: the pointwise stabilizer extended
+    by one endpoint-swapping element when such an element exists.
+
+    Everything is read off one chain with base prefix [u, v]: level 0's
+    transversal gives t with u^t = v, level 1's gives h in G_u with
+    v^h = u^(t^-1), so that h * t swaps u and v, and level 2's generators
+    generate the pointwise stabilizer. A missing level means the stabilizer
+    at that level is trivial."""
     u, v = e
+    _check_point(G, u)
+    _check_point(G, v)
     if u == v:
         raise PermError("edge must be a 2-set")
-    # base prefix [u, v] puts the pointwise stabilizer at chain level 2
-    chain = StabilizerChain(G.degree, G.generators, base_prefix=[u, v])
-    gens: list[Perm] = chain.generators_at(2)
-    swap = _swap_element(G, u, v)
-    if swap is not None:
-        gens.append(swap)
+    levels = StabilizerChain(G.degree, G.generators, base_prefix=[u, v]).levels
+    gens = list(levels[2].gens) if len(levels) > 2 else []
+    if levels and v in levels[0].transversal:
+        orbit_of_v = levels[1].transversal if len(levels) > 1 else {v: Perm.identity(G.degree)}
+        h = orbit_of_v.get(levels[0].transversal_inv[v].images[u])
+        if h is not None:
+            gens.append(h * levels[0].transversal[v])
     return PermGroup(G.degree, gens)
-
-
-def _swap_element(G: PermGroup, u: int, v: int) -> Optional[Perm]:
-    """An element with u^g = v and v^g = u, if one exists."""
-    trans_u = orbit_transversal(G.generators, u, G.degree)
-    t = trans_u.get(v)
-    if t is None:
-        return None
-    # want g = h * t with h in G_u and v^h = u^(t^-1)
-    target = t.inverse().images[u]
-    Gu = stabilizer_point(G, u)
-    trans_v = orbit_transversal(Gu.generators, v, G.degree)
-    h = trans_v.get(target)
-    if h is None:
-        return None
-    g = h * t
-    assert g.images[u] == v and g.images[v] == u
-    return g
 
 
 # -- induced actions ------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The eight transitivity predicates on a graph with a chosen subgroup of its
-automorphism group, plus the neighbourhood 2-transitivity test.
+automorphism group.
 
 Every "for all vertices v" condition is decided on one representative per
 G-orbit of vertices: if w = v^g then G_w = g^-1 G_v g and the spheres / arcs
@@ -322,22 +322,6 @@ def is_locally_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> Transiti
 
 def is_locally_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
     return transitivity_reports(g, G, "distance", True)[0]
-
-
-def neighborhood_two_transitive(g: Graph, G: PermGroup) -> bool:
-    """True iff every vertex stabilizer is 2-transitive on that vertex's
-    neighbours (single orbit on ordered distinct neighbour pairs)."""
-    _check_inputs(g, G)
-    for v in vertex_orbit_reps(g, G):
-        nbrs = g.adjacency[v]
-        pairs = [(a, b) for a in nbrs for b in nbrs if a != b]
-        if not pairs:
-            continue
-        Gv = stabilizer_point(G, v)
-        orbits, _ = orbit_partition(Gv, pairs, _apply_tuple)
-        if len(orbits) > 1:
-            return False
-    return True
 
 
 def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[int], x) -> bool:

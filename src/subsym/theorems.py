@@ -133,14 +133,16 @@ ARC_EQUIVALENCE = "local-arc-equivalence"
 DISTANCE_EQUIVALENCE = "local-distance-equivalence"
 
 
-def _equivalences(g: Graph, G: PermGroup, arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
+def _equivalences(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
     """The local arc equivalence for each s in arc_s and the local distance
-    equivalence for each s in distance_s, ordered by s (arc first). Each side
-    reads all its verdicts off one profile: the subdivision side off the
-    lifted pair, the base side off (g, G) at t = ceil((s+1)/2)."""
+    equivalence for each s in distance_s, ordered by s (arc first), for G
+    acting on the base graph g = sg.base. Each side reads all its verdicts off
+    one profile: the subdivision side off (S(g), the action G induces on it),
+    the base side off (g, G) at t = ceil((s+1)/2)."""
+    g = sg.base
     # a single edge with even s is the degenerate case of the arc equivalence
     arc_evaluated = [s for s in arc_s if g.n != 2 or s % 2 == 1]
-    sg, Gs = _lift(g, G)
+    Gs = induced_subdivision_action(G, sg)
     sides = {
         ARC_EQUIVALENCE: _verdicts(sg.graph, Gs, "s-arc", arc_evaluated),
         DISTANCE_EQUIVALENCE: _verdicts(sg.graph, Gs, "s-distance", distance_s),
@@ -180,7 +182,7 @@ def check_local_arc_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     if not g.is_connected() or g.n < 2:
         return _outcome(ARC_EQUIVALENCE, f"{prefix} s={s}", None, {},
                         "need a connected graph on >= 2 vertices")
-    return _equivalences(g, G, [s], [], prefix)[0]
+    return _equivalences(subdivide(g), G, [s], [], prefix)[0]
 
 
 def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
@@ -195,7 +197,7 @@ def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOut
     if s > 2 * d - 1:
         return _outcome(DISTANCE_EQUIVALENCE, instance, None, {"d": d},
                         f"s={s} exceeds 2d-1={2 * d - 1}")
-    return _equivalences(g, G, [], [s], prefix)[0]
+    return _equivalences(subdivide(g), G, [], [s], prefix)[0]
 
 
 def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
@@ -773,6 +775,7 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
                 continue
             aut = automorphism_group(g)
             groups = [aut] + random_subgroups(aut, config.subgroup_samples, rng.randrange(2**30))[2:]
+            sg = subdivide(g)  # one lift per graph; each group is induced on it
             s_values = range(1, config.s_max + 1)
             distance_s = range(1, min(config.s_max, 2 * g.diameter() - 1) + 1)
             for gi, G in enumerate(groups):
@@ -780,7 +783,7 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
                 if out_of_budget():
                     outcomes.append(skip("equivalence-sweep", label))
                 else:
-                    outcomes.extend(_equivalences(g, G, s_values, distance_s, label))
+                    outcomes.extend(_equivalences(sg, G, s_values, distance_s, label))
     return outcomes
 
 

@@ -18,7 +18,6 @@ from subsym.graphs import (
     make_cycle,
     make_hoffman_singleton,
     make_petersen,
-    metrics,
     random_connected_graph,
 )
 from subsym.groups import random_subgroups
@@ -93,7 +92,7 @@ class TestAgainstNaiveDefinitions:
             g = random_connected_graph(rng, rng.randint(3, 6))
             aut = automorphism_group(g)
             groups = [aut] + random_subgroups(aut, 2, rng.randrange(2**30))[2:]
-            d = metrics(g).diameter
+            d = g.diameter()
             for G in groups:
                 if G.order() > 5000:
                     continue
@@ -119,7 +118,7 @@ class TestAgainstNaiveDefinitions:
             sg = subdivide(g)
             Gs = induced_subdivision_action(G, sg)
             elements = list(brute_closure(Gs.generators, sg.graph.n))
-            d = metrics(sg.graph).diameter
+            d = sg.graph.diameter()
             for s in range(1, d + 1):
                 fast = is_locally_s_distance_transitive(sg.graph, Gs, s).verdict
                 slow = naive_locally_distance_transitive(sg.graph, elements, s)

@@ -167,6 +167,20 @@ class TestOrbitsAndStabilizers:
         # edge stabilizer in the simple half has order 720
         assert stabilizer_edge(half, h.edge_list[0]).order() == 720
 
+    def test_stabilizer_point_is_memoised(self):
+        G = automorphism_group(make_petersen())
+        assert stabilizer_point(G, 3) is stabilizer_point(G, 3)
+        assert stabilizer_point(G, 3) is not stabilizer_point(G, 4)
+
+    @pytest.mark.parametrize("G, e", [
+        (symmetric_group(3), (0, 7)),
+        (symmetric_group(3), (0, -1)),
+        (trivial_group(3), (0, 9)),
+    ])
+    def test_stabilizer_edge_rejects_bad_points(self, G, e):
+        with pytest.raises(PermError):
+            stabilizer_edge(G, e)
+
     def test_edge_stabilizer_contains_pointwise_index_at_most_2(self):
         for G, e in [
             (automorphism_group(make_petersen()), (0, 9)),
@@ -344,3 +358,11 @@ class TestOrbitPartition:
             assert {y for y in range(degree) if index[y] == index[x]} == set(orb)
         pair = (0, degree - 1)
         assert set(orbit(G, pair, tuple_action([pair]))) == {(e[0], e[degree - 1]) for e in elements}
+        for x in range(degree):
+            Gx = stabilizer_point(G, x)
+            fixing = {e for e in elements if e[x] == x}
+            assert brute_closure(Gx.generators, degree) == fixing and Gx.order() == len(fixing)
+        if degree > 1:
+            Ge = stabilizer_edge(G, pair)
+            setwise = {e for e in elements if {e[0], e[degree - 1]} == set(pair)}
+            assert brute_closure(Ge.generators, degree) == setwise and Ge.order() == len(setwise)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from subsym import groups
 from subsym.autgrp import automorphism_group
 from subsym.graphs import (
     GraphError,
@@ -9,7 +10,6 @@ from subsym.graphs import (
     make_complete_bipartite,
     make_cycle,
     make_petersen,
-    metrics,
     random_connected_graph,
 )
 from subsym.groups import (
@@ -39,11 +39,12 @@ from subsym.symmetry import (
     is_s_arc_transitive,
     is_s_distance_transitive,
     is_vertex_transitive,
-    neighborhood_two_transitive,
     transitivity_reports,
     verify_witness,
 )
 from subsym.transforms import subdivide
+
+from _oracles import brute_closure
 
 
 def s2_times_s3():
@@ -182,6 +183,19 @@ class TestLocalDistanceTransitivity:
         assert is_locally_distance_transitive(sg.graph, Gs).verdict
 
 
+def neighborhood_two_transitive(g, G):
+    """Brute force: every vertex stabilizer, enumerated element by element, is
+    transitive on the ordered pairs of distinct neighbours of its vertex."""
+    elements = brute_closure(G.generators, G.degree)
+    for v in range(g.n):
+        pairs = {(a, b) for a in g.adjacency[v] for b in g.adjacency[v] if a != b}
+        if pairs:
+            a, b = min(pairs)
+            if {(e[a], e[b]) for e in elements if e[v] == v} != pairs:
+                return False
+    return True
+
+
 class TestNeighborhoodTwoTransitive:
     def test_matches_local_two_arc_on_corpus(self):
         for g, G in corpus_pairs(count=6):
@@ -194,10 +208,31 @@ class TestNeighborhoodTwoTransitive:
         assert neighborhood_two_transitive(make_cycle(5), dihedral_group(5))
 
 
+def test_local_kinds_share_point_stabilizers(monkeypatch):
+    # local arc reports then local distance reports on one (g, G): the second
+    # kind reuses the stabilizers the first built, one chain per representative
+    sg = subdivide(make_petersen())
+    G = induced_subdivision_action(automorphism_group(make_petersen()), sg)
+    reps = [orb[0] for orb in G.point_orbits()]
+    built = []
+
+    class CountingChain(groups.StabilizerChain):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("base_prefix"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "StabilizerChain", CountingChain)
+    arc = transitivity_reports(sg.graph, G, "s-arc", True, range(1, 7))
+    distance = transitivity_reports(sg.graph, G, "s-distance", True, range(1, 5))
+    assert [r.verdict for r in arc] == [True] * 5 + [False]
+    assert all(r.verdict for r in distance)
+    assert built == [[v] for v in reps] == [[0], [10]]
+
+
 class TestStructuralInvariants:
     def test_monotone_in_s(self):
         for g, G in corpus_pairs(count=6):
-            d = metrics(g).diameter
+            d = g.diameter()
             for s in range(2, 5):
                 if is_s_arc_transitive(g, G, s).verdict:
                     assert is_s_arc_transitive(g, G, s - 1).verdict
@@ -215,7 +250,7 @@ class TestStructuralInvariants:
 
     def test_global_implies_local(self):
         for g, G in corpus_pairs(count=6):
-            d = metrics(g).diameter
+            d = g.diameter()
             if is_s_arc_transitive(g, G, 2).verdict:
                 assert is_locally_s_arc_transitive(g, G, 2).verdict
             if is_arc_transitive(g, G).verdict:
@@ -226,7 +261,7 @@ class TestStructuralInvariants:
 
     def test_local_plus_vertex_transitive_iff_global(self):
         for g, G in corpus_pairs(count=8):
-            d = metrics(g).diameter
+            d = g.diameter()
             vt = is_vertex_transitive(g, G)
             for s in (1, 2):
                 local = is_locally_s_arc_transitive(g, G, s).verdict
@@ -239,7 +274,7 @@ class TestStructuralInvariants:
 
     def test_every_false_report_has_verified_witness(self):
         for g, G in corpus_pairs(count=8):
-            d = metrics(g).diameter
+            d = g.diameter()
             reports = [
                 is_s_arc_transitive(g, G, 2),
                 is_locally_s_arc_transitive(g, G, 2),

@@ -1,3 +1,4 @@
+from subsym import theorems
 from subsym.autgrp import automorphism_group
 from subsym.graphs import (
     make_complete,
@@ -245,3 +246,23 @@ class TestRunCorpus:
         counts = summarize(outcomes)
         assert counts[SKIPPED] == len(outcomes)
         assert all(o.details.get("reason") == "budget exhausted" for o in outcomes)
+
+    def test_random_sweep_lifts_each_graph_once(self, monkeypatch):
+        subdivide = theorems.subdivide
+        lifted = []
+
+        def counting(g):
+            lifted.append(g)
+            return subdivide(g)
+
+        monkeypatch.setattr(theorems, "subdivide", counting)
+        counts = []
+        for samples in (1, 4):
+            lifted.clear()
+            cfg = CorpusConfig(sections=("random",), random_graphs=3, subgroup_samples=samples, s_max=3)
+            outcomes = run_corpus(cfg)
+            assert summarize(outcomes)[REFUTED] == 0
+            counts.append(len(lifted))
+        # the distance formula, the reconstruction and the equivalence sweep
+        # each lift every random graph once, however many groups are sampled
+        assert counts == [9, 9]

@@ -14,7 +14,6 @@ from subsym.graphs import (
     make_complete_bipartite,
     make_cycle,
     make_petersen,
-    metrics,
     random_connected_graph,
 )
 from subsym.transforms import (
@@ -73,9 +72,8 @@ class TestSubdivide:
         assert sg.graph.n == g.n + g.m and sg.graph.m == 2 * g.m
         assert all(sg.graph.degree(g.n + i) == 2 for i in range(g.m))
         assert sg.part == tuple(["V"] * g.n + ["E"] * g.m)
-        bip = metrics(sg.graph).bipartition
-        assert bip is not None
-        assert {frozenset(range(g.n)), frozenset(range(g.n, g.n + g.m))} == set(bip)
+        # S(g) is bipartite with parts V = 0..n-1 and E = n..n+m-1
+        assert all(sg.part[a] == "V" and sg.part[b] == "E" for a, b in sg.graph.edge_list)
 
     def test_girth_doubles(self):
         for g in small_corpus():
