@@ -5,11 +5,20 @@ partitions refined in lockstep) plus backtracking on individualized vertices.
 The automorphism group is assembled level by level: fix a base point, find
 coset representatives mapping it across its cell, recurse into the stabilizer.
 Found generators prune later candidates by orbit membership.
+
+Refinement keeps a vertex-to-cell index per side, so a splitter counts
+neighbours only along its own adjacency lists and regroups only the cells
+holding one of those neighbours (Paige and Tarjan 1987; McKay and Piperno
+2014). The splitter queue and the fragment order are still those of a scan
+over every cell: base points and generators depend on them, and through the
+generators so do the ``--group aut`` cache, the subgroups that
+``random_subgroups`` draws for the corpus, and ``tests/golden_verify.jsonl``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .graphs import Graph, GraphError
@@ -22,12 +31,16 @@ class BudgetExceededError(GraphError):
 
 
 class _Cell:
-    __slots__ = ("s", "t", "dead")
+    __slots__ = ("s", "t", "dead", "key")
 
     def __init__(self, s: list[int], t: list[int]):
         self.s = s
         self.t = t
         self.dead = False
+        self.key: tuple[int, ...] = ()  # list position, set by _refine
+
+
+_by_key = attrgetter("key")
 
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
@@ -46,8 +59,6 @@ class _MappingSearch:
     def __init__(self, g1: Graph, g2: Graph, node_budget: Optional[int] = None):
         self.g1 = g1
         self.g2 = g2
-        self.m1 = g1.neighbor_masks()
-        self.m2 = g2.neighbor_masks()
         self.nodes = 0
         self.budget = node_budget
         self._groups = self._UNSET  # cached invariant grouping
@@ -113,46 +124,68 @@ class _MappingSearch:
         return out if found else None
 
     def _refine(self, cells: list[_Cell]) -> Optional[list[_Cell]]:
+        """Refine both partitions to equitable ones in lockstep, or None when
+        the s and t sides stop matching.
+
+        Each cell is a splitter once, in FIFO order. A splitter costs the
+        degree sum of its vertices plus the size of the cells it touches;
+        a fragment takes its parent's place in the list, ordered by count,
+        which the ``key`` tuples (parent key + fragment index) record.
+        """
+        adj1, adj2 = self.g1.adjacency, self.g2.adjacency
+        cell1: dict[int, _Cell] = {}  # vertex -> its cell, one index per side
+        cell2: dict[int, _Cell] = {}
+        for i, c in enumerate(cells):
+            c.key = (i,)
+            for v in c.s:
+                cell1[v] = c
+            for v in c.t:
+                cell2[v] = c
         work = deque(cells)
         while work:
             w = work.popleft()
             if w.dead:
                 continue
-            wms = 0
-            for v in w.s:
-                wms |= 1 << v
-            wmt = 0
-            for v in w.t:
-                wmt |= 1 << v
-            new_cells: list[_Cell] = []
-            for c in cells:
+            count1: dict[int, int] = {}
+            for u in w.s:
+                for v in adj1[u]:
+                    count1[v] = count1.get(v, 0) + 1
+            count2: dict[int, int] = {}
+            for u in w.t:
+                for v in adj2[u]:
+                    count2[v] = count2.get(v, 0) + 1
+            touched = {cell1[v] for v in count1}
+            if touched != {cell2[v] for v in count2}:
+                return None
+            # split in list order, so fragments queue as a full scan would
+            for c in sorted(touched, key=_by_key):
                 if len(c.s) == 1:
-                    # still check the singleton's counts agree
-                    if (self.m1[c.s[0]] & wms).bit_count() != (self.m2[c.t[0]] & wmt).bit_count():
+                    if count1[c.s[0]] != count2[c.t[0]]:
                         return None
-                    new_cells.append(c)
                     continue
                 groups_s: dict[int, list[int]] = defaultdict(list)
                 for v in c.s:
-                    groups_s[(self.m1[v] & wms).bit_count()].append(v)
+                    groups_s[count1.get(v, 0)].append(v)
                 groups_t: dict[int, list[int]] = defaultdict(list)
                 for v in c.t:
-                    groups_t[(self.m2[v] & wmt).bit_count()].append(v)
+                    groups_t[count2.get(v, 0)].append(v)
                 keys = sorted(groups_s)
                 if keys != sorted(groups_t):
                     return None
                 if any(len(groups_s[k]) != len(groups_t[k]) for k in keys):
                     return None
                 if len(keys) == 1:
-                    new_cells.append(c)
                     continue
                 c.dead = True
-                for k in keys:
+                for i, k in enumerate(keys):
                     frag = _Cell(groups_s[k], groups_t[k])
-                    new_cells.append(frag)
+                    frag.key = c.key + (i,)
+                    for v in frag.s:
+                        cell1[v] = frag
+                    for v in frag.t:
+                        cell2[v] = frag
                     work.append(frag)
-            cells = new_cells
-        return cells
+        return sorted(set(cell1.values()), key=_by_key)
 
     def _dfs(self, cells: list[_Cell]) -> Optional[list[int]]:
         self.nodes += 1
@@ -185,7 +218,7 @@ class _MappingSearch:
         for c in cells:
             mapping[c.s[0]] = c.t[0]
         for u, v in self.g1.edge_list:
-            if not (self.m2[mapping[u]] >> mapping[v]) & 1:
+            if not self.g2.has_edge(mapping[u], mapping[v]):
                 return None
         return mapping
 

@@ -43,7 +43,6 @@ class Graph:
         "_apsp",
         "_girth",
         "_edge_index",
-        "_neighbor_masks",
         "__weakref__",
     )
 
@@ -75,7 +74,6 @@ class Graph:
         self._apsp = None
         self._girth = _UNKNOWN
         self._edge_index = None
-        self._neighbor_masks = None
 
     @property
     def m(self) -> int:
@@ -170,18 +168,6 @@ class Graph:
         if self._edge_index is None:
             self._edge_index = {e: i for i, e in enumerate(self.edge_list)}
         return self._edge_index
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbour sets as int bitmasks (for refinement code)."""
-        if self._neighbor_masks is None:
-            masks = []
-            for a in self.adjacency:
-                m = 0
-                for w in a:
-                    m |= 1 << w
-                masks.append(m)
-            self._neighbor_masks = tuple(masks)
-        return self._neighbor_masks
 
     def is_connected(self) -> bool:
         if self.n == 0:

@@ -21,7 +21,6 @@ from .autgrp import automorphism_group, is_isomorphic
 from .graphs import (
     Graph,
     GraphError,
-    girth,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -271,7 +270,7 @@ def check_girth_bound(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
         return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
     sg, Gs = _lift(g, G)
     premise = is_locally_s_distance_transitive(sg.graph, Gs, s).verdict
-    gr = girth(g)
+    gr = g.girth()
     holds = (not premise) or (gr is not None and gr >= s + 2)
     return _outcome(name, instance, holds, {"premise": premise, "girth": gr, "bound": s + 2})
 
@@ -283,7 +282,7 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
     instance = f"g=({g.n},{g.m}) |G|={G.order()}"
     if not g.is_connected() or g.n < 2:
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    gr = girth(g)
+    gr = g.girth()
     if gr is None or gr < 5:
         return _outcome(name, instance, None, {"girth": gr}, "needs girth >= 5")
     sg, Gs = _lift(g, G)
@@ -752,7 +751,7 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
             d = g.diameter()
             for s in range(2, min(2 * d - 1, config.s_max) + 1, 2):
                 push(lambda g=g, G=G, s=s: check_girth_bound(g, G, s), "girth-bound", f"{label} s={s}")
-            gr = girth(g)
+            gr = g.girth()
             if gr is not None and gr >= 5:
                 push(lambda g=g, G=G: check_girth5_three_arc(g, G), "girth5-three-arc", label)
 

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to pin expected values.
 
 These deliberately avoid the library's own algorithms: plain dict BFS,
-exhaustive tuple filtering, and explicit element enumeration.
+exhaustive tuple filtering, explicit element enumeration, and the full-scan
+bitmask partition refinement that the Aut/iso engine used to run.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from itertools import product
+
+from subsym.autgrp import _Cell
 
 
 def brute_distances(g, source):
@@ -78,3 +81,61 @@ def brute_closure(generators, degree, cap=None):
                 seen.add(r)
                 queue.append(r)
     return seen
+
+
+def _neighbor_masks(g):
+    masks = []
+    for a in g.adjacency:
+        m = 0
+        for w in a:
+            m |= 1 << w
+        masks.append(m)
+    return masks
+
+
+def bitmask_refine(g1, g2, cells):
+    """Reference for ``autgrp._MappingSearch._refine``: the full-scan
+    refinement. For every splitter it rebuilds both neighbour bitmasks and
+    regroups every vertex of every cell by its count. Marks split input
+    cells dead, as the engine does, so pass it a copy."""
+    m1, m2 = _neighbor_masks(g1), _neighbor_masks(g2)
+    work = deque(cells)
+    while work:
+        w = work.popleft()
+        if w.dead:
+            continue
+        wms = 0
+        for v in w.s:
+            wms |= 1 << v
+        wmt = 0
+        for v in w.t:
+            wmt |= 1 << v
+        new_cells = []
+        for c in cells:
+            if len(c.s) == 1:
+                # still check the singleton's counts agree
+                if (m1[c.s[0]] & wms).bit_count() != (m2[c.t[0]] & wmt).bit_count():
+                    return None
+                new_cells.append(c)
+                continue
+            groups_s = defaultdict(list)
+            for v in c.s:
+                groups_s[(m1[v] & wms).bit_count()].append(v)
+            groups_t = defaultdict(list)
+            for v in c.t:
+                groups_t[(m2[v] & wmt).bit_count()].append(v)
+            keys = sorted(groups_s)
+            if keys != sorted(groups_t):
+                return None
+            if any(len(groups_s[k]) != len(groups_t[k]) for k in keys):
+                return None
+            if len(keys) == 1:
+                new_cells.append(c)
+                continue
+            c.dead = True
+            for k in keys:
+                frag = _Cell(groups_s[k], groups_t[k])
+                new_cells.append(frag)
+                work.append(frag)
+        cells = new_cells
+    return cells

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsym.autgrp import (
     BudgetExceededError,
+    _Cell,
+    _MappingSearch,
     automorphism_group,
     find_isomorphism,
     is_isomorphic,
@@ -19,6 +24,8 @@ from subsym.graphs import (
     random_connected_graph,
 )
 from subsym.transforms import subdivide
+
+from _oracles import bitmask_refine
 
 
 class TestAutomorphismGroup:
@@ -92,3 +99,75 @@ class TestIsomorphism:
         g = subdivide(make_complete(9)).graph
         with pytest.raises(BudgetExceededError):
             automorphism_group(g, node_budget=3)
+
+
+@st.composite
+def refine_cases(draw):
+    """A graph on at most 12 vertices (disconnected ones included), a
+    relabelling of it, a random graph with the same n and m, and up to two
+    (cell, x, y) picks to individualise before refining."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(all_edges), max_size=len(all_edges)))
+    edges = [e for e, keep in zip(all_edges, mask) if keep]
+    images = draw(st.permutations(range(n)))
+    relabelled = Graph(n, [(images[u], images[v]) for u, v in edges])
+    same_size = Graph(n, draw(st.permutations(all_edges))[: len(edges)])
+    index = st.integers(min_value=0, max_value=10**6)
+    picks = draw(st.lists(st.tuples(index, index, index), max_size=2))
+    return Graph(n, edges), (relabelled, same_size), picks
+
+
+@settings(max_examples=300, deadline=None)
+@given(refine_cases())
+def test_refine_matches_full_scan_oracle(case):
+    g1, partners, picks = case
+    for g2 in partners:
+        search = _MappingSearch(g1, g2)
+        # non-isomorphic invariants give no initial cells; refine the unit
+        # partition instead
+        cells = search.initial_cells() or [_Cell(list(range(g1.n)), list(range(g2.n)))]
+        for i, x, y in picks:
+            cell = cells[i % len(cells)]
+            cells = search._individualize(cells, cell.s[x % len(cell.s)], cell.t[y % len(cell.t)])
+        new = search._refine([_Cell(c.s[:], c.t[:]) for c in cells])
+        old = bitmask_refine(g1, g2, [_Cell(c.s[:], c.t[:]) for c in cells])
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert [(c.s, c.t) for c in new] == [(c.s, c.t) for c in old]
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+class TestPinnedBytes:
+    """The refinement keeps the splitter and fragment order of the full-scan
+    bitmask refinement (``_oracles.bitmask_refine``), so base points,
+    generators, isomorphism maps, the ``--group aut`` cache and the subgroups
+    ``random_subgroups`` draws from the chain stay byte-identical. Both
+    digests were computed with that full-scan engine, before the refinement
+    became incremental, and pass unchanged there."""
+
+    def test_generator_bytes(self):
+        graphs = [
+            make_petersen(),
+            make_hoffman_singleton(),
+            subdivide(make_petersen()).graph,
+            subdivide(make_complete(5)).graph,
+            subdivide(make_complete_bipartite(3, 3)).graph,
+            subdivide(make_hoffman_singleton()).graph,
+        ]
+        images = [[list(p.images) for p in automorphism_group(g).generators] for g in graphs]
+        assert _sha256(images) == "9868392facfa593fc8687b4f778e64ebe697f98a51fa3501f8ada7e4e17b1091"
+
+    def test_isomorphism_bytes(self):
+        rng = random.Random(20250809)
+        mappings = []
+        for _ in range(20):
+            g = random_connected_graph(rng, rng.randint(5, 16))
+            images = list(range(g.n))
+            rng.shuffle(images)
+            relabelled = Graph(g.n, [(images[u], images[v]) for u, v in g.edge_list])
+            mappings.append(find_isomorphism(g, relabelled))
+        assert _sha256(mappings) == "3c8269c64b7f39bccd920c0c4e43dc4d685a2cd488fb86b0126f11da32708fae"

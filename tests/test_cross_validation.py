@@ -2,14 +2,14 @@
 a naive all-vertices/all-elements evaluation of the local predicates,
 a brute force of the K_5/A_5 counterexample to the published classification
 table, sympy's permutation-group machinery for chain orders, and networkx's
-girth and diameter."""
+girth, diameter, isomorphism test and VF2 automorphism counts."""
 
 import math
 import random
 
 import pytest
 
-from subsym.autgrp import automorphism_group
+from subsym.autgrp import automorphism_group, is_isomorphic
 from subsym.graphs import (
     Graph,
     girth,
@@ -198,15 +198,16 @@ class TestAgainstSympy:
             assert sympy_group.stabilizer(v).order() == stabilizer_point(G, v).order()
 
 
+def to_nx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edge_list)
+    return h
+
+
 class TestAgainstNetworkx:
     def test_girth_and_diameter_match_networkx(self):
         nx = pytest.importorskip("networkx")
-
-        def to_nx(g):
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edge_list)
-            return h
 
         rng = random.Random(31337)
         bases = [
@@ -223,9 +224,54 @@ class TestAgainstNetworkx:
             sg = subdivide(g).graph
             nx_girths = []
             for h in (g, sg):
-                ref = to_nx(h)
+                ref = to_nx(nx, h)
                 nx_girth = nx.girth(ref)
                 nx_girths.append(nx_girth)
                 assert girth(h) == (None if nx_girth == math.inf else nx_girth), g.edge_list
                 assert h.diameter() == nx.diameter(ref), g.edge_list
             assert nx_girths[1] == 2 * nx_girths[0]
+
+    def test_isomorphism_matches_networkx_on_relabellings(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(4242)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randint(3, 14))
+            images = list(range(g.n))
+            rng.shuffle(images)
+            h = Graph(g.n, [(images[u], images[v]) for u, v in g.edge_list])
+            assert is_isomorphic(g, h)
+            assert nx.is_isomorphic(to_nx(nx, g), to_nx(nx, h))
+
+    def test_non_isomorphic_pairs_with_equal_degree_sequences(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(777)
+        pairs = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, rng.randint(6, 14))
+            swapped = to_nx(nx, g)
+            try:
+                nx.double_edge_swap(swapped, nswap=2, max_tries=200, seed=rng.randrange(10**9))
+            except nx.NetworkXAlgorithmError:
+                continue  # no swap exists (near-complete graphs)
+            if nx.is_isomorphic(to_nx(nx, g), swapped):
+                continue
+            h = Graph(g.n, swapped.edges())
+            assert sorted(map(g.degree, range(g.n))) == sorted(map(h.degree, range(h.n)))
+            assert not is_isomorphic(g, h)
+            pairs += 1
+        assert pairs >= 20
+
+    def test_aut_orders_match_vf2_counts(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        rng = random.Random(8)
+        graphs = [make_complete(5), make_cycle(8), make_complete_bipartite(3, 3)]
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+        for g in graphs:
+            ref = to_nx(nx, g)
+            vf2 = sum(1 for _ in GraphMatcher(ref, ref).isomorphisms_iter())
+            assert automorphism_group(g).order() == vf2, g.edge_list
