@@ -17,12 +17,14 @@ generators so do the ``--group aut`` cache, the subgroups that
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from operator import attrgetter
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .graphs import Graph, GraphError
-from .groups import PermGroup, orbit_partition, point_action
+from .groups import PermGroup, orbit_partition, point_action, validate_automorphisms
 from .perms import Perm
 
 
@@ -44,11 +46,17 @@ _by_key = attrgetter("key")
 
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
-    """Per-vertex isomorphism invariant: valency plus distance distribution."""
-    dist = g.distances_matrix()
+    """Per-vertex isomorphism invariant: valency plus distance distribution,
+    the sorted (distance, count) pairs of the vertex's row (-1 = unreached)."""
+    n = g.n
+    # shift row v into its own block of n + 1 bins, so one bincount counts all rows
+    shifted = g.distances_matrix() + (np.arange(n, dtype=np.int64)[:, None] * (n + 1) + 1)
+    counts = np.bincount(shifted.ravel(), minlength=n * (n + 1)).reshape(n, n + 1)
     out = []
-    for v in range(g.n):
-        profile = tuple(sorted(Counter(int(d) for d in dist[v]).items()))
+    for v in range(n):
+        row = counts[v]
+        present = np.flatnonzero(row)
+        profile = tuple(zip((present - 1).tolist(), row[present].tolist()))
         out.append((g.degree(v), profile))
     return out
 
@@ -74,7 +82,7 @@ class _MappingSearch:
         if self.g1.n != self.g2.n or self.g1.m != self.g2.m:
             return None
         inv1 = _vertex_invariants(self.g1)
-        inv2 = _vertex_invariants(self.g2)
+        inv2 = inv1 if self.g2 is self.g1 else _vertex_invariants(self.g2)
         by1: dict[tuple, list[int]] = defaultdict(list)
         by2: dict[tuple, list[int]] = defaultdict(list)
         for v, key in enumerate(inv1):
@@ -289,3 +297,48 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     if group.order() != order:
         raise AssertionError("automorphism search order != chain order")
     return group
+
+
+def subdivision_automorphism_group(g: Graph) -> Optional[tuple[PermGroup, Graph]]:
+    """Aut(g) lifted from the base graph, when g is a subdivision S(Sigma)
+    whose two parts valency tells apart, else None.
+
+    E is the set of valency-2 vertices and V the rest. When every edge has
+    exactly one end in E, no two E-vertices share their pair of neighbours
+    and g has an edge, g is S(Sigma) for Sigma on V with one edge per
+    E-vertex, and Sigma has no valency-2 vertex. Every automorphism of g then
+    keeps V and E, so Aut(g) is Aut(Sigma) acting on vertices and edges (the
+    reconstruction result for subdivisions). Returns that group on g's own
+    labels and Sigma, relabelled in the sorted order of V.
+    """
+    if g.m == 0:
+        return None
+    in_e = [len(a) == 2 for a in g.adjacency]
+    if any(in_e[u] == in_e[v] for u, v in g.edge_list):
+        return None
+    vs = [v for v in range(g.n) if not in_e[v]]
+    mid: dict[tuple[int, int], int] = {}  # neighbour pair -> its E-vertex
+    for x in range(g.n):
+        if in_e[x]:
+            if g.adjacency[x] in mid:
+                return None
+            mid[g.adjacency[x]] = x
+    index = {v: i for i, v in enumerate(vs)}
+    base = Graph(len(vs), [(index[a], index[b]) for a, b in mid])
+    aut = automorphism_group(base)
+    gens = []
+    for p in aut.generators:
+        images = [0] * g.n
+        for i, v in enumerate(vs):
+            images[v] = vs[p.images[i]]
+        for (a, b), x in mid.items():
+            u, w = images[a], images[b]
+            images[x] = mid[(u, w) if u < w else (w, u)]
+        gens.append(Perm(images))
+    group = PermGroup(g.n, gens)
+    validate_automorphisms(g, group)
+    # V and E are Aut-invariant and an E-vertex is fixed by its pair, so the
+    # lift is faithful; a mismatch is a bug
+    if group.order() != aut.order():
+        raise AssertionError("lifted group order != Aut(base) order")
+    return group, base

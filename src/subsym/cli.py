@@ -13,7 +13,7 @@ import hashlib
 import os
 import sys
 
-from .autgrp import automorphism_group
+from .autgrp import automorphism_group, subdivision_automorphism_group
 from .formats import (
     FormatError,
     read_generators,
@@ -123,7 +123,12 @@ def _load_group(source: str, graph_path: str, g):
     cache = f"{graph_path}.aut-{digest}.gens"
     if os.path.exists(cache):
         return read_generators(cache)
-    G = automorphism_group(g)
+    lifted = subdivision_automorphism_group(g)
+    if lifted is None:
+        G = automorphism_group(g)
+    else:
+        G, base = lifted
+        print(f"# automorphism group from the base graph on {base.n} vertices, order {G.order()}")
     # write beside the cache and rename, so a crash never leaves a truncated cache
     tmp = f"{cache}.{os.getpid()}.tmp"
     try:

@@ -296,15 +296,18 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
 # -- structural checks -----------------------------------------------------------
 
 
-def check_distance_formula(g: Graph) -> CheckOutcome:
+def check_distance_formula(g: Graph, sg: Optional[SubdivisionGraph] = None) -> CheckOutcome:
     """Closed-form subdivision distances agree with BFS on every vertex pair,
     the diameter excess delta lies in {0,1,2}, and delta=2 exactly when two
-    edges realise the base diameter on all four cross distances."""
+    edges realise the base diameter on all four cross distances.
+
+    ``sg`` is ``subdivide(g)`` when the caller has it already."""
     name = "distance-formula"
     instance = f"g=({g.n},{g.m})"
     if g.n < 2 or not g.is_connected():
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    sg = subdivide(g)
+    if sg is None:
+        sg = subdivide(g)
     formula = subdivision_distance_matrix(sg)
     bfs = sg.graph.distances_matrix()
     mismatches = int((formula != bfs).sum())
@@ -318,15 +321,18 @@ def check_distance_formula(g: Graph) -> CheckOutcome:
     )
 
 
-def check_reconstruction(g: Graph) -> CheckOutcome:
+def check_reconstruction(g: Graph, sg: Optional[SubdivisionGraph] = None) -> CheckOutcome:
     """The distance-2 graph of the subdivision splits into exactly two
     components, one isomorphic to the base and one to its line graph, and
-    label-free reconstruction recovers the base up to isomorphism."""
+    label-free reconstruction recovers the base up to isomorphism.
+
+    ``sg`` is ``subdivide(g)`` when the caller has it already."""
     name = "reconstruction"
     instance = f"g=({g.n},{g.m})"
     if g.n < 2 or not g.is_connected():
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    sg = subdivide(g)
+    if sg is None:
+        sg = subdivide(g)
     comps = distance_two_graph(sg.graph)
     lg = line_graph(g)
     two = len(comps) == 2
@@ -740,8 +746,9 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
     if "structural" in config.sections:
         for g in _named_structural_corpus():
             inst = f"g=({g.n},{g.m})"
-            push(lambda g=g: check_distance_formula(g), "distance-formula", inst)
-            push(lambda g=g: check_reconstruction(g), "reconstruction", inst)
+            sg = subdivide(g)
+            push(lambda g=g, sg=sg: check_distance_formula(g, sg), "distance-formula", inst)
+            push(lambda g=g, sg=sg: check_reconstruction(g, sg), "reconstruction", inst)
 
     # implication-style checks on hand-picked instances
     if "named-instances" in config.sections:
@@ -767,14 +774,14 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
             n = rng.randint(config.random_n_min, config.random_n_max)
             g = random_connected_graph(rng, n)
             inst = f"random#{idx}(n={g.n},m={g.m})"
-            push(lambda g=g: check_distance_formula(g), "distance-formula", inst)
-            push(lambda g=g: check_reconstruction(g), "reconstruction", inst)
+            sg = subdivide(g)  # one lift per graph, shared by every check on it
+            push(lambda g=g, sg=sg: check_distance_formula(g, sg), "distance-formula", inst)
+            push(lambda g=g, sg=sg: check_reconstruction(g, sg), "reconstruction", inst)
             if out_of_budget():
                 outcomes.append(skip("equivalence-sweep", inst))
                 continue
             aut = automorphism_group(g)
             groups = [aut] + random_subgroups(aut, config.subgroup_samples, rng.randrange(2**30))[2:]
-            sg = subdivide(g)  # one lift per graph; each group is induced on it
             s_values = range(1, config.s_max + 1)
             distance_s = range(1, min(config.s_max, 2 * g.diameter() - 1) + 1)
             for gi, G in enumerate(groups):

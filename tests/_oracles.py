@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own algorithms: plain dict BFS,
 exhaustive tuple filtering, explicit element enumeration, and the full-scan
-bitmask partition refinement that the Aut/iso engine used to run.
+bitmask partition refinement and per-row distance counts that the Aut/iso
+engine used to run.
 """
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from itertools import product
 
 from subsym.autgrp import _Cell
@@ -22,6 +23,20 @@ def brute_distances(g, source):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def counted_vertex_invariants(g):
+    """(valency, sorted (distance, count) pairs) per vertex, -1 counting the
+    unreached vertices: the Aut/iso engine's initial invariant, counted per
+    row with a Counter."""
+    out = []
+    for v in range(g.n):
+        dist = brute_distances(g, v)
+        row = Counter(dist.values())
+        if len(dist) < g.n:
+            row[-1] = g.n - len(dist)
+        out.append((g.degree(v), tuple(sorted(row.items()))))
+    return out
 
 
 def brute_diameter(g):

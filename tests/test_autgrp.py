@@ -10,9 +10,11 @@ from subsym.autgrp import (
     BudgetExceededError,
     _Cell,
     _MappingSearch,
+    _vertex_invariants,
     automorphism_group,
     find_isomorphism,
     is_isomorphic,
+    subdivision_automorphism_group,
 )
 from subsym.graphs import (
     Graph,
@@ -25,7 +27,7 @@ from subsym.graphs import (
 )
 from subsym.transforms import subdivide
 
-from _oracles import bitmask_refine
+from _oracles import bitmask_refine, counted_vertex_invariants
 
 
 class TestAutomorphismGroup:
@@ -69,6 +71,69 @@ class TestAutomorphismGroup:
     def test_subdivided_cycle_doubles_aut(self):
         for n in (3, 5, 8):
             assert automorphism_group(subdivide(make_cycle(n)).graph).order() == 4 * n
+
+
+def _relabel(g, rng):
+    images = list(range(g.n))
+    rng.shuffle(images)
+    return Graph(g.n, [(images[u], images[v]) for u, v in g.edge_list])
+
+
+def _same_group(G, H):
+    return (
+        G.order() == H.order()
+        and all(p in H for p in G.generators)
+        and all(p in G for p in H.generators)
+    )
+
+
+class TestSubdivisionShortcut:
+    @staticmethod
+    def _structural_corpus():
+        # the acceptance suite's structural corpus at the size it checks
+        # Aut orders: named families and seeded random graphs on <= 12 vertices
+        graphs = [make_complete(n) for n in range(2, 13)]
+        graphs += [make_complete_bipartite(n, n) for n in range(2, 7)]
+        graphs += [make_cycle(n) for n in range(3, 13)]
+        graphs.append(make_petersen())
+        rng = random.Random(20250809)
+        graphs += [random_connected_graph(rng, rng.randint(3, 12)) for _ in range(200)]
+        return graphs
+
+    def test_matches_full_search_on_structural_corpus(self):
+        rng = random.Random(8)
+        applied = 0
+        for base in self._structural_corpus():
+            sub = subdivide(base).graph
+            # S(base) is recognised exactly when base has an edge and no valency-2 vertex
+            recognisable = base.m > 0 and all(base.degree(v) != 2 for v in range(base.n))
+            for g in (sub, _relabel(sub, rng)):
+                lifted = subdivision_automorphism_group(g)
+                assert (lifted is not None) == recognisable, base
+                if lifted is None:
+                    continue
+                G, sigma = lifted
+                assert is_isomorphic(sigma, base)
+                assert _same_group(G, automorphism_group(g)), base
+                applied += 1
+        assert applied >= 100
+
+    def test_hoffman_singleton(self):
+        g = _relabel(subdivide(make_hoffman_singleton()).graph, random.Random(5))
+        G, sigma = subdivision_automorphism_group(g)
+        assert (sigma.n, sigma.m, G.order()) == (50, 175, 252000)
+        assert _same_group(G, automorphism_group(g))
+
+    @pytest.mark.parametrize("g", [
+        subdivide(make_cycle(7)).graph,  # every valency is 2
+        make_complete_bipartite(2, 4),  # four valency-2 vertices on one pair
+        subdivide(Graph(3, [(0, 1), (1, 2)])).graph,  # the path's middle has valency 2
+        make_petersen(),  # no valency-2 vertex
+        Graph(5, []),
+        Graph(0, []),
+    ], ids=["S(C_7)", "K_2,4", "S(P_3)", "Petersen", "edgeless", "empty"])
+    def test_declines(self, g):
+        assert subdivision_automorphism_group(g) is None
 
 
 class TestIsomorphism:
@@ -135,6 +200,13 @@ def test_refine_matches_full_scan_oracle(case):
         assert (new is None) == (old is None)
         if new is not None:
             assert [(c.s, c.t) for c in new] == [(c.s, c.t) for c in old]
+
+
+@settings(max_examples=200, deadline=None)
+@given(refine_cases())
+def test_vertex_invariants_match_counted_rows(case):
+    g, _, _ = case
+    assert _vertex_invariants(g) == counted_vertex_invariants(g)
 
 
 def _sha256(obj) -> str:

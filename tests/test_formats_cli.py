@@ -16,7 +16,7 @@ from subsym.formats import (
     write_graph,
     write_subdivision,
 )
-from subsym.graphs import make_cycle, make_petersen, random_connected_graph
+from subsym.graphs import Graph, make_complete, make_cycle, make_petersen, random_connected_graph
 from subsym.groups import dihedral_group, pgammal_2_8
 from subsym.transforms import subdivide
 
@@ -210,6 +210,44 @@ class TestCli:
         ])
         assert rc == 0
         assert "s=4: false" in capsys.readouterr().out
+
+    def test_analyze_aut_lifts_from_base_beyond_search_cap(self, tmp_path, capsys):
+        # S(C_81 x K_2) has 405 vertices, above the search cap; its base has 162
+        n = 81
+        prism = Graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                      + [(n + i, n + (i + 1) % n) for i in range(n)]
+                      + [(i, n + i) for i in range(n)])
+        sg_path = str(tmp_path / "sprism.g")
+        write_subdivision(sg_path, subdivide(prism))
+        rc = main(["analyze", "--graph", sg_path, "--group", "aut", "--property", "local-arc", "--s", "1"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "# automorphism group from the base graph on 162 vertices, order 324\n" in out
+        (cache,) = glob.glob(str(tmp_path / "*.gens"))
+        assert read_generators(cache).order() == 324
+
+    @pytest.mark.parametrize("base", [make_petersen(), make_complete(4)], ids=["Petersen", "K_4"])
+    def test_analyze_aut_shortcut_keeps_reports(self, tmp_path, capsys, monkeypatch, base):
+        # a plain edge list, relabelled: recognised by valencies, not by labels
+        sub = subdivide(base).graph
+        images = list(range(sub.n))
+        random.Random(3).shuffle(images)
+        g_path = tmp_path / "s.g"
+        write_graph(str(g_path), Graph(sub.n, [(images[u], images[v]) for u, v in sub.edge_list]))
+        args = ["analyze", "--graph", str(g_path), "--group", "aut", "--property", "local-distance",
+                "--s", "1..4"]
+        reports = []
+        for shortcut in (True, False):
+            if not shortcut:
+                monkeypatch.setattr(cli, "subdivision_automorphism_group", lambda g: None)
+            for f in glob.glob(str(tmp_path / "*.gens")):
+                os.remove(f)
+            out = str(tmp_path / f"r-{shortcut}.jsonl")
+            assert main(args + ["--out", out]) == 0
+            stdout = capsys.readouterr().out
+            assert ("from the base graph on" in stdout) == shortcut
+            reports.append((open(out, "rb").read(), [ln for ln in stdout.splitlines() if ln.startswith("s=")]))
+        assert reports[0] == reports[1]
 
     def test_analyze_degree_mismatch_fails(self, tmp_path, capsys):
         g_path = str(tmp_path / "c6.g")
