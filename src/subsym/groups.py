@@ -161,8 +161,10 @@ class StabilizerChain:
                 for t in lvl.gens:
                     pairs.append((q, t))
                 continue
-            schreier = u_p * s * lvl.transversal_inv[q]
-            residue, _ = self.sift(schreier, j + 1)
+            u_p_s = u_p * s
+            if u_p_s == lvl.transversal[q]:  # the Schreier generator is the identity
+                continue
+            residue, _ = self.sift(u_p_s * lvl.transversal_inv[q], j + 1)
             if not residue.is_identity():
                 self._insert(residue, j + 1)
 

@@ -6,6 +6,8 @@ the exponent notation x^(pq) = (x^p)^q used throughout the group code.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Iterable, Sequence
 
 
@@ -13,18 +15,41 @@ class PermError(ValueError):
     pass
 
 
+@functools.cache
+def _identity_images(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
+
+
 class Perm:
+    """An immutable permutation; ``images[x]`` is the image of x.
+
+    The public constructor is the one gate: it normalises every image to a
+    plain ``int`` and checks that the images are a bijection. Products,
+    inverses and identities are bijections on plain ints by construction, so
+    they go through ``_trusted`` and skip the check.
+    """
+
     __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        images = tuple(images)
+        try:
+            images = tuple(map(operator.index, images))
+        except TypeError:
+            raise PermError("images must be a sequence of integers") from None
         if sorted(images) != list(range(len(images))):
             raise PermError("images are not a bijection on 0..degree-1")
         self.images = images
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """A Perm on images already known to be a bijection on plain ints."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
     @staticmethod
     def identity(degree: int) -> "Perm":
-        return Perm(range(degree))
+        return Perm._trusted(_identity_images(degree))
 
     @staticmethod
     def from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> "Perm":
@@ -50,17 +75,21 @@ class Perm:
     def __mul__(self, other: "Perm") -> "Perm":
         if not isinstance(other, Perm):
             return NotImplemented
-        q = other.images
-        return Perm(tuple(q[i] for i in self.images))
+        p, q = self.images, other.images
+        if len(p) != len(q):
+            raise PermError(f"cannot compose degrees {len(p)} and {len(q)}")
+        if len(p) < 2:  # itemgetter needs two indices to return a tuple
+            return other
+        return Perm._trusted(operator.itemgetter(*p)(q))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Perm):

@@ -1,11 +1,24 @@
 import gc
+import hashlib
+import json
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsym.autgrp import automorphism_group
-from subsym.graphs import Graph, enumerate_s_arcs, make_complete, make_cycle, make_petersen
+from subsym.autgrp import automorphism_group, subdivision_automorphism_group
+from subsym.formats import read_generators
+from subsym.graphs import (
+    Graph,
+    enumerate_s_arcs,
+    make_complete,
+    make_complete_bipartite,
+    make_cycle,
+    make_hoffman_singleton,
+    make_petersen,
+    random_connected_graph,
+)
 from subsym.groups import (
     NotAnAutomorphismError,
     PermGroup,
@@ -38,6 +51,8 @@ from subsym.theorems import is_k_transitive
 from subsym.transforms import subdivide
 
 from _oracles import brute_closure
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 class TestConstruction:
@@ -155,8 +170,6 @@ class TestOrbitsAndStabilizers:
         assert stabilizer_edge(G, (0, 1)).order() == 1
 
     def test_hoffman_singleton_stabilizer_orders(self):
-        from subsym.graphs import make_hoffman_singleton
-
         h = make_hoffman_singleton()
         full = automorphism_group(h)
         half = derived_subgroup(full)
@@ -260,6 +273,36 @@ class TestInducedActions:
         gc.collect()
         assert len(G._validated_graphs) == 0
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["cycle5", "cycle6", "k4", "k33", "petersen", "random"]),
+        st.integers(min_value=0, max_value=10**9),
+    )
+    def test_subdivision_action_is_faithful_homomorphism(self, name, seed):
+        rng = random.Random(seed)
+        g = {
+            "cycle5": lambda: make_cycle(5),
+            "cycle6": lambda: make_cycle(6),
+            "k4": lambda: make_complete(4),
+            "k33": lambda: make_complete_bipartite(3, 3),
+            "petersen": make_petersen,
+            "random": lambda: random_connected_graph(rng, rng.randint(4, 8)),
+        }[name]()
+        sg = subdivide(g)
+        index = g.edge_index()
+        H = rng.choice(random_subgroups(automorphism_group(g), 3, seed))
+        Hs = induced_subdivision_action(H, sg)
+        assert Hs.order() == H.order()
+        for _ in range(5):
+            x = Hs.random_element(rng)
+            # V is invariant and x restricts on it to an element of H ...
+            restricted = Perm(x.images[:g.n])
+            assert restricted in H
+            # ... and each E-vertex follows its edge
+            for i, (u, v) in enumerate(sg.edge_of):
+                a, b = restricted(u), restricted(v)
+                assert x.images[g.n + i] == g.n + index[(a, b) if a < b else (b, a)]
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_action_axioms(self, seed):
@@ -313,8 +356,6 @@ class TestConcurrency:
     def test_concurrent_first_queries_agree(self):
         import threading
 
-        from subsym.graphs import make_hoffman_singleton
-
         G = automorphism_group(make_hoffman_singleton())
         fresh = PermGroup(G.degree, G.generators)
         results = []
@@ -366,3 +407,46 @@ class TestOrbitPartition:
             Ge = stabilizer_edge(G, pair)
             setwise = {e for e in elements if {e[0], e[degree - 1]} == set(pair)}
             assert brute_closure(Ge.generators, degree) == setwise and Ge.order() == len(setwise)
+
+
+def _chain_digest(G: PermGroup) -> str:
+    chain = G.chain()
+    record = {
+        "base": chain.base(),
+        "transversals": [[[pt, list(u.images)] for pt, u in lvl.transversal.items()] for lvl in chain.levels],
+        "inverses": [[[pt, list(u.images)] for pt, u in lvl.transversal_inv.items()] for lvl in chain.levels],
+        "gens": [[list(g.images) for g in lvl.gens] for lvl in chain.levels],
+    }
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+class TestPinnedChainBytes:
+    """Base points, transversals (points, images and inverses, in insertion
+    order) and level generators of a few chains. ``random_subgroups`` draws
+    from these transversals, so ``tests/golden_verify.jsonl`` depends on them
+    staying byte-identical. The digests were computed before products became
+    trusted and identity Schreier generators were skipped."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        sg = subdivide(make_hoffman_singleton())
+        lifted, _ = subdivision_automorphism_group(sg.graph)
+        fixture = read_generators(os.path.join(FIXTURES, "hoffman_singleton_aut.gens"))
+        return {"lifted": lifted, "fixture": induced_subdivision_action(fixture, sg)}
+
+    @pytest.mark.parametrize("name, point, digest", [
+        ("lifted", None, "d29f2523b0b6172f47ab3da645adf6b30bbd2f9a49fd26d90384b3dfc1e616c0"),
+        ("lifted", 0, "d7cb1e4ee776faa05647a97ecc0b706388d8e91fefe870bd1fb41050d2562c98"),
+        ("lifted", 50, "8d021feed00d601a67afeeefcab3ee89fe2a6adbca658d4c6b11fc8e86bd2fd9"),
+        ("fixture", None, "3f9aa43a69fdcc99ea7792abda2193a349d537b0505166e1cba57d5682cb62bc"),
+        ("fixture", 0, "44ef9ea6224383ca7f87f1c5e7e4578ad9b697158642cdc2bb61e421a1543a2d"),
+        ("fixture", 50, "cca8615ea593d55533d6018ae9a24494707bf62b9e125f8526b9e84140c3ec65"),
+    ])
+    def test_subdivided_hoffman_singleton(self, groups, name, point, digest):
+        G = groups[name]
+        if point is not None:
+            G = stabilizer_point(G, point)
+        assert _chain_digest(G) == digest
+
+    def test_pgammal_2_8(self):
+        assert _chain_digest(pgammal_2_8()) == "a414f550c661e91941d17e54b39620e5babb1dc4593ca04f1e976842e1bf40f3"
