@@ -6,13 +6,12 @@ changes after construction, so everything here is safe to call concurrently.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-
-from . import kernels
 
 UNREACHED = -1  # sentinel used by distance arrays for disconnected pairs
 _GIRTH_BLOCK = 1 << 18  # matrix entries per root block in Graph.girth
@@ -38,8 +37,6 @@ class Graph:
         "n",
         "adjacency",
         "edge_list",
-        "_indptr",
-        "_indices",
         "_apsp",
         "_girth",
         "_edge_index",
@@ -47,11 +44,18 @@ class Graph:
     )
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise GraphError(f"vertex count {n!r} is not an integer") from None
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         seen = set()
         for e in edges:
-            u, v = e
+            try:
+                u, v = map(operator.index, e)
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not a pair of integers") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge {e!r} out of range for n={n}")
             if u == v:
@@ -69,8 +73,6 @@ class Graph:
         self.n = n
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
         self.edge_list = edge_list
-        self._indptr = None
-        self._indices = None
         self._apsp = None
         self._girth = _UNKNOWN
         self._edge_index = None
@@ -96,24 +98,16 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
-    # -- internal CSR / cache helpers -------------------------------------
-
-    def _csr(self):
-        if self._indptr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int32)
-            for v in range(self.n):
-                indptr[v + 1] = indptr[v] + len(self.adjacency[v])
-            indices = np.fromiter(
-                (w for a in self.adjacency for w in a), dtype=np.int32, count=2 * self.m
-            )
-            self._indptr, self._indices = indptr, indices
-        return self._indptr, self._indices
+    # -- cached metrics -----------------------------------------------------
 
     def distances_matrix(self) -> np.ndarray:
-        """All-pairs hop distances; UNREACHED (-1) marks disconnected pairs."""
+        """All-pairs hop distances as an (n, n) int32 matrix, one BFS per row;
+        UNREACHED (-1) marks disconnected pairs."""
         if self._apsp is None:
-            indptr, indices = self._csr()
-            self._apsp = kernels.all_pairs_distances(indptr, indices, self.n)
+            apsp = np.empty((self.n, self.n), dtype=np.int32)
+            for v in range(self.n):
+                apsp[v] = _bfs(self.adjacency, v)
+            self._apsp = apsp
         return self._apsp
 
     def diameter(self) -> int:
@@ -142,9 +136,13 @@ class Graph:
 
     def _girth_from_distances(self) -> Optional[int]:
         dist = self.distances_matrix()
-        indptr, indices = self._csr()
+        # the arcs in adjacency order: indices[indptr[v]:indptr[v+1]] are v's neighbours
+        degrees = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(degrees, out=indptr[1:])
+        indices = np.fromiter((w for a in self.adjacency for w in a), dtype=np.intp, count=2 * self.m)
+        source = np.repeat(np.arange(self.n), degrees)
         u, w = np.array(self.edge_list, dtype=np.intp).T
-        source = np.repeat(np.arange(self.n), np.diff(indptr))
         lengths = []
         # Root blocks bound the O(rows * m) temporaries.
         step = max(1, _GIRTH_BLOCK // (2 * self.m))
@@ -154,7 +152,7 @@ class Graph:
             level = du[(du == d[:, w]) & (du >= 0)]
             if level.size:
                 lengths.append(2 * int(level.min()) + 1)
-            # parents[:, k] counts the arcs among the first k (in CSR order)
+            # parents[:, k] counts the arcs among the first k (in adjacency order)
             # that step back one level towards the root
             parents = np.zeros((d.shape[0], 2 * self.m + 1), dtype=np.int32)
             np.cumsum(d[:, indices] == d[:, source] - 1, axis=1, dtype=np.int32, out=parents[:, 1:])
@@ -170,13 +168,21 @@ class Graph:
         return self._edge_index
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return int((self.bfs_from(0) >= 0).sum()) == self.n
+        return self.n == 0 or UNREACHED not in _bfs(self.adjacency, 0)
 
-    def bfs_from(self, v: int) -> np.ndarray:
-        indptr, indices = self._csr()
-        return kernels.bfs_distances(indptr, indices, self.n, v)
+
+def _bfs(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Hop distances from source over an adjacency list; UNREACHED elsewhere."""
+    dist = [UNREACHED] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    for v in queue:  # the list grows while it is read: a FIFO queue
+        d = dist[v] + 1
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = d
+                queue.append(w)
+    return dist
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,7 +274,7 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
     """Exact hop distances from v; UNREACHED (-1) for unreachable vertices."""
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
-    return [int(d) for d in g.bfs_from(v)]
+    return _bfs(g.adjacency, v)
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -282,31 +288,28 @@ def distance_sphere(g: Graph, v: int, i: int) -> frozenset[int]:
         raise GraphError(f"vertex {v} out of range")
     if i < 0:
         raise GraphError("sphere radius must be nonnegative")
-    dist = g.bfs_from(v)
-    return frozenset(int(w) for w in np.flatnonzero(dist == i))
+    return frozenset(w for w, d in enumerate(_bfs(g.adjacency, v)) if d == i)
 
 
 # -- s-arc enumeration ------------------------------------------------------
 
 
-def _arc_tuples_from(g: Graph, v: int, s: int) -> list[tuple[int, ...]]:
-    """All s-arcs starting at v as raw tuples, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    arc = [v]
+def _arc_levels(g: Graph, starts: Iterable[int], s_max: int) -> Iterator[list[tuple[int, ...]]]:
+    """The i-arcs from the start vertices as raw tuples, one list per level
+    i = 1..s_max. Each level extends the one before, so with sorted starts
+    every level is in lexicographic order."""
+    arcs = [(v,) for v in starts]
+    for _ in range(s_max):
+        arcs = [t + (w,) for t in arcs for w in g.adjacency[t[-1]] if len(t) < 2 or w != t[-2]]
+        yield arcs
 
-    def extend() -> None:
-        if len(arc) == s + 1:
-            out.append(tuple(arc))
-            return
-        prev = arc[-2] if len(arc) >= 2 else -1
-        for w in g.adjacency[arc[-1]]:
-            if w != prev:
-                arc.append(w)
-                extend()
-                arc.pop()
 
-    extend()
-    return out
+def _arc_tuples(g: Graph, starts: Sequence[int], s: int) -> list[tuple[int, ...]]:
+    """The s-arcs from the start vertices: the last level of _arc_levels."""
+    arcs = [(v,) for v in starts]
+    for arcs in _arc_levels(g, starts, s):
+        pass
+    return arcs
 
 
 def s_arcs_from(g: Graph, v: int, s: int) -> list[SArc]:
@@ -315,17 +318,14 @@ def s_arcs_from(g: Graph, v: int, s: int) -> list[SArc]:
         raise GraphError(f"vertex {v} out of range")
     if s < 1:
         raise GraphError("arc length must be >= 1")
-    return [SArc(t) for t in _arc_tuples_from(g, v, s)]
+    return [SArc(t) for t in _arc_tuples(g, [v], s)]
 
 
 def enumerate_s_arcs(g: Graph, s: int) -> list[SArc]:
     """All s-arcs of g: union of s_arcs_from over all start vertices."""
     if s < 1:
         raise GraphError("arc length must be >= 1")
-    out: list[SArc] = []
-    for v in range(g.n):
-        out.extend(SArc(t) for t in _arc_tuples_from(g, v, s))
-    return out
+    return [SArc(t) for t in _arc_tuples(g, range(g.n), s)]
 
 
 # -- random graphs (seeded corpus generation) -------------------------------

@@ -42,15 +42,18 @@ class StabilizerChain:
 
     Generator sets are nested: level i holds every strong generator that fixes
     the base points of levels 0..i-1, so each level's orbit is computed under
-    the full stabilizer at that level.
+    the full stabilizer at that level. Base points after the prefix are the
+    first points a residue moves, taken by decreasing orbit size under G and
+    then by label.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Perm], base_prefix: Sequence[int] = ()):
-        self.degree = degree
+    def __init__(self, G: "PermGroup", base_prefix: Sequence[int] = ()):
+        self.degree = G.degree
         self.levels: list[_Level] = []
         self._base_prefix = list(base_prefix)
-        self._precedence = self._base_point_precedence(generators)
-        for g in generators:
+        size = {x: len(orb) for orb in G.point_orbits() for x in orb}
+        self._precedence = sorted(range(self.degree), key=lambda x: (-size[x], x))
+        for g in G.generators:
             self.add_generator(g)
 
     @classmethod
@@ -61,26 +64,6 @@ class StabilizerChain:
         chain._base_prefix = []
         chain._precedence = list(range(degree))
         return chain
-
-    def _base_point_precedence(self, generators: Sequence[Perm]) -> list[int]:
-        # points ordered by decreasing orbit size under the full generating set
-        parent = list(range(self.degree))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in generators:
-            for i, j in enumerate(g.images):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        size: dict[int, int] = {}
-        for i in range(self.degree):
-            size[find(i)] = size.get(find(i), 0) + 1
-        return sorted(range(self.degree), key=lambda i: (-size[find(i)], i))
 
     def order(self) -> int:
         out = 1
@@ -180,7 +163,8 @@ class PermGroup:
     """A permutation group given by generators, with a lazily built chain."""
 
     __slots__ = (
-        "degree", "generators", "_chain", "_stabilizers", "_lock", "_validated_graphs", "__weakref__",
+        "degree", "generators", "_chain", "_orbits", "_stabilizers", "_lock", "_validated_graphs",
+        "__weakref__",
     )
 
     def __init__(self, degree: int, generators: Iterable[Perm] = (), _chain: Optional[StabilizerChain] = None):
@@ -195,6 +179,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain = _chain
+        self._orbits: Optional[tuple[tuple[int, ...], ...]] = None  # see point_orbits
         self._stabilizers: dict[int, PermGroup] = {}  # point -> G_v, see stabilizer_point
         self._lock = threading.Lock()
         # graphs known to be preserved; equal graphs share one entry
@@ -204,7 +189,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = StabilizerChain(self.degree, self.generators)
+                    self._chain = StabilizerChain(self)
         return self._chain
 
     def order(self) -> int:
@@ -221,11 +206,16 @@ class PermGroup:
     def random_element(self, rng: random.Random) -> Perm:
         return self.chain().random_element(rng)
 
-    def point_orbits(self) -> list[list[int]]:
-        """Orbits on 0..degree-1, each sorted, ordered by least element."""
-        act = point_action(self.degree)
-        orbits, _ = orbit_partition(self, act.domain, act.apply)
-        return [sorted(orb) for orb in orbits]
+    def point_orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits on 0..degree-1, each sorted, ordered by least element.
+        Computed once and immutable, so every call shares it. No lock: the
+        callers that build chains hold the group's lock, and two threads that
+        race here compute equal values."""
+        if self._orbits is None:
+            act = point_action(self.degree)
+            orbits, _ = orbit_partition(self, act.domain, act.apply)
+            self._orbits = tuple(tuple(sorted(orb)) for orb in orbits)
+        return self._orbits
 
     def is_transitive(self) -> bool:
         return len(self.point_orbits()) <= 1 or self.degree == 0
@@ -444,7 +434,7 @@ def stabilizer_point(G: PermGroup, v: int) -> PermGroup:
         with G._lock:
             Gv = G._stabilizers.get(v)
             if Gv is None:
-                chain = StabilizerChain(G.degree, G.generators, base_prefix=[v])
+                chain = StabilizerChain(G, base_prefix=[v])
                 if len(chain.levels) < 2:
                     Gv = PermGroup(G.degree, ())
                 else:
@@ -471,7 +461,7 @@ def stabilizer_edge(G: PermGroup, e: tuple[int, int]) -> PermGroup:
     _check_point(G, v)
     if u == v:
         raise PermError("edge must be a 2-set")
-    levels = StabilizerChain(G.degree, G.generators, base_prefix=[u, v]).levels
+    levels = StabilizerChain(G, base_prefix=[u, v]).levels
     gens = list(levels[2].gens) if len(levels) > 2 else []
     if levels and v in levels[0].transversal:
         orbit_of_v = levels[1].transversal if len(levels) > 1 else {v: Perm.identity(G.degree)}
@@ -541,7 +531,7 @@ def induced_subdivision_action(G: PermGroup, sg) -> PermGroup:
 
 def normal_closure(G: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     """Smallest normal subgroup of G containing the seeds."""
-    chain = StabilizerChain(G.degree, [])
+    chain = StabilizerChain(trivial_group(G.degree))  # no orbits: base points in label order
     gens: list[Perm] = []
     work = [s for s in seeds if not s.is_identity()]
     conjugators = list(G.generators) + [g.inverse() for g in G.generators]

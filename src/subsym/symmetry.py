@@ -19,7 +19,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _arc_tuples_from, distance_sphere
+from .graphs import Graph, GraphError, SArc, _arc_levels, _arc_tuples
 from .groups import (
     PermGroup,
     orbit_partition,
@@ -140,16 +140,8 @@ def _partition_stats(group: PermGroup, domain: list, apply) -> LevelStat:
 
 def _arc_stats(g: Graph, group: PermGroup, starts, s_max: int) -> list[LevelStat]:
     """Orbit statistics of group on the i-arcs from the start vertices,
-    i = 1..s_max. Each level extends the one before instead of enumerating
-    from scratch, and comes out in the same lexicographic order."""
-    stats = []
-    arcs = [(v,) for v in starts]
-    for _ in range(s_max):
-        arcs = [
-            t + (w,) for t in arcs for w in g.adjacency[t[-1]] if len(t) < 2 or w != t[-2]
-        ]
-        stats.append(_partition_stats(group, arcs, _apply_tuple))
-    return stats
+    i = 1..s_max, in the lexicographic order of the arc enumeration."""
+    return [_partition_stats(group, arcs, _apply_tuple) for arcs in _arc_levels(g, starts, s_max)]
 
 
 def global_arc_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
@@ -187,10 +179,8 @@ def local_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     for v in vertex_orbit_reps(g, G):
         Gv = stabilizer_point(G, v)
         dist = g.distances_matrix()[v]  # cached; checking an s range builds it
-        # one orbit partition of G_v on all vertices; spheres are unions of cells
-        _, orbit_id = orbit_partition(
-            Gv, list(range(g.n)), lambda p, x: p.images[x]
-        )
+        # spheres are unions of G_v's point orbits, cached on the memoised G_v
+        orbit_id = {x: i for i, orb in enumerate(Gv.point_orbits()) for x in orb}
         stats = []
         for i in range(1, s_max + 1):
             sphere = [int(w) for w in np.flatnonzero(dist == i)]
@@ -324,21 +314,34 @@ def is_locally_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport
     return transitivity_reports(g, G, "distance", True)[0]
 
 
+def _is_vertex(g: Graph, x) -> bool:
+    return isinstance(x, int) and 0 <= x < g.n
+
+
+def _is_arc(g: Graph, x) -> bool:
+    try:
+        SArc(x).validate(g)
+    except GraphError:
+        return False
+    return True
+
+
 def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[int], x) -> bool:
     """Whether x is in the level's class for the kind: a level-arc, an ordered
     pair at distance level, or (local distance) a vertex at distance level from
-    vertex. Local arcs start at vertex."""
+    vertex. Local arcs start at vertex. Membership is checked directly: the
+    arc rule of SArc.validate, or one entry of the cached distance matrix."""
     if kind.name.endswith("arc"):
         return (
-            isinstance(x, tuple) and len(x) == level + 1 and x[0] in range(g.n)
-            and vertex in (None, x[0]) and x in _arc_tuples_from(g, x[0], level)
+            isinstance(x, tuple) and len(x) == level + 1 and all(_is_vertex(g, y) for y in x)
+            and vertex in (None, x[0]) and _is_arc(g, x)
         )
     if vertex is None:
         return (
-            isinstance(x, tuple) and len(x) == 2 and x[0] in range(g.n)
-            and x[1] in distance_sphere(g, x[0], level)
+            isinstance(x, tuple) and len(x) == 2 and all(_is_vertex(g, y) for y in x)
+            and g.distances_matrix()[x[0], x[1]] == level
         )
-    return x in distance_sphere(g, vertex, level)
+    return _is_vertex(g, x) and g.distances_matrix()[vertex, x] == level
 
 
 def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
@@ -350,9 +353,9 @@ def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
     w, kind = report.witness, report.kind
     if w.note == "empty":
         if kind.name.endswith("arc"):
-            return w.vertex is None and not any(_arc_tuples_from(g, v, w.level) for v in range(g.n))
+            return w.vertex is None and not _arc_tuples(g, range(g.n), w.level)
         return w.vertex is None and not (g.distances_matrix() == w.level).any()
-    if w.vertex not in (range(g.n) if kind.local else (None,)):
+    if not (_is_vertex(g, w.vertex) if kind.local else w.vertex is None):
         return False
     if not all(_in_level_class(g, kind, w.level, w.vertex, x) for x in (w.first, w.second)):
         return False

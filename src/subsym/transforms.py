@@ -18,6 +18,7 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    bfs_distances,
     make_cycle,
 )
 
@@ -120,22 +121,14 @@ def distance_two_graph(g: Graph) -> list[Component]:
 
 def split_components(g: Graph) -> list[Component]:
     """Connected components of g, each relabelled to 0..k-1."""
-    seen = [False] * g.n
+    seen: set[int] = set()
     comps = []
     for start in range(g.n):
-        if seen[start]:
+        if start in seen:
             continue
-        stack = [start]
-        seen[start] = True
-        verts = []
-        while stack:
-            v = stack.pop()
-            verts.append(v)
-            for w in g.adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        verts.sort()
+        # the reached vertices, listed in label order
+        verts = [v for v, d in enumerate(bfs_distances(g, start)) if d != UNREACHED]
+        seen.update(verts)
         index = {v: i for i, v in enumerate(verts)}
         sub_edges = [
             (index[u], index[v]) for u, v in g.edge_list if u in index and v in index

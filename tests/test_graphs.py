@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from subsym.graphs import (
     random_connected_graph,
     s_arcs_from,
 )
+from subsym.formats import read_graph, write_graph
 from subsym.transforms import subdivide
 
 from _oracles import brute_arcs, brute_diameter, brute_distances, brute_girth
@@ -55,6 +57,32 @@ class TestConstruction:
         for u, v in g.edge_list:
             assert v in g.adjacency[u] and u in g.adjacency[v]
         assert all(list(a) == sorted(a) for a in g.adjacency)
+
+    @pytest.mark.parametrize("n, edges", [
+        (2, [(0.0, 1.0)]),
+        (3, [("0", "1")]),
+        (3, [(0, 1, 2)]),
+        (3, [(0,)]),
+        (3, [0]),
+        (2.0, [(0, 1)]),
+        ("3", []),
+    ])
+    def test_rejects_non_integer_input(self, n, edges):
+        with pytest.raises(GraphError):
+            Graph(n, edges)
+
+    def test_integer_like_ids_are_normalised(self, tmp_path):
+        g = Graph(2, [(True, False)])
+        assert g.edge_list == ((0, 1),) and g.adjacency == ((1,), (0,))
+        assert all(type(x) is int for e in g.edge_list for x in e)
+        path = str(tmp_path / "bools.g")
+        write_graph(path, g)
+        with open(path) as fh:
+            assert fh.read() == "2 1\n0 1\n"
+        assert read_graph(path) == g
+        h = Graph(np.int64(3), [(np.int32(2), np.int64(0))])
+        assert type(h.n) is int and h.edge_list == ((0, 2),)
+        assert all(type(x) is int for x in h.edge_list[0])
 
     def test_edge_count_matches_valency_sum(self):
         g = make_petersen()
@@ -107,6 +135,36 @@ class TestNamedGraphs:
         assert all(h.degree(v) == 7 for v in range(50))
         assert h.diameter() == 2
         assert h.girth() == 5
+
+
+def oracle_row(g, source):
+    dist = brute_distances(g, source)
+    return [dist.get(v, -1) for v in range(g.n)]
+
+
+class TestDistances:
+    @settings(max_examples=100, deadline=None)
+    @given(random_graph_strategy(max_n=12))
+    def test_bfs_and_matrix_match_oracle_on_any_edge_set(self, g):
+        # any edge set: disconnected graphs and isolated vertices included
+        mat = g.distances_matrix()
+        assert mat.shape == (g.n, g.n) and mat.dtype == np.int32
+        for s in range(g.n):
+            assert bfs_distances(g, s) == oracle_row(g, s) == mat[s].tolist()
+
+    def test_matrix_matches_oracle(self):
+        cases = [make_petersen(), subdivide(make_complete_bipartite(4, 4)).graph]
+        rng = random.Random(5)
+        cases += [random_connected_graph(rng, rng.randint(4, 25)) for _ in range(6)]
+        for g in cases:
+            assert g.distances_matrix().tolist() == [oracle_row(g, s) for s in range(g.n)]
+
+    def test_unreachable_is_minus_one(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert bfs_distances(g, 0) == [0, 1, -1, -1]
+        assert g.distances_matrix().tolist() == [[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]]
+        empty = Graph(0, []).distances_matrix()
+        assert empty.shape == (0, 0) and empty.dtype == np.int32
 
 
 class TestMetrics:

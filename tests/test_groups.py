@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsym import groups as groups_module
 from subsym.autgrp import automorphism_group, subdivision_automorphism_group
 from subsym.formats import read_generators
 from subsym.graphs import (
@@ -184,6 +185,20 @@ class TestOrbitsAndStabilizers:
         G = automorphism_group(make_petersen())
         assert stabilizer_point(G, 3) is stabilizer_point(G, 3)
         assert stabilizer_point(G, 3) is not stabilizer_point(G, 4)
+
+    def test_point_orbits_are_cached_and_shared(self, monkeypatch):
+        sg = subdivide(make_petersen())
+        G = induced_subdivision_action(automorphism_group(make_petersen()), sg)
+        orbits = G.point_orbits()
+        assert G.point_orbits() is orbits
+        assert orbits == (tuple(range(10)), tuple(range(10, 25)))
+        # a stabilizer at each representative reads its base-point order
+        # off the cached orbits instead of recomputing them
+        calls = []
+        real = groups_module.orbit_partition
+        monkeypatch.setattr(groups_module, "orbit_partition", lambda *args: calls.append(args[0]) or real(*args))
+        assert [stabilizer_point(G, orb[0]).order() for orb in orbits] == [12, 8]
+        assert calls == [] and G.point_orbits() is orbits
 
     @pytest.mark.parametrize("G, e", [
         (symmetric_group(3), (0, 7)),
@@ -410,7 +425,10 @@ class TestOrbitPartition:
 
 
 def _chain_digest(G: PermGroup) -> str:
-    chain = G.chain()
+    return _levels_digest(G.chain())
+
+
+def _levels_digest(chain) -> str:
     record = {
         "base": chain.base(),
         "transversals": [[[pt, list(u.images)] for pt, u in lvl.transversal.items()] for lvl in chain.levels],
@@ -450,3 +468,25 @@ class TestPinnedChainBytes:
 
     def test_pgammal_2_8(self):
         assert _chain_digest(pgammal_2_8()) == "a414f550c661e91941d17e54b39620e5babb1dc4593ca04f1e976842e1bf40f3"
+
+    def test_normal_closure_from_empty_generators(self):
+        # normal_closure starts from a chain with no generators, so its base
+        # points follow label order
+        D = derived_subgroup(automorphism_group(make_petersen()))
+        assert D.order() == 60
+        assert _chain_digest(D) == "51625b2744b254f7c414dea73a0febaee101e423ccd72b47054dd2ae5ab92bb1"
+
+    def test_stabilizer_edge_levels(self, groups, monkeypatch):
+        built = []
+
+        class Capture(groups_module.StabilizerChain):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(groups_module, "StabilizerChain", Capture)
+        Ge = stabilizer_edge(groups["fixture"], (0, 50))
+        assert len(built) == 1 and Ge.order() == 720
+        assert _levels_digest(built[0]) == "ed7d0b29d257078957eb308ea73e6508d6adb80406394693b90575ecd3b88075"
+        gens = json.dumps([list(g.images) for g in Ge.generators]).encode()
+        assert hashlib.sha256(gens).hexdigest() == "29e998fcaeb3311831b8e7d8f696deab5320713b9dbf7b8654917a4b41537c94"

@@ -323,6 +323,18 @@ class TestVerifyWitness:
         k2 = make_complete(2)
         assert verify_witness(k2, symmetric_group(2), self.false_report("s-arc", True, 2, note="empty"))
 
+    def test_objects_must_be_vertices_in_range(self):
+        # a negative id would otherwise index from the end: vertex 9 is a neighbour of 0
+        p = make_petersen()
+        T = trivial_group(10)
+        assert verify_witness(p, T, self.false_report("s-distance", False, 1, first=(0, 7), second=(0, 9)))
+        assert not verify_witness(p, T, self.false_report("s-distance", False, 1, first=(0, 7), second=(0, -1)))
+        assert not verify_witness(p, T, self.false_report("s-distance", False, 1, first=(0, 7), second=(0, 10)))
+        assert not verify_witness(p, T, self.false_report("s-distance", True, 1, vertex=0, first=7, second=-1))
+        assert not verify_witness(p, T, self.false_report("s-distance", True, 1, vertex=0, first=7, second=9.0))
+        assert not verify_witness(p, T, self.false_report("s-distance", True, 1, vertex=0.0, first=7, second=8))
+        assert not verify_witness(p, T, self.false_report("s-arc", False, 2, first=(8, 0, 7), second=(9, 0, -3)))
+
     def test_distinct_orbits_still_required(self):
         p = make_petersen()
         G = automorphism_group(p)
