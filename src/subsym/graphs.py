@@ -312,6 +312,16 @@ def _arc_tuples(g: Graph, starts: Sequence[int], s: int) -> list[tuple[int, ...]
     return arcs
 
 
+def _has_arc(g: Graph, s: int) -> bool:
+    """Whether g has an s-arc (s >= 1), from the set of directed edges that
+    end an i-arc, i = 1..s. A non-backtracking walk longer than 2m repeats a
+    directed edge and so extends forever: 2m + 1 steps settle emptiness."""
+    ends = {(u, w) for u in range(g.n) for w in g.adjacency[u]}
+    for _ in range(min(s, 2 * g.m + 1) - 1):
+        ends = {(w, x) for u, w in ends for x in g.adjacency[w] if x != u}
+    return bool(ends)
+
+
 def s_arcs_from(g: Graph, v: int, s: int) -> list[SArc]:
     """All s-arcs with initial vertex v, in deterministic lexicographic order."""
     if not (0 <= v < g.n):

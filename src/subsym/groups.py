@@ -85,10 +85,11 @@ class StabilizerChain:
         i = start
         for lvl in self.levels[start:]:
             beta = p.images[lvl.point]
-            u_inv = lvl.transversal_inv.get(beta)
-            if u_inv is None:
-                return p, i
-            p = p * u_inv
+            if beta != lvl.point:  # at the base point the transversal element is the identity
+                u_inv = lvl.transversal_inv.get(beta)
+                if u_inv is None:
+                    return p, i
+                p = p * u_inv
             i += 1
         return p, i
 

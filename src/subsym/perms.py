@@ -69,8 +69,7 @@ class Perm:
         return self.images[x]
 
     def apply_tuple(self, xs: tuple[int, ...]) -> tuple[int, ...]:
-        im = self.images
-        return tuple(im[x] for x in xs)
+        return tuple(map(self.images.__getitem__, xs))
 
     def __mul__(self, other: "Perm") -> "Perm":
         if not isinstance(other, Perm):

@@ -8,8 +8,12 @@ on a set is decided by an orbit partition, which also yields the per-level
 orbit counts and a concrete witness pair on failure.
 
 All eight predicates go through ``transitivity_reports``: it validates the
-inputs once, builds one profile (the per-level orbit statistics) up to the
-largest s asked for, and reads the report for every s off that profile.
+inputs once, builds one local profile (the per-level orbit statistics of each
+representative's stabilizer) up to the largest s asked for, and reads the
+report for every s off that profile. The global forms are read off the same
+profile by the orbit-stabilizer correspondence: the G-orbits on level-i
+objects (i-arcs, or ordered pairs at distance i) are in bijection with the
+pairs (representative v, G_v-orbit on the level-i objects at v).
 """
 
 from __future__ import annotations
@@ -17,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-import numpy as np
-
-from .graphs import Graph, GraphError, SArc, _arc_levels, _arc_tuples
+from .graphs import Graph, GraphError, SArc, _arc_levels, _has_arc
 from .groups import (
     PermGroup,
     orbit_partition,
@@ -93,14 +95,13 @@ class TransitivityReport:
 
 @dataclass
 class LevelStat:
-    size: int
-    orbits: int
-    witness: Optional[tuple[Any, Any]]
+    orbits: int  # 0 exactly when the level's set is empty
+    leaders: tuple  # least element of the first one or two orbits, in domain order
 
 
 # A profile maps each vertex-orbit representative v to the statistics of G_v
-# on its level-1..s_max sets; a global profile has the single key None.
-Profile = dict[Optional[int], list[LevelStat]]
+# on its level-1..s_max sets.
+Profile = dict[int, list[LevelStat]]
 
 
 def _check_inputs(g: Graph, G: PermGroup) -> None:
@@ -128,11 +129,8 @@ def _apply_tuple(p, t):
 
 
 def _partition_stats(group: PermGroup, domain: list, apply) -> LevelStat:
-    if not domain:
-        return LevelStat(size=0, orbits=0, witness=None)
     orbits, _ = orbit_partition(group, domain, apply)
-    witness = (orbits[0][0], orbits[1][0]) if len(orbits) > 1 else None
-    return LevelStat(size=len(domain), orbits=len(orbits), witness=witness)
+    return LevelStat(len(orbits), tuple(orb[0] for orb in orbits[:2]))
 
 
 # -- profiles ---------------------------------------------------------------
@@ -142,23 +140,6 @@ def _arc_stats(g: Graph, group: PermGroup, starts, s_max: int) -> list[LevelStat
     """Orbit statistics of group on the i-arcs from the start vertices,
     i = 1..s_max, in the lexicographic order of the arc enumeration."""
     return [_partition_stats(group, arcs, _apply_tuple) for arcs in _arc_levels(g, starts, s_max)]
-
-
-def global_arc_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
-    """Orbit statistics of G on the i-arc sets, i = 1..s_max."""
-    _check_inputs(g, G)
-    return {None: _arc_stats(g, G, range(g.n), s_max)}
-
-
-def global_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
-    """Orbit statistics of G on the ordered distance-i pair sets."""
-    _check_inputs(g, G)
-    dist = g.distances_matrix()
-    stats = []
-    for i in range(1, s_max + 1):
-        pairs = [(int(a), int(b)) for a, b in np.argwhere(dist == i)]
-        stats.append(_partition_stats(G, pairs, _apply_tuple))
-    return {None: stats}
 
 
 def local_arc_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
@@ -177,35 +158,18 @@ def local_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     _check_inputs(g, G)
     out: Profile = {}
     for v in vertex_orbit_reps(g, G):
-        Gv = stabilizer_point(G, v)
         dist = g.distances_matrix()[v]  # cached; checking an s range builds it
-        # spheres are unions of G_v's point orbits, cached on the memoised G_v
-        orbit_id = {x: i for i, orb in enumerate(Gv.point_orbits()) for x in orb}
-        stats = []
-        for i in range(1, s_max + 1):
-            sphere = [int(w) for w in np.flatnonzero(dist == i)]
-            ids_seen: dict[int, int] = {}
-            witness = None
-            for w in sphere:
-                oid = orbit_id[w]
-                if oid not in ids_seen:
-                    ids_seen[oid] = w
-                    if len(ids_seen) == 2 and witness is None:
-                        first_two = list(ids_seen.values())
-                        witness = (first_two[0], first_two[1])
-            stats.append(
-                LevelStat(size=len(sphere), orbits=len(ids_seen), witness=witness)
-            )
-        out[v] = stats
+        leaders: list[list[int]] = [[] for _ in range(s_max + 1)]
+        # G_v fixes v, so each of its point orbits (cached on the memoised
+        # G_v, listed by least element) lies in one sphere
+        for orb in stabilizer_point(G, v).point_orbits():
+            if 1 <= dist[orb[0]] <= s_max:
+                leaders[dist[orb[0]]].append(orb[0])
+        out[v] = [LevelStat(len(ls), tuple(ls[:2])) for ls in leaders[1:]]
     return out
 
 
-_PROFILES = {
-    ("arc", False): global_arc_profile,
-    ("arc", True): local_arc_profile,
-    ("distance", False): global_distance_profile,
-    ("distance", True): local_distance_profile,
-}
+_PROFILES = {"arc": local_arc_profile, "distance": local_distance_profile}
 
 
 # -- predicate assembly -------------------------------------------------------
@@ -214,24 +178,37 @@ _PROFILES = {
 def report_from_profile(kind: PropertyKind, profile: Profile, s: int) -> TransitivityReport:
     """Assemble the level-s report from a profile computed to s_max >= s.
 
-    orbit_counts holds the worst count over the representatives; the witness
-    is the lowest failing level at the first representative that fails."""
+    Local: orbit_counts holds the worst count over the representatives; the
+    witness is the lowest failing level at the first representative that
+    fails. Global: the G-orbits on a level correspond to the pairs
+    (representative, G_v-orbit), so orbit_counts holds the sum over the
+    representatives. Listed by least element, the global orbits lead with the
+    representatives' leaders in representative order (a distance leader w at
+    v is the pair (v, w)); the witness is the first two at the lowest failing
+    level."""
+    combine = max if kind.local else sum
     orbit_counts = {
-        i: max(stats[i - 1].orbits for stats in profile.values())
+        i: combine(stats[i - 1].orbits for stats in profile.values())
         for i in range(1, s + 1)
     }
-    for v, stats in profile.items():
-        for i, st in enumerate(stats[:s]):
-            if st.orbits > 1:
-                return TransitivityReport(
-                    kind,
-                    False,
-                    Witness(
-                        level=i + 1, vertex=v, first=st.witness[0], second=st.witness[1]
-                    ),
-                    orbit_counts,
-                )
-    if all(stats[s - 1].size == 0 for stats in profile.values()):
+    if kind.local:
+        for v, stats in profile.items():
+            for i, st in enumerate(stats[:s], 1):
+                if st.orbits > 1:
+                    witness = Witness(level=i, vertex=v, first=st.leaders[0], second=st.leaders[1])
+                    return TransitivityReport(kind, False, witness, orbit_counts)
+    else:
+        for i in range(1, s + 1):
+            if orbit_counts[i] > 1:
+                pairs = kind.name.endswith("distance")
+                first, second = [
+                    (v, w) if pairs else w
+                    for v, stats in profile.items()
+                    for w in stats[i - 1].leaders
+                ][:2]
+                witness = Witness(level=i, first=first, second=second)
+                return TransitivityReport(kind, False, witness, orbit_counts)
+    if orbit_counts[s] == 0:
         return TransitivityReport(
             kind, False, Witness(level=s, note="empty"), orbit_counts
         )
@@ -272,7 +249,7 @@ def transitivity_reports(
     if not kinds:
         return []
     levels = [1 if k.s is None else k.s for k in kinds]
-    profile = _PROFILES[name.removeprefix("s-"), local](g, G, max(levels))
+    profile = _PROFILES[name.removeprefix("s-")](g, G, max(levels))
     return [report_from_profile(k, profile, level) for k, level in zip(kinds, levels)]
 
 
@@ -353,7 +330,7 @@ def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
     w, kind = report.witness, report.kind
     if w.note == "empty":
         if kind.name.endswith("arc"):
-            return w.vertex is None and not _arc_tuples(g, range(g.n), w.level)
+            return w.vertex is None and w.level >= 1 and not _has_arc(g, w.level)
         return w.vertex is None and not (g.distances_matrix() == w.level).any()
     if not (_is_vertex(g, w.vertex) if kind.local else w.vertex is None):
         return False

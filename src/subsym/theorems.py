@@ -30,16 +30,15 @@ from .graphs import (
 )
 from .groups import (
     PermGroup,
+    StabilizerChain,
     alternating_group,
     cycle_half_dihedral,
     cyclic_group,
     derived_subgroup,
     dihedral_group,
     induced_subdivision_action,
-    orbit,
     orbit_partition,
     pair_set_action,
-    point_action,
     pgammal_2_8,
     pgl_2_8,
     random_subgroups,
@@ -47,7 +46,6 @@ from .groups import (
     stabilizer_point,
     symmetric_group,
     trivial_group,
-    tuple_action,
     wreath_s2,
 )
 from .perms import Perm
@@ -362,15 +360,16 @@ def check_reconstruction(g: Graph, sg: Optional[SubdivisionGraph] = None) -> Che
 
 
 def is_k_transitive(G: PermGroup, k: int) -> bool:
-    """Whether G is k-transitive on its full point domain."""
+    """Whether G is k-transitive on its full point domain: with base 0..k-1,
+    the stabilizer of 0..i-1 moves i onto all n - i remaining points for every
+    i < k (a level the chain never needed has a one-point transversal)."""
     n = G.degree
     if k > n:
         return False
-    target = 1
-    for i in range(k):
-        target *= n - i
-    start = tuple(range(k))
-    return len(orbit(G, start, tuple_action([start]))) == target
+    levels = StabilizerChain(G, base_prefix=range(k)).levels
+    return all(
+        (len(levels[i].transversal) if i < len(levels) else 1) == n - i for i in range(k)
+    )
 
 
 ROW_NAMES = ("K2", "K3", "Kn", "Knn", "C5", "P", "HoSi")
@@ -557,11 +556,10 @@ def _bipartite_conditions(g: Graph, G: PermGroup) -> dict[str, bool]:
 
 
 def _edge_swap_and_complement(G: PermGroup, side1, side2) -> bool:
-    act = point_action(G.degree)
     for u1 in side1:
         for u2 in side2:
             Ge = stabilizer_edge(G, (u1, u2))
-            if u2 not in orbit(Ge, u1, act):
+            if not any(u1 in orb and u2 in orb for orb in Ge.point_orbits()):
                 return False
             domain = [(a, b) for a in side1 if a != u1 for b in side2 if b != u2]
             orbits, _ = orbit_partition(Ge, domain, pair_set_action(domain).apply)

@@ -98,6 +98,25 @@ def brute_closure(generators, degree, cap=None):
     return seen
 
 
+def brute_distance_pairs(g, i):
+    """All ordered pairs at distance i, from dict BFS at every vertex."""
+    return sorted((a, b) for a in range(g.n) for b, d in brute_distances(g, a).items() if d == i)
+
+
+def brute_level_orbits(g, elements, name, i):
+    """Orbits of the explicit group elements (image tuples, as from
+    brute_closure) on the i-arcs ("s-arc") or the ordered distance-i pairs
+    ("s-distance"): each orbit sorted, the orbits listed by least element."""
+    domain = brute_arcs(g, i) if name == "s-arc" else brute_distance_pairs(g, i)
+    orbits, seen = [], set()
+    for x in sorted(domain):
+        if x not in seen:
+            orb = sorted({tuple(e[y] for y in x) for e in elements})
+            seen.update(orb)
+            orbits.append(orb)
+    return orbits
+
+
 def _neighbor_masks(g):
     masks = []
     for a in g.adjacency:

@@ -234,6 +234,20 @@ class TestProjectiveGroups:
         assert is_k_transitive(H, 3)
         assert not is_k_transitive(H, 4)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=6).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))))
+    def test_k_transitivity_matches_closure(self, case):
+        import math
+
+        degree, images = case
+        G = PermGroup(degree, [Perm(p) for p in images])
+        elements = brute_closure(G.generators, degree)
+        for k in range(degree + 2):
+            # the images of (0, ..., k-1) must be every k-tuple of distinct points
+            expected = k <= degree and len({e[:k] for e in elements}) == math.perm(degree, k)
+            assert is_k_transitive(G, k) == expected, k
+
 
 class TestInducedActions:
     def test_edge_action_identity(self):

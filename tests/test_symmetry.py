@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subsym import groups
 from subsym.autgrp import automorphism_group
@@ -21,6 +23,7 @@ from subsym.groups import (
     pgammal_2_8,
     pgl_2_8,
     random_subgroups,
+    stabilizer_point,
     symmetric_group,
     trivial_group,
     wreath_s2,
@@ -44,7 +47,7 @@ from subsym.symmetry import (
 )
 from subsym.transforms import subdivide
 
-from _oracles import brute_closure
+from _oracles import brute_closure, brute_level_orbits
 
 
 def s2_times_s3():
@@ -323,6 +326,18 @@ class TestVerifyWitness:
         k2 = make_complete(2)
         assert verify_witness(k2, symmetric_group(2), self.false_report("s-arc", True, 2, note="empty"))
 
+    def test_empty_arc_level_decided_without_enumerating_arcs(self):
+        from subsym.graphs import Graph
+
+        p = make_petersen()
+        start = time.perf_counter()
+        assert not verify_witness(p, trivial_group(10), self.false_report("s-arc", False, 10**6, note="empty"))
+        assert time.perf_counter() - start < 1.0
+        path = Graph(3, [(0, 1), (1, 2)])
+        T = trivial_group(3)
+        assert verify_witness(path, T, self.false_report("s-arc", False, 3, note="empty"))
+        assert not verify_witness(path, T, self.false_report("s-arc", False, 2, note="empty"))
+
     def test_objects_must_be_vertices_in_range(self):
         # a negative id would otherwise index from the end: vertex 9 is a neighbour of 0
         p = make_petersen()
@@ -410,10 +425,45 @@ class TestOneEvaluationPath:
             transitivity_reports(g, G, "s-arc", False)
 
 
+class TestGlobalReportsAgainstElementwiseOrbits:
+    """The global reports are read off the local profile; the reference
+    partitions every level-i object under every element of G."""
+
+    S_MAX_ARC = 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(["aut", "subgroup"]), st.booleans())
+    def test_global_reports_match_brute_orbits(self, seed, which, subdivided):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(2, 4 if subdivided else 6))
+        G = automorphism_group(g)
+        if which == "subgroup":
+            subs = [H for H in random_subgroups(G, 3, rng.randrange(2**30)) if not H.is_transitive()]
+            G = subs[0] if subs else stabilizer_point(G, 0)
+        if subdivided:
+            sg = subdivide(g)
+            g, G = sg.graph, induced_subdivision_action(G, sg)
+        elements = brute_closure(G.generators, g.n)
+        for name, s_max in (("s-arc", self.S_MAX_ARC), ("s-distance", g.diameter())):
+            levels = [brute_level_orbits(g, elements, name, i) for i in range(1, s_max + 1)]
+            reports = transitivity_reports(g, G, name, False, range(1, s_max + 1))
+            for s, rep in enumerate(reports, 1):
+                counts = {i: len(orbits) for i, orbits in enumerate(levels[:s], 1)}
+                failing = next((i for i, count in counts.items() if count > 1), None)
+                if failing is not None:
+                    orbits = levels[failing - 1]
+                    witness = Witness(level=failing, first=orbits[0][0], second=orbits[1][0])
+                elif counts[s] == 0:
+                    witness = Witness(level=s, note="empty")
+                else:
+                    witness = None
+                assert (rep.verdict, rep.orbit_counts, rep.witness) == (witness is None, counts, witness)
+
+
 def test_arc_levels_come_in_enumeration_order(monkeypatch):
     # orbit order, and so every arc witness, follows the order of the domain
     from subsym import symmetry
-    from subsym.graphs import Graph, enumerate_s_arcs, s_arcs_from
+    from subsym.graphs import Graph, s_arcs_from
 
     domains = []
     partition_stats = symmetry._partition_stats
@@ -427,12 +477,8 @@ def test_arc_levels_come_in_enumeration_order(monkeypatch):
     graphs = [Graph(3, [(0, 1), (1, 2)]), make_petersen()]
     graphs += [random_connected_graph(rng, rng.randint(3, 7)) for _ in range(4)]
     for g in graphs:
-        T = trivial_group(g.n)
         domains.clear()
-        symmetry.global_arc_profile(g, T, 4)
-        assert domains == [[a.vertices for a in enumerate_s_arcs(g, i)] for i in range(1, 5)]
-        domains.clear()
-        symmetry.local_arc_profile(g, T, 4)
+        symmetry.local_arc_profile(g, trivial_group(g.n), 4)
         assert domains == [
             [a.vertices for a in s_arcs_from(g, v, i)] for v in range(g.n) for i in range(1, 5)
         ]
