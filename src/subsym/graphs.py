@@ -101,13 +101,11 @@ class Graph:
     # -- cached metrics -----------------------------------------------------
 
     def distances_matrix(self) -> np.ndarray:
-        """All-pairs hop distances as an (n, n) int32 matrix, one BFS per row;
-        UNREACHED (-1) marks disconnected pairs."""
+        """All-pairs hop distances as an (n, n) int32 matrix, built once by
+        the bit-parallel closure ``_distance_closure``; UNREACHED (-1) marks
+        disconnected pairs. Every hop distance in the library reads it."""
         if self._apsp is None:
-            apsp = np.empty((self.n, self.n), dtype=np.int32)
-            for v in range(self.n):
-                apsp[v] = _bfs(self.adjacency, v)
-            self._apsp = apsp
+            self._apsp = _distance_closure(self.adjacency)
         return self._apsp
 
     def diameter(self) -> int:
@@ -168,20 +166,44 @@ class Graph:
         return self._edge_index
 
     def is_connected(self) -> bool:
-        return self.n == 0 or UNREACHED not in _bfs(self.adjacency, 0)
+        return self.n == 0 or bool((self.distances_matrix()[0] != UNREACHED).all())
 
 
-def _bfs(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Hop distances from source over an adjacency list; UNREACHED elsewhere."""
-    dist = [UNREACHED] * len(adjacency)
-    dist[source] = 0
-    queue = [source]
-    for v in queue:  # the list grows while it is read: a FIFO queue
-        d = dist[v] + 1
-        for w in adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = d
-                queue.append(w)
+def _distance_closure(adjacency: Sequence[Sequence[int]]) -> np.ndarray:
+    """All-pairs hop distances by a bit-parallel closure (Akiba, Iwata and
+    Yoshida, SIGMOD 2013); UNREACHED where no path exists.
+
+    Row v of ``reach`` is the set of vertices within ``level`` hops of v,
+    packed little-endian into 64-bit words. One level ORs the rows of v's
+    closed neighbourhood into row v: one gather and one segmented OR over
+    n + 2m rows. The bits a level adds are the vertices at distance exactly
+    ``level``; one np.unpackbits call writes them into the matrix, and the
+    closure stops at the first level that adds none.
+    """
+    n = len(adjacency)
+    # segment v of closed is v followed by its neighbours: never empty, as reduceat needs
+    closed: list[int] = []
+    starts: list[int] = []
+    for v, a in enumerate(adjacency):
+        starts.append(len(closed))
+        closed.append(v)
+        closed.extend(a)
+    closed_ix = np.array(closed, dtype=np.intp)
+    starts_ix = np.array(starts, dtype=np.intp)
+    # rows padded to whole 64-bit words, so each OR handles 8 bytes at once
+    eye = np.eye(n, 64 * -(-n // 64), dtype=bool)
+    dist = eye[:, :n].astype(np.int32) + UNREACHED  # 0 on the diagonal
+    reach = np.packbits(eye, axis=1, bitorder="little").view("<u8")
+    level = 0
+    while n:  # an empty graph has no levels (and reduceat needs a segment)
+        level += 1
+        grown = np.bitwise_or.reduceat(reach.take(closed_ix, axis=0), starts_ix)
+        new = grown ^ reach
+        if not np.count_nonzero(new):
+            break
+        bits = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
+        np.copyto(dist, level, where=bits.view(bool))
+        reach = grown
     return dist
 
 
@@ -274,7 +296,7 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
     """Exact hop distances from v; UNREACHED (-1) for unreachable vertices."""
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
-    return _bfs(g.adjacency, v)
+    return g.distances_matrix()[v].tolist()
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -288,7 +310,7 @@ def distance_sphere(g: Graph, v: int, i: int) -> frozenset[int]:
         raise GraphError(f"vertex {v} out of range")
     if i < 0:
         raise GraphError("sphere radius must be nonnegative")
-    return frozenset(w for w, d in enumerate(_bfs(g.adjacency, v)) if d == i)
+    return frozenset(np.flatnonzero(g.distances_matrix()[v] == i).tolist())
 
 
 # -- s-arc enumeration ------------------------------------------------------

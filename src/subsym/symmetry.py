@@ -169,9 +169,6 @@ def local_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     return out
 
 
-_PROFILES = {"arc": local_arc_profile, "distance": local_distance_profile}
-
-
 # -- predicate assembly -------------------------------------------------------
 
 
@@ -249,7 +246,9 @@ def transitivity_reports(
     if not kinds:
         return []
     levels = [1 if k.s is None else k.s for k in kinds]
-    profile = _PROFILES[name.removeprefix("s-")](g, G, max(levels))
+    # looked up at call time, so a wrapper set on the module attribute sees the call
+    build = local_arc_profile if name.endswith("arc") else local_distance_profile
+    profile = build(g, G, max(levels))
     return [report_from_profile(k, profile, level) for k, level in zip(kinds, levels)]
 
 
@@ -322,15 +321,18 @@ def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[i
 
 
 def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
-    """Check a failure witness: both objects in the level's class for the
+    """Check a failure witness: a level the report covers (1..s, or 1 for
+    the unparameterised arc kind), both objects in the level's class for the
     report's kind, and an orbit recomputation confirming they lie in distinct
     orbits; a note "empty" only when the level's set is empty."""
     if report.verdict or report.witness is None:
         return False
     w, kind = report.witness, report.kind
+    if not (isinstance(w.level, int) and 1 <= w.level <= (kind.s or 1)):
+        return False
     if w.note == "empty":
         if kind.name.endswith("arc"):
-            return w.vertex is None and w.level >= 1 and not _has_arc(g, w.level)
+            return w.vertex is None and not _has_arc(g, w.level)
         return w.vertex is None and not (g.distances_matrix() == w.level).any()
     if not (_is_vertex(g, w.vertex) if kind.local else w.vertex is None):
         return False

@@ -309,7 +309,7 @@ def check_distance_formula(g: Graph, sg: Optional[SubdivisionGraph] = None) -> C
     formula = subdivision_distance_matrix(sg)
     bfs = sg.graph.distances_matrix()
     mismatches = int((formula != bfs).sum())
-    report = delta_of(g)  # raises if delta leaves {0,1,2} or witness test disagrees
+    report = delta_of(g, sg)  # raises if delta leaves {0,1,2} or witness test disagrees
     ok = mismatches == 0
     return _outcome(
         name,
@@ -447,9 +447,10 @@ def check_classification_row(row: str, G: Optional[PermGroup] = None, n: Optiona
     if G is None:
         G = default_G
     instance = f"row={row}{'' if n is None else f'(n={n})'} |G|={G.order()}"
-    report = delta_of(g)
+    sg = subdivide(g)
+    report = delta_of(g, sg)
     diam_s = 2 * report.d + report.delta
-    sg, Gs = _lift(g, G)
+    Gs = induced_subdivision_action(G, sg)
     s_max = _expected_s_max(row, g, G, n, diam_s)
     verdicts = _verdicts(sg.graph, Gs, "s-distance", range(1, diam_s + 1))
     ok = (

@@ -18,7 +18,6 @@ from .graphs import (
     DisconnectedGraphError,
     Graph,
     GraphError,
-    bfs_distances,
     make_cycle,
 )
 
@@ -120,21 +119,32 @@ def distance_two_graph(g: Graph) -> list[Component]:
 
 
 def split_components(g: Graph) -> list[Component]:
-    """Connected components of g, each relabelled to 0..k-1."""
-    seen: set[int] = set()
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        # the reached vertices, listed in label order
-        verts = [v for v, d in enumerate(bfs_distances(g, start)) if d != UNREACHED]
-        seen.update(verts)
-        index = {v: i for i, v in enumerate(verts)}
-        sub_edges = [
-            (index[u], index[v]) for u, v in g.edge_list if u in index and v in index
-        ]
-        comps.append(Component(vertices=tuple(verts), graph=Graph(len(verts), sub_edges)))
-    return comps
+    """Connected components of g, each relabelled to 0..k-1 in label order,
+    ordered by smallest vertex. Labelled by a union-find over the edges, so
+    no distance matrix is built."""
+    # root[v] < v links v towards the least vertex of its component
+    root = list(range(g.n))
+    for u, v in g.edge_list:
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[max(u, v)] = min(u, v)
+    members: dict[int, list[int]] = {}
+    index = []  # each vertex's label in its component
+    for v in range(g.n):
+        root[v] = root[root[v]]  # root[v] <= v, so its own root is resolved already
+        verts = members.setdefault(root[v], [])
+        index.append(len(verts))
+        verts.append(v)
+    edges: dict[int, list[tuple[int, int]]] = {r: [] for r in members}
+    for u, v in g.edge_list:
+        edges[root[u]].append((index[u], index[v]))
+    return [
+        Component(vertices=tuple(verts), graph=Graph(len(verts), edges[r]))
+        for r, verts in members.items()
+    ]
 
 
 def reconstruct(sg: SubdivisionGraph, forget_labels: bool = False) -> Graph:
@@ -239,17 +249,22 @@ def _scale(base: np.ndarray, offset: int) -> np.ndarray:
     return np.where(base < 0, UNREACHED, 2 * base + offset)
 
 
-def delta_of(g: Graph) -> DeltaReport:
+def delta_of(g: Graph, sg: Optional[SubdivisionGraph] = None) -> DeltaReport:
     """diam(S(g)) = 2*diam(g) + delta with delta in {0, 1, 2}.
 
-    diam(S(g)) is measured by BFS on the actual subdivision graph; the
-    delta=2 case is cross-checked against its witness criterion (two edges
-    whose four cross-distances all equal diam(g)).
+    diam(S(g)) is measured on the distance matrix of the actual subdivision
+    graph, never on the closed formula; the delta=2 case is cross-checked
+    against its witness criterion (two edges whose four cross-distances all
+    equal diam(g)). ``sg`` is ``subdivide(g)`` when the caller has it already.
     """
     if g.n < 2:
         raise GraphError("need at least 2 vertices")
+    if sg is None:
+        sg = subdivide(g)
+    elif sg.base != g:
+        raise GraphError("sg is not the subdivision of g")
     d = g.diameter()
-    diam_s = subdivide(g).graph.diameter()
+    diam_s = sg.graph.diameter()
     delta = diam_s - 2 * d
     if delta not in (0, 1, 2):
         raise AssertionError(f"delta out of range: {delta}")
@@ -259,19 +274,21 @@ def delta_of(g: Graph) -> DeltaReport:
 
 
 def delta2_witness(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
-    """An edge pair witnessing delta=2, or None."""
-    d = g.diameter()
-    dist = g.distances_matrix()
-    edges = g.edge_list
-    for i in range(len(edges)):
-        x, y = edges[i]
-        for j in range(i + 1, len(edges)):
-            u, v = edges[j]
-            if (
-                dist[x, u] == d
-                and dist[x, v] == d
-                and dist[y, u] == d
-                and dist[y, v] == d
-            ):
-                return (edges[i], edges[j])
-    return None
+    """An edge pair witnessing delta=2, or None: the first pair (e_i, e_j),
+    i < j in edge-list order, whose four cross distances all equal diam(g).
+
+    With edge i = (x[i], y[i]), both[i, u] says that u is at distance
+    diam(g) from x[i] and from y[i], so witness[i, j] holds exactly when
+    edges i and j form such a pair. witness is symmetric with a false
+    diagonal (diam(g) >= 1 once there is an edge), so its first true entry
+    in row-major order lies above the diagonal: it is that first pair.
+    """
+    at_diameter = g.distances_matrix() == g.diameter()
+    x, y = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2).T
+    both = at_diameter[x] & at_diameter[y]
+    witness = both[:, x] & both[:, y]
+    hits = np.flatnonzero(witness)
+    if not hits.size:
+        return None
+    i, j = divmod(int(hits[0]), g.m)
+    return (g.edge_list[i], g.edge_list[j])

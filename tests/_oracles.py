@@ -48,6 +48,22 @@ def brute_diameter(g):
     return best
 
 
+def brute_delta2_witness(g):
+    """The first edge pair (e_i, e_j), i < j in edge-list order, whose four
+    cross distances all equal the diameter, or None: the pairwise loop
+    that transforms.delta2_witness used to run, over dict BFS distances."""
+    d = brute_diameter(g)
+    dist = [brute_distances(g, v) for v in range(g.n)]
+    edges = g.edge_list
+    for i in range(len(edges)):
+        x, y = edges[i]
+        for j in range(i + 1, len(edges)):
+            u, v = edges[j]
+            if dist[x][u] == dist[x][v] == dist[y][u] == dist[y][v] == d:
+                return (edges[i], edges[j])
+    return None
+
+
 def brute_girth(g):
     """min over edges of (shortest u-v path avoiding that edge) + 1."""
     best = None

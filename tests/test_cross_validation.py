@@ -2,12 +2,14 @@
 a naive all-vertices/all-elements evaluation of the local predicates,
 a brute force of the K_5/A_5 counterexample to the published classification
 table, sympy's permutation-group machinery for chain orders, and networkx's
-girth, diameter, isomorphism test and VF2 automorphism counts."""
+girth, diameter, connected components, isomorphism test and VF2
+automorphism counts."""
 
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from subsym.autgrp import automorphism_group, is_isomorphic
 from subsym.graphs import (
@@ -26,10 +28,11 @@ from subsym.symmetry import (
     is_locally_s_arc_transitive,
     is_locally_s_distance_transitive,
 )
-from subsym.transforms import subdivide
+from subsym.transforms import split_components, subdivide
 from subsym.groups import induced_subdivision_action
 
 from _oracles import brute_arcs, brute_closure, brute_distances
+from test_graphs import random_graph_strategy
 
 
 def naive_locally_distance_transitive(g, elements, s):
@@ -230,6 +233,18 @@ class TestAgainstNetworkx:
                 assert girth(h) == (None if nx_girth == math.inf else nx_girth), g.edge_list
                 assert h.diameter() == nx.diameter(ref), g.edge_list
             assert nx_girths[1] == 2 * nx_girths[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graph_strategy(max_n=12, min_n=0))
+    def test_split_components_match_networkx(self, g):
+        nx = pytest.importorskip("networkx")
+        ref = to_nx(nx, g)
+        expected = sorted(tuple(sorted(c)) for c in nx.connected_components(ref))
+        comps = split_components(g)
+        assert [c.vertices for c in comps] == expected  # ordered by least vertex
+        for c in comps:
+            sub = nx.convert_node_labels_to_integers(ref.subgraph(c.vertices), ordering="sorted")
+            assert c.graph == Graph(len(c.vertices), sub.edges())
 
     def test_isomorphism_matches_networkx_on_relabellings(self):
         nx = pytest.importorskip("networkx")

@@ -27,10 +27,13 @@ from subsym.transforms import subdivide
 from _oracles import brute_arcs, brute_diameter, brute_distances, brute_girth
 
 
-def random_graph_strategy(max_n=8):
+def random_graph_strategy(max_n=8, min_n=2):
+    """Any simple graph on min_n..max_n vertices; disconnected graphs and
+    isolated vertices included."""
+
     @st.composite
     def build(draw):
-        n = draw(st.integers(min_value=2, max_value=max_n))
+        n = draw(st.integers(min_value=min_n, max_value=max_n))
         all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         mask = draw(st.lists(st.booleans(), min_size=len(all_edges), max_size=len(all_edges)))
         return Graph(n, [e for e, keep in zip(all_edges, mask) if keep])
@@ -165,6 +168,60 @@ class TestDistances:
         assert g.distances_matrix().tolist() == [[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]]
         empty = Graph(0, []).distances_matrix()
         assert empty.shape == (0, 0) and empty.dtype == np.int32
+
+
+@st.composite
+def relabelled_paths_and_cycles(draw):
+    """A path or cycle on up to 60 vertices (up to 59 levels), plus a few
+    isolated vertices, under a random relabelling."""
+    k = draw(st.integers(min_value=1, max_value=60))
+    cycle = k >= 3 and draw(st.booleans())
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    label = draw(st.permutations(range(k + isolated)))
+    edges = [(i, i + 1) for i in range(k - 1)] + ([(k - 1, 0)] if cycle else [])
+    return Graph(k + isolated, [(label[u], label[v]) for u, v in edges])
+
+
+class TestDistanceClosure:
+    """The bit-parallel closure behind Graph.distances_matrix against the
+    dict BFS oracle, row by row."""
+
+    @staticmethod
+    def assert_matches_oracle(g):
+        mat = g.distances_matrix()
+        assert mat.shape == (g.n, g.n) and mat.dtype == np.int32
+        assert mat.tolist() == [oracle_row(g, s) for s in range(g.n)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=14, min_n=0))
+    def test_any_edge_set(self, g):
+        self.assert_matches_oracle(g)
+        assert g.is_connected() == (g.n == 0 or len(brute_distances(g, 0)) == g.n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(relabelled_paths_and_cycles())
+    def test_many_levels(self, g):
+        self.assert_matches_oracle(g)
+
+    def test_tiny_graphs(self):
+        for n in (0, 1):
+            self.assert_matches_oracle(Graph(n, []))
+            assert Graph(n, []).is_connected()
+        assert Graph(1, []).distances_matrix().tolist() == [[0]]
+        assert not Graph(2, []).is_connected()
+
+    def test_word_boundaries(self):
+        # rows are packed into 64-bit words: cross the first word boundaries
+        for n in (63, 64, 65, 127, 128, 129):
+            self.assert_matches_oracle(make_cycle(n))
+            self.assert_matches_oracle(Graph(n, [(v, v + 1) for v in range(n - 2)]))
+
+    def test_spheres_read_the_matrix(self):
+        g = make_cycle(9)
+        mat = g.distances_matrix()
+        for v in range(g.n):
+            for i in range(6):
+                assert distance_sphere(g, v, i) == {w for w in range(g.n) if mat[v, w] == i}
 
 
 class TestMetrics:

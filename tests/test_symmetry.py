@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsym import groups
+from subsym import groups, symmetry
 from subsym.autgrp import automorphism_group
 from subsym.graphs import (
     GraphError,
@@ -232,6 +232,23 @@ def test_local_kinds_share_point_stabilizers(monkeypatch):
     assert built == [[v] for v in reps] == [[0], [10]]
 
 
+@pytest.mark.parametrize("name, profile", [("s-arc", "local_arc_profile"), ("s-distance", "local_distance_profile")])
+def test_profile_function_looked_up_at_call_time(monkeypatch, name, profile):
+    # a wrapper set on the module attribute (as a tracer does) sees every build
+    calls = []
+    original = getattr(symmetry, profile)
+
+    def wrapped(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(symmetry, profile, wrapped)
+    p = make_petersen()
+    reports = transitivity_reports(p, automorphism_group(p), name, True, [1, 2])
+    assert [r.verdict for r in reports] == [True, True]
+    assert calls == [2]
+
+
 class TestStructuralInvariants:
     def test_monotone_in_s(self):
         for g, G in corpus_pairs(count=6):
@@ -325,6 +342,19 @@ class TestVerifyWitness:
         assert verify_witness(p, T, self.false_report("s-distance", False, 3, note="empty"))
         k2 = make_complete(2)
         assert verify_witness(k2, symmetric_group(2), self.false_report("s-arc", True, 2, note="empty"))
+
+    def test_level_must_lie_in_the_reports_range(self):
+        p = make_petersen()
+        T = trivial_group(10)
+        kind = PropertyKind("s-distance", True, 1)
+        for level in (5, -1, 0):
+            report = TransitivityReport(kind, False, Witness(level=level, note="empty"))
+            assert not verify_witness(p, T, report)
+        beyond = TransitivityReport(kind, False, Witness(level=2, vertex=0, first=1, second=2))
+        assert not verify_witness(p, T, beyond)  # a real level-2 split, but s = 1
+        arc = TransitivityReport(PropertyKind("arc", False), False, Witness(level=2, first=(0, 7, 3), second=(0, 8, 2)))
+        assert not verify_witness(p, T, arc)
+        assert verify_witness(p, T, TransitivityReport(PropertyKind("arc", False), False, Witness(level=1, first=(0, 7), second=(0, 8))))
 
     def test_empty_arc_level_decided_without_enumerating_arcs(self):
         from subsym.graphs import Graph

@@ -9,6 +9,7 @@ from subsym.graphs import (
     UNREACHED,
     DisconnectedGraphError,
     Graph,
+    GraphError,
     girth,
     make_complete,
     make_complete_bipartite,
@@ -24,12 +25,13 @@ from subsym.transforms import (
     line_graph,
     reconstruct,
     reconstruct_from_ambient,
+    split_components,
     subdivide,
     subdivision_distance,
     subdivision_distance_matrix,
 )
 
-from _oracles import brute_distances
+from _oracles import brute_delta2_witness, brute_distances
 from test_graphs import random_graph_strategy
 
 
@@ -138,6 +140,14 @@ class TestDistanceTwo:
         with pytest.raises(DisconnectedGraphError):
             distance_two_graph(Graph(3, [(0, 1)]))
 
+    def test_split_components_builds_no_distance_matrix(self):
+        g = Graph(7, [(0, 4), (4, 6), (2, 5)])
+        comps = split_components(g)
+        assert [c.vertices for c in comps] == [(0, 4, 6), (1,), (2, 5), (3,)]
+        assert [c.graph.edge_list for c in comps] == [((0, 1), (1, 2)), (), ((0, 1),), ()]
+        assert g._apsp is None
+        assert split_components(Graph(0, [])) == []
+
 
 class TestReconstruct:
     def test_labelled_roundtrip_exact(self):
@@ -242,3 +252,41 @@ class TestDelta:
         e, f = w
         assert set(e).isdisjoint(f)
         assert delta2_witness(make_complete(3)) is None
+
+    def test_delta2_witness_examples(self):
+        assert delta2_witness(make_complete(4)) == ((0, 1), (2, 3))
+        assert delta2_witness(make_petersen()) == brute_delta2_witness(make_petersen())
+        assert delta2_witness(make_complete_bipartite(20, 20)) is None
+        for g in (Graph(1, []), make_complete(2), make_cycle(5), make_cycle(6)):
+            assert delta2_witness(g) is None  # fewer than 2 edges, or no witness
+        with pytest.raises(DisconnectedGraphError):
+            delta2_witness(Graph(4, [(0, 1), (2, 3)]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=9, min_n=0))
+    def test_delta2_witness_matches_pairwise_loop(self, g):
+        if g.n == 0 or not g.is_connected():
+            with pytest.raises(DisconnectedGraphError):
+                delta2_witness(g)
+        else:
+            assert delta2_witness(g) == brute_delta2_witness(g)
+
+    def test_delta_of_reuses_the_callers_subdivision(self, monkeypatch):
+        from subsym import theorems, transforms
+
+        g = make_complete_bipartite(3, 4)
+        sg = subdivide(g)
+        lifts = []
+
+        def counting_subdivide(h):
+            lifts.append(h)
+            return subdivide(h)
+
+        monkeypatch.setattr(transforms, "subdivide", counting_subdivide)
+        monkeypatch.setattr(theorems, "subdivide", counting_subdivide)
+        assert delta_of(g, sg) == delta_of(g)
+        assert len(lifts) == 1
+        assert theorems.check_distance_formula(g).status == theorems.CONFIRMED
+        assert len(lifts) == 2  # one lift serves the formula check and delta_of
+        with pytest.raises(GraphError):
+            delta_of(make_cycle(5), sg)
