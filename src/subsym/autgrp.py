@@ -13,6 +13,17 @@ holding one of those neighbours (Paige and Tarjan 1987; McKay and Piperno
 over every cell: base points and generators depend on them, and through the
 generators so do the ``--group aut`` cache, the subgroups that
 ``random_subgroups`` draws for the corpus, and ``tests/golden_verify.jsonl``.
+
+A search child individualises x -> y in one cell C of its parent's refined
+partition. That partition is equitable, with the same counts on the s and
+t sides, and every cell of the child lies inside a parent cell, so an
+unchanged parent cell gives each current cell a constant count as a
+splitter: it splits nothing and detects no mismatch. A child's refinement
+therefore queues only {x} and C - {x}, and its queue, fragment keys and
+result are those of the full scan. Root refinements (``find`` after its
+prescribed pairs, each level of ``automorphism_group``) start from the
+invariant partition with points individualised, which is not equitable,
+so they queue every cell.
 """
 
 from __future__ import annotations
@@ -47,7 +58,10 @@ _by_key = attrgetter("key")
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
     """Per-vertex isomorphism invariant: valency plus distance distribution,
-    the sorted (distance, count) pairs of the vertex's row (-1 = unreached)."""
+    the sorted (distance, count) pairs of the vertex's row (-1 = unreached).
+    Computed once per graph and cached on it; callers must not mutate it."""
+    if g._invariants is not None:
+        return g._invariants
     n = g.n
     # shift row v into its own block of n + 1 bins, so one bincount counts all rows
     shifted = g.distances_matrix() + (np.arange(n, dtype=np.int64)[:, None] * (n + 1) + 1)
@@ -58,6 +72,7 @@ def _vertex_invariants(g: Graph) -> list[tuple]:
         present = np.flatnonzero(row)
         profile = tuple(zip((present - 1).tolist(), row[present].tolist()))
         out.append((g.degree(v), profile))
+    g._invariants = out
     return out
 
 
@@ -131,7 +146,7 @@ class _MappingSearch:
                 out.append(c)
         return out if found else None
 
-    def _refine(self, cells: list[_Cell]) -> Optional[list[_Cell]]:
+    def _refine(self, cells: list[_Cell], queue: Optional[list[_Cell]] = None) -> Optional[list[_Cell]]:
         """Refine both partitions to equitable ones in lockstep, or None when
         the s and t sides stop matching.
 
@@ -139,6 +154,9 @@ class _MappingSearch:
         degree sum of its vertices plus the size of the cells it touches;
         a fragment takes its parent's place in the list, ordered by count,
         which the ``key`` tuples (parent key + fragment index) record.
+        ``queue`` (default: every cell) lists the first splitters; leaving
+        out cells that cannot split anything changes no result (see the
+        module docstring).
         """
         adj1, adj2 = self.g1.adjacency, self.g2.adjacency
         cell1: dict[int, _Cell] = {}  # vertex -> its cell, one index per side
@@ -149,7 +167,7 @@ class _MappingSearch:
                 cell1[v] = c
             for v in c.t:
                 cell2[v] = c
-        work = deque(cells)
+        work = deque(cells if queue is None else queue)
         while work:
             w = work.popleft()
             if w.dead:
@@ -195,28 +213,24 @@ class _MappingSearch:
                     work.append(frag)
         return sorted(set(cell1.values()), key=_by_key)
 
-    def _dfs(self, cells: list[_Cell]) -> Optional[list[int]]:
+    def _dfs(self, cells: list[_Cell], queue: Optional[list[_Cell]] = None) -> Optional[list[int]]:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceededError(
                 f"mapping search exceeded {self.budget} nodes"
             )
-        cells = self._refine(cells)
+        cells = self._refine(cells, queue)
         if cells is None:
             return None
         target = None
-        for c in cells:
+        for i, c in enumerate(cells):
             if len(c.s) > 1 and (target is None or len(c.s) < len(target.s)):
-                target = c
+                target, at = c, i
         if target is None:
             return self._verify_leaf(cells)
         x = min(target.s)
         for y in sorted(target.t):
-            child = [_Cell(c.s[:], c.t[:]) for c in cells]
-            child = self._individualize(child, x, y)
-            if child is None:
-                continue
-            res = self._dfs(child)
+            res = self._dfs(*_child(cells, at, x, y))
             if res is not None:
                 return res
         return None
@@ -231,8 +245,26 @@ class _MappingSearch:
         return mapping
 
 
+def _child(cells: list[_Cell], at: int, x: int, y: int) -> tuple[list[_Cell], list[_Cell]]:
+    """Individualise x -> y in cell ``at`` of an equitable partition: the
+    child partition, and its two new cells {x} and the rest, which are the
+    only splitters its refinement needs."""
+    split = cells[at]
+    new = [_Cell([x], [y]), _Cell([v for v in split.s if v != x], [v for v in split.t if v != y])]
+    # fresh _Cell objects, since _refine marks cells dead; it never mutates
+    # the vertex lists, so parent and child share them
+    child = [_Cell(c.s, c.t) for c in cells[:at]] + new
+    child += [_Cell(c.s, c.t) for c in cells[at + 1:]]
+    return child, new
+
+
 def find_isomorphism(g1: Graph, g2: Graph, node_budget: Optional[int] = None) -> Optional[list[int]]:
-    """A vertex bijection g1 -> g2 preserving adjacency, or None."""
+    """A vertex bijection g1 -> g2 preserving adjacency, or None.
+
+    Equal graphs map by the identity, which is also the search's first
+    answer: its two sides stay identical and it tries x -> x first."""
+    if g1 == g2:
+        return list(range(g1.n))
     return _MappingSearch(g1, g2, node_budget).find()
 
 

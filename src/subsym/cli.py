@@ -145,6 +145,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(_effective(args, ["graph", "group", "property", "s", "out"]))
     lo, hi = _parse_s_range(args.s)
     g = read_graph(args.graph)
+    # check s against the diameter before the aut search writes its cache
+    if args.property in ("distance", "local-distance"):
+        d = g.diameter()
+        if hi > d:
+            raise GraphError(f"s range {lo}..{hi} exceeds diameter {d}")
     G = _load_group(args.group, args.graph, g)
     if G.degree != g.n:
         # a base-graph group against a subdivision file: induce the action
@@ -159,10 +164,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
         G = induced_subdivision_action(G, sg)
         print(f"# induced the degree-{sg.n_base} group on the subdivision vertices")
-    if args.property in ("distance", "local-distance"):
-        d = g.diameter()
-        if hi > d:
-            raise GraphError(f"s range {lo}..{hi} exceeds diameter {d}")
     name, local = PROPERTIES[args.property]
     reports = transitivity_reports(g, G, name, local, range(lo, hi + 1))
     for rep in reports:

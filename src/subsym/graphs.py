@@ -31,6 +31,12 @@ class Graph:
 
     ``adjacency[v]`` is the sorted tuple of neighbours of ``v``;
     ``edge_list`` is the sorted tuple of edges as pairs (u, v) with u < v.
+
+    The public constructor is the one gate: it normalises every id to a
+    plain ``int`` and rejects out-of-range ids, self-loops and duplicate
+    edges. Subdivisions, line graphs and distance-2 components are built
+    from edges already in that form, so they go through ``_trusted`` and
+    skip the checks.
     """
 
     __slots__ = (
@@ -40,6 +46,7 @@ class Graph:
         "_apsp",
         "_girth",
         "_edge_index",
+        "_invariants",
         "__weakref__",
     )
 
@@ -65,17 +72,31 @@ class Graph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        edge_list = tuple(sorted(seen))
+        self._fill(n, tuple(sorted(seen)))
+
+    @classmethod
+    def _trusted(cls, n: int, edge_list: Iterable[tuple[int, int]]) -> "Graph":
+        """A Graph on edges the library built itself: distinct pairs (u, v)
+        with 0 <= u < v < n, in sorted order."""
+        g = object.__new__(cls)
+        g._fill(n, tuple(edge_list))
+        return g
+
+    def _fill(self, n: int, edge_list: tuple[tuple[int, int], ...]) -> None:
+        """Set every field from a sorted tuple of distinct pairs u < v < n."""
         adj: list[list[int]] = [[] for _ in range(n)]
+        # in sorted edge order a vertex meets its smaller neighbours (as v)
+        # before its larger ones (as u), each run ascending: adj comes out sorted
         for u, v in edge_list:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
-        self.adjacency = tuple(tuple(sorted(a)) for a in adj)
+        self.adjacency = tuple(map(tuple, adj))
         self.edge_list = edge_list
         self._apsp = None
         self._girth = _UNKNOWN
         self._edge_index = None
+        self._invariants = None  # autgrp._vertex_invariants, once computed
 
     @property
     def m(self) -> int:

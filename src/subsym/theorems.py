@@ -61,7 +61,7 @@ from .transforms import (
     delta_of,
     distance_two_graph,
     line_graph,
-    reconstruct,
+    reconstruct_from_ambient,
     subdivide,
     subdivision_distance_matrix,
 )
@@ -340,7 +340,7 @@ def check_reconstruction(g: Graph, sg: Optional[SubdivisionGraph] = None) -> Che
         matched = (is_isomorphic(c0, g) and is_isomorphic(c1, lg)) or (
             is_isomorphic(c1, g) and is_isomorphic(c0, lg)
         )
-    recon = reconstruct(sg, forget_labels=True)
+    recon = reconstruct_from_ambient(sg.graph, comps)
     round_trip = is_isomorphic(recon, g)
     ok = two and matched and round_trip
     return _outcome(

@@ -82,7 +82,7 @@ def subdivide(g: Graph) -> SubdivisionGraph:
         e = n + i
         edges.append((u, e))
         edges.append((v, e))
-    sg = Graph(n + m, edges)
+    sg = Graph._trusted(n + m, sorted(edges))  # u < n <= e, and each pair is new
     part = tuple([V_PART] * n + [E_PART] * m)
     return SubdivisionGraph(graph=sg, part=part, edge_of=g.edge_list, base=g)
 
@@ -95,11 +95,11 @@ def line_graph(g: Graph) -> Graph:
     for i, (u, v) in enumerate(g.edge_list):
         incident[u].append(i)
         incident[v].append(i)
-    for ids in incident:
+    for ids in incident:  # each list ascends, so every pair has a < b
         for a in range(len(ids)):
             for b in range(a + 1, len(ids)):
                 edges.add((ids[a], ids[b]))
-    return Graph(m, sorted(edges))
+    return Graph._trusted(m, sorted(edges))
 
 
 def distance_two_graph(g: Graph) -> list[Component]:
@@ -111,11 +111,9 @@ def distance_two_graph(g: Graph) -> list[Component]:
     """
     if not g.is_connected():
         raise DisconnectedGraphError("distance-2 graph requires a connected input")
-    dist = g.distances_matrix()
-    pairs = np.argwhere(np.triu(dist == 2))
-    edges = [(int(u), int(v)) for u, v in pairs]
-    ambient = Graph(g.n, edges)
-    return split_components(ambient)
+    # argwhere walks the upper triangle in row-major order: sorted pairs u < v
+    pairs = np.argwhere(np.triu(g.distances_matrix() == 2)).tolist()
+    return split_components(Graph._trusted(g.n, map(tuple, pairs)))
 
 
 def split_components(g: Graph) -> list[Component]:
@@ -138,11 +136,12 @@ def split_components(g: Graph) -> list[Component]:
         verts = members.setdefault(root[v], [])
         index.append(len(verts))
         verts.append(v)
+    # labels rise with the vertex ids, so each component's edges stay sorted
     edges: dict[int, list[tuple[int, int]]] = {r: [] for r in members}
     for u, v in g.edge_list:
         edges[root[u]].append((index[u], index[v]))
     return [
-        Component(vertices=tuple(verts), graph=Graph(len(verts), edges[r]))
+        Component(vertices=tuple(verts), graph=Graph._trusted(len(verts), edges[r]))
         for r, verts in members.items()
     ]
 
@@ -160,13 +159,14 @@ def reconstruct(sg: SubdivisionGraph, forget_labels: bool = False) -> Graph:
     return reconstruct_from_ambient(sg.graph)
 
 
-def reconstruct_from_ambient(gamma: Graph) -> Graph:
+def reconstruct_from_ambient(gamma: Graph, comps: Optional[list[Component]] = None) -> Graph:
     """Label-free reconstruction from the ambient subdivision graph.
 
     The original graph is the unique component of the distance-2 graph that
     contains vertices of ambient valency other than 2; if every valency is 2
     the ambient graph is a cycle and the canonical half-length cycle is
-    returned.
+    returned. ``comps`` is ``distance_two_graph(gamma)`` when the caller has
+    it already.
     """
     if gamma.n < 3:
         raise MalformedSubdivisionError("ambient graph too small to be a subdivision")
@@ -177,8 +177,14 @@ def reconstruct_from_ambient(gamma: Graph) -> Graph:
             raise MalformedSubdivisionError(
                 "cycle of odd length is not a subdivision graph"
             )
+        if gamma.n < 6:
+            raise MalformedSubdivisionError(
+                f"C_{gamma.n} is not the subdivision of a simple graph: an "
+                "all-valency-2 cycle shorter than 6 would halve to fewer than 3 vertices"
+            )
         return make_cycle(gamma.n // 2)
-    comps = distance_two_graph(gamma)
+    if comps is None:
+        comps = distance_two_graph(gamma)
     candidates = [
         c for c in comps if any(gamma.degree(v) != 2 for v in c.vertices)
     ]

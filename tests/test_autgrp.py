@@ -10,6 +10,7 @@ from subsym.autgrp import (
     BudgetExceededError,
     _Cell,
     _MappingSearch,
+    _child,
     _vertex_invariants,
     automorphism_group,
     find_isomorphism,
@@ -28,6 +29,7 @@ from subsym.graphs import (
 from subsym.transforms import subdivide
 
 from _oracles import bitmask_refine, counted_vertex_invariants
+from test_graphs import random_graph_strategy
 
 
 class TestAutomorphismGroup:
@@ -202,11 +204,65 @@ def test_refine_matches_full_scan_oracle(case):
             assert [(c.s, c.t) for c in new] == [(c.s, c.t) for c in old]
 
 
+@settings(max_examples=300, deadline=None)
+@given(refine_cases(), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
+def test_child_refine_queues_only_new_cells(case, i, x, y):
+    # a search child: an equitable partition with one more x -> y split,
+    # refined from its two new cells only, against the full scan
+    g1, partners, picks = case
+    for g2 in partners:
+        search = _MappingSearch(g1, g2)
+        cells = search.initial_cells() or [_Cell(list(range(g1.n)), list(range(g2.n)))]
+        for j, a, b in picks:
+            cell = cells[j % len(cells)]
+            cells = search._individualize(cells, cell.s[a % len(cell.s)], cell.t[b % len(cell.t)])
+        cells = search._refine(cells)
+        if cells is None:
+            continue
+        open_cells = [k for k, c in enumerate(cells) if len(c.s) > 1]
+        if not open_cells:
+            continue
+        at = open_cells[i % len(open_cells)]
+        target = cells[at]
+        child, new = _child(cells, at, target.s[x % len(target.s)], target.t[y % len(target.t)])
+        old = bitmask_refine(g1, g2, [_Cell(c.s[:], c.t[:]) for c in child])
+        incremental = search._refine(child, new)
+        assert (incremental is None) == (old is None)
+        if incremental is not None:
+            assert [(c.s, c.t) for c in incremental] == [(c.s, c.t) for c in old]
+
+
 @settings(max_examples=200, deadline=None)
 @given(refine_cases())
 def test_vertex_invariants_match_counted_rows(case):
     g, _, _ = case
     assert _vertex_invariants(g) == counted_vertex_invariants(g)
+
+
+def test_vertex_invariants_are_cached_on_the_graph():
+    g = make_petersen()
+    first = _vertex_invariants(g)
+    assert _vertex_invariants(g) is first
+    # an equal graph is a separate object with its own cache
+    assert _vertex_invariants(Graph(g.n, g.edge_list)) == first
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graph_strategy(max_n=12, min_n=0))
+def test_search_maps_equal_graphs_by_the_identity(g):
+    # find_isomorphism answers equal graphs without searching; the search
+    # itself gives the same identity map
+    copy = Graph(g.n, g.edge_list)
+    assert _MappingSearch(g, copy).find() == list(range(g.n))
+    assert find_isomorphism(g, copy) == list(range(g.n))
+
+
+def test_equal_graphs_need_no_search_nodes():
+    g = subdivide(make_complete(9)).graph
+    with pytest.raises(BudgetExceededError):
+        _MappingSearch(g, g, node_budget=3).find()
+    assert find_isomorphism(g, Graph(g.n, g.edge_list), node_budget=3) == list(range(g.n))
 
 
 def _sha256(obj) -> str:

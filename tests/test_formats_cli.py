@@ -188,6 +188,30 @@ class TestCli:
         main(["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", "1..2"])
         assert "cached automorphism" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("g, message", [
+        (make_complete(2), "s range 1..3 exceeds diameter 1"),
+        (Graph(4, [(0, 1), (2, 3)]), "diameter undefined for disconnected graph"),
+    ], ids=["K_2", "disconnected"])
+    def test_analyze_checks_s_before_the_aut_search(self, tmp_path, capsys, g, message):
+        g_path = str(tmp_path / "g.g")
+        write_graph(g_path, g)
+        rc = main(["analyze", "--graph", g_path, "--group", "aut", "--property", "local-distance",
+                   "--s", "1..3"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert glob.glob(str(tmp_path / "*.gens")) == []
+
+    def test_reconstruct_rejects_four_cycle(self, tmp_path, capsys):
+        g_path = str(tmp_path / "c4.g")
+        main(["build", "cycle", "4", "--out", g_path])
+        capsys.readouterr()
+        rc = main(["transform", "reconstruct", "--in", g_path, "--out", str(tmp_path / "back.g")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "C_4 is not the subdivision of a simple graph" in err
+        assert "n >= 3" not in err
+        assert not (tmp_path / "back.g").exists()
+
     def test_analyze_induces_base_group_on_subdivision(self, tmp_path, capsys):
         g_path = str(tmp_path / "k9.g")
         sg_path = str(tmp_path / "sk9.g")

@@ -87,6 +87,22 @@ class TestConstruction:
         assert type(h.n) is int and h.edge_list == ((0, 2),)
         assert all(type(x) is int for x in h.edge_list[0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=12, min_n=0), st.randoms(use_true_random=False))
+    def test_trusted_constructor_matches_the_checked_one(self, g, rng):
+        # the checked constructor takes edges in any order and orientation;
+        # both must come out with the sorted neighbour sets of the edges
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edge_list]
+        rng.shuffle(shuffled)
+        checked = Graph(g.n, shuffled)
+        trusted = Graph._trusted(g.n, g.edge_list)
+        neighbours = [sorted({w for e in g.edge_list if v in e for w in e if w != v}) for v in range(g.n)]
+        for h in (checked, trusted):
+            assert (h.n, h.edge_list) == (g.n, g.edge_list)
+            assert [list(a) for a in h.adjacency] == neighbours
+            assert all(type(a) is tuple for a in h.adjacency)
+        assert trusted == checked
+
     def test_edge_count_matches_valency_sum(self):
         g = make_petersen()
         assert 2 * g.m == sum(g.degree(v) for v in range(g.n))

@@ -55,6 +55,19 @@ def small_corpus():
     return graphs
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_graph_strategy(max_n=10, min_n=1))
+def test_built_graphs_equal_checked_ones(g):
+    # subdivide, line_graph and the distance-2 components skip the public
+    # constructor's checks; rebuilding them through it changes nothing
+    built = [subdivide(g).graph, line_graph(g)]
+    if g.is_connected():
+        built += [c.graph for c in distance_two_graph(g)]
+    for h in built:
+        checked = Graph(h.n, h.edge_list)
+        assert (h.n, h.edge_list, h.adjacency) == (checked.n, checked.edge_list, checked.adjacency)
+
+
 class TestSubdivide:
     def test_single_edge_becomes_path(self):
         sg = subdivide(make_complete(2))
@@ -168,6 +181,30 @@ class TestReconstruct:
 
     def test_even_cycle_halves(self):
         assert reconstruct_from_ambient(make_cycle(10)) == make_cycle(5)
+
+    def test_four_cycle_rejected(self):
+        # C_4 would halve to a "cycle" on 2 vertices, which no simple graph is
+        with pytest.raises(MalformedSubdivisionError, match="C_4 is not the subdivision of a simple graph"):
+            reconstruct_from_ambient(make_cycle(4))
+
+    def test_callers_components_give_the_same_graph(self):
+        for g in small_corpus():
+            gamma = subdivide(g).graph
+            assert reconstruct_from_ambient(gamma, distance_two_graph(gamma)) == reconstruct_from_ambient(gamma)
+
+    def test_check_reconstruction_builds_the_distance_two_graph_once(self, monkeypatch):
+        from subsym import theorems, transforms
+
+        builds = []
+
+        def counting_distance_two_graph(h):
+            builds.append(h)
+            return distance_two_graph(h)
+
+        monkeypatch.setattr(transforms, "distance_two_graph", counting_distance_two_graph)
+        monkeypatch.setattr(theorems, "distance_two_graph", counting_distance_two_graph)
+        assert theorems.check_reconstruction(make_petersen()).status == theorems.CONFIRMED
+        assert len(builds) == 1
 
 
 class TestSubdivisionDistance:
