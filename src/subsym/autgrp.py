@@ -2,17 +2,28 @@
 
 Both run the same engine: equitable partition refinement (source and target
 partitions refined in lockstep) plus backtracking on individualized vertices.
-The automorphism group is assembled level by level: fix a base point, find
-coset representatives mapping it across its cell, recurse into the stabilizer.
-Found generators prune later candidates by orbit membership.
+
+The automorphism group is found in two passes over one path (McKay and
+Piperno, J. Symb. Comput. 60, 2014). The first pass refines the invariant
+partition, then at each level individualises the least vertex b_i of the
+first smallest non-singleton cell to itself and refines again, keeping each
+level's partition P_i, until the partition is discrete; b_0, b_1, ... is
+the base. The second pass resolves the levels deepest first. While level
+i is resolved, every generator found so far fixes b_0..b_{i-1}, so they
+generate a subgroup of that pointwise stabilizer: a candidate image w of
+b_i in b_i's orbit under them needs no search, a failed search for w rules
+out w's whole orbit under them, and any other w is searched for from P_i
+with b_i -> w. The deeper levels have by then generated the stabilizer of
+b_0..b_i, so level i runs at most one search per orbit of that stabilizer
+on its cell: the symmetric group S_n takes n - 1 searches, not n(n - 1)/2.
 
 Refinement keeps a vertex-to-cell index per side, so a splitter counts
 neighbours only along its own adjacency lists and regroups only the cells
-holding one of those neighbours (Paige and Tarjan 1987; McKay and Piperno
-2014). The splitter queue and the fragment order are still those of a scan
-over every cell: base points and generators depend on them, and through the
-generators so do the ``--group aut`` cache, the subgroups that
-``random_subgroups`` draws for the corpus, and ``tests/golden_verify.jsonl``.
+holding one of those neighbours (Paige and Tarjan 1987). The splitter queue
+and the fragment order are still those of a scan over every cell: base
+points and generators depend on them, and through the generators so do the
+``--group aut`` cache, the subgroups that ``random_subgroups`` draws for
+the corpus, and ``tests/golden_verify.jsonl``.
 
 A search child individualises x -> y in one cell C of its parent's refined
 partition. That partition is equitable, with the same counts on the s and
@@ -20,17 +31,17 @@ t sides, and every cell of the child lies inside a parent cell, so an
 unchanged parent cell gives each current cell a constant count as a
 splitter: it splits nothing and detects no mismatch. A child's refinement
 therefore queues only {x} and C - {x}, and its queue, fragment keys and
-result are those of the full scan. Root refinements (``find`` after its
-prescribed pairs, each level of ``automorphism_group``) start from the
-invariant partition with points individualised, which is not equitable,
-so they queue every cell.
+result are those of the full scan. Each P_i is equitable, so this holds for
+every step of the first path and every search the second pass starts. Only
+the root refinement of the invariant partition, which is not equitable,
+queues every cell.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -113,38 +124,14 @@ class _MappingSearch:
             groups.append((by1[key], by2[key]))
         return groups
 
-    def find(self, prescribed: Sequence[tuple[int, int]] = ()) -> Optional[list[int]]:
-        """A mapping (list over g1 vertices) extending the prescribed pairs,
-        or None if no isomorphism does."""
+    def find(self) -> Optional[list[int]]:
+        """A mapping (list over g1 vertices) that is an isomorphism, or None."""
         cells = self.initial_cells()
         if cells is None:
             return None
-        for x, y in prescribed:
-            cells = self._individualize(cells, x, y)
-            if cells is None:
-                return None
         return self._dfs(cells)
 
     # -- internals ---------------------------------------------------------
-
-    def _individualize(self, cells: list[_Cell], x: int, y: int) -> Optional[list[_Cell]]:
-        out = []
-        found = False
-        for c in cells:
-            if x in c.s:
-                if y not in c.t:
-                    return None
-                rest_s = [v for v in c.s if v != x]
-                rest_t = [v for v in c.t if v != y]
-                out.append(_Cell([x], [y]))
-                if rest_s:
-                    out.append(_Cell(rest_s, rest_t))
-                found = True
-            else:
-                if y in c.t:
-                    return None
-                out.append(c)
-        return out if found else None
 
     def _refine(self, cells: list[_Cell], queue: Optional[list[_Cell]] = None) -> Optional[list[_Cell]]:
         """Refine both partitions to equitable ones in lockstep, or None when
@@ -222,12 +209,10 @@ class _MappingSearch:
         cells = self._refine(cells, queue)
         if cells is None:
             return None
-        target = None
-        for i, c in enumerate(cells):
-            if len(c.s) > 1 and (target is None or len(c.s) < len(target.s)):
-                target, at = c, i
-        if target is None:
+        at = _target(cells)
+        if at is None:
             return self._verify_leaf(cells)
+        target = cells[at]
         x = min(target.s)
         for y in sorted(target.t):
             res = self._dfs(*_child(cells, at, x, y))
@@ -243,6 +228,16 @@ class _MappingSearch:
             if not self.g2.has_edge(mapping[u], mapping[v]):
                 return None
         return mapping
+
+
+def _target(cells: list[_Cell]) -> Optional[int]:
+    """Index of the first smallest non-singleton cell, or None when the
+    partition is discrete."""
+    at = None
+    for i, c in enumerate(cells):
+        if len(c.s) > 1 and (at is None or len(c.s) < len(cells[at].s)):
+            at = i
+    return at
 
 
 def _child(cells: list[_Cell], at: int, x: int, y: int) -> tuple[list[_Cell], list[_Cell]]:
@@ -275,11 +270,13 @@ def is_isomorphic(g1: Graph, g2: Graph, node_budget: Optional[int] = None) -> bo
 def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     """The full automorphism group of g as a permutation group.
 
-    Level by level: refine with the current base prefix fixed, take the first
-    smallest non-singleton cell, and resolve each candidate image of its least
-    vertex either by orbit membership under already-found generators or by an
-    explicit extension search. The product of the level orbit sizes is the
-    group order, which callers can cross-check against the chain order.
+    One refined path fixes the base: at each level, the least vertex b of
+    the first smallest non-singleton cell is individualised to itself.
+    The levels are then resolved deepest first: each candidate image w of
+    b is either in b's orbit under the generators found so far, excluded
+    with its orbit by an earlier failed search, or searched for explicitly
+    from the level's partition. The product of the level orbit sizes is
+    the group order, which is cross-checked against the chain order.
     """
     if g.n > 400:
         raise BudgetExceededError("automorphism search is budgeted for n <= 400")
@@ -287,44 +284,35 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
         return PermGroup(0, ())
     search = _MappingSearch(g, g, node_budget)
     image = point_action(g.n).apply
-    base: list[int] = []
-    all_gens: list[Perm] = []
-    order = 1
+    # first pass: (equitable partition, target cell index, base point) per level
+    path: list[tuple[list[_Cell], int, int]] = []
+    cells = search._refine(search.initial_cells())
+    while (at := _target(cells)) is not None:
+        b = min(cells[at].s)
+        path.append((cells, at, b))
+        cells = search._refine(*_child(cells, at, b, b))
+        assert cells is not None
 
-    while True:
-        cells = search.initial_cells()
-        assert cells is not None
-        for b in base:
-            cells = search._individualize(cells, b, b)
-            assert cells is not None
-        cells = search._refine(cells)
-        assert cells is not None
-        target = None
-        for c in cells:
-            if len(c.s) > 1 and (target is None or len(c.s) < len(target.s)):
-                target = c
-        if target is None:
-            break
-        b = min(target.s)
-        gens_here: list[Perm] = []
-        prefix = [(p, p) for p in base]
-        in_orbit = {b: 0}  # orbit of b under gens_here, as an orbit index
+    # second pass, deepest level first: the generators found so far fix the
+    # base points above this level, so their orbits prune its candidates
+    gens: list[Perm] = []
+    group = PermGroup(g.n, gens)
+    order = 1
+    for cells, at, b in reversed(path):
+        in_orbit = orbit_partition(group, [b], image)[1]
         excluded: set[int] = set()
-        for w in sorted(target.s):
+        for w in sorted(cells[at].s):
             if w in in_orbit or w in excluded:
                 continue
-            mapping = search.find(prescribed=prefix + [(b, w)])
+            mapping = search._dfs(*_child(cells, at, b, w))
             if mapping is None:
-                excluded.update(orbit_partition(PermGroup(g.n, gens_here), [w], image)[1])
+                excluded.update(orbit_partition(group, [w], image)[1])
                 continue
-            perm = Perm(mapping)
-            gens_here.append(perm)
-            all_gens.append(perm)
-            in_orbit = orbit_partition(PermGroup(g.n, gens_here), [b], image)[1]
+            gens.append(Perm(mapping))
+            group = PermGroup(g.n, gens)
+            in_orbit = orbit_partition(group, [b], image)[1]
         order *= len(in_orbit)
-        base.append(b)
 
-    group = PermGroup(g.n, all_gens)
     # the search-side order is an independent count; a mismatch is a bug
     if group.order() != order:
         raise AssertionError("automorphism search order != chain order")

@@ -18,6 +18,8 @@ from .formats import (
     FormatError,
     read_generators,
     read_graph,
+    read_graph_with_parts,
+    subdivision_from_parts,
     write_generators,
     write_graph,
     write_json_lines,
@@ -144,7 +146,8 @@ def _load_group(source: str, graph_path: str, g):
 def cmd_analyze(args: argparse.Namespace) -> int:
     print(_effective(args, ["graph", "group", "property", "s", "out"]))
     lo, hi = _parse_s_range(args.s)
-    g = read_graph(args.graph)
+    # the parts line serves a base-graph group below, so parse the file once
+    g, n_base = read_graph_with_parts(args.graph)
     # check s against the diameter before the aut search writes its cache
     if args.property in ("distance", "local-distance"):
         d = g.diameter()
@@ -153,10 +156,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     G = _load_group(args.group, args.graph, g)
     if G.degree != g.n:
         # a base-graph group against a subdivision file: induce the action
-        from .formats import read_subdivision
         from .groups import induced_subdivision_action
 
-        sg = read_subdivision(args.graph)
+        sg = subdivision_from_parts(args.graph, g, n_base)
         if G.degree != sg.n_base:
             raise GraphError(
                 f"group degree {G.degree} matches neither the graph ({g.n}) "

@@ -108,6 +108,13 @@ def read_subdivision(path: str) -> SubdivisionGraph:
     """Parse a subdivision graph file (requires the parts line) and rebuild
     the base graph from the E-vertices; validates the subdivision structure."""
     g, n_base = read_graph_with_parts(path)
+    return subdivision_from_parts(path, g, n_base)
+
+
+def subdivision_from_parts(path: str, g: Graph, n_base: Optional[int]) -> SubdivisionGraph:
+    """The subdivision graph that ``read_graph_with_parts(path)`` returned as
+    (g, n_base): rebuilds the base graph from the E-vertices and validates
+    the subdivision structure, naming ``path`` in every error."""
     if n_base is None:
         raise FormatError(f"{path}: no parts line, not a subdivision file")
     if not (0 < n_base <= g.n):

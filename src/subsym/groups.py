@@ -27,12 +27,13 @@ class NotAnAutomorphismError(GraphError):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "transversal_inv")
+    __slots__ = ("point", "gens", "gens_inv", "transversal", "transversal_inv")
 
     def __init__(self, point: int, degree: int):
         ident = Perm.identity(degree)
         self.point = point
         self.gens: list[Perm] = []  # all strong generators fixing earlier base points
+        self.gens_inv: list[Perm] = []  # their inverses, in the same order
         self.transversal: dict[int, Perm] = {point: ident}
         self.transversal_inv: dict[int, Perm] = {point: ident}
 
@@ -132,18 +133,19 @@ class StabilizerChain:
         lvl = self.levels[j]
         if g in lvl.gens:  # already processed here via a Schreier residue
             return
+        g_inv = g.inverse()
         lvl.gens.append(g)
-        pairs = deque((p, g) for p in sorted(lvl.transversal))
+        lvl.gens_inv.append(g_inv)
+        pairs = deque((p, g, g_inv) for p in sorted(lvl.transversal))
         while pairs:
-            p, s = pairs.popleft()
+            p, s, s_inv = pairs.popleft()
             q = s.images[p]
             u_p = lvl.transversal[p]
             if q not in lvl.transversal:
-                u_q = u_p * s
-                lvl.transversal[q] = u_q
-                lvl.transversal_inv[q] = u_q.inverse()
-                for t in lvl.gens:
-                    pairs.append((q, t))
+                lvl.transversal[q] = u_p * s
+                # (u_p s)^-1 = s^-1 u_p^-1: one product, no inversion loop
+                lvl.transversal_inv[q] = s_inv * lvl.transversal_inv[p]
+                pairs.extend((q, t, t_inv) for t, t_inv in zip(lvl.gens, lvl.gens_inv))
                 continue
             u_p_s = u_p * s
             if u_p_s == lvl.transversal[q]:  # the Schreier generator is the identity

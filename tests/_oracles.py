@@ -7,7 +7,7 @@ engine used to run.
 """
 
 from collections import Counter, defaultdict, deque
-from itertools import product
+from itertools import permutations, product
 
 from subsym.autgrp import _Cell
 
@@ -114,6 +114,16 @@ def brute_closure(generators, degree, cap=None):
     return seen
 
 
+def brute_automorphisms(g):
+    """Every automorphism of g, as image tuples: each vertex permutation
+    that maps every edge to an edge."""
+    edges = set(g.edge_list)
+    return {
+        p for p in permutations(range(g.n))
+        if all((p[u], p[v]) in edges or (p[v], p[u]) in edges for u, v in g.edge_list)
+    }
+
+
 def brute_distance_pairs(g, i):
     """All ordered pairs at distance i, from dict BFS at every vertex."""
     return sorted((a, b) for a in range(g.n) for b, d in brute_distances(g, a).items() if d == i)
@@ -131,6 +141,29 @@ def brute_level_orbits(g, elements, name, i):
             seen.update(orb)
             orbits.append(orb)
     return orbits
+
+
+def individualize(cells, x, y):
+    """Split x -> y out of their cells: {x} -> {y} takes the cell's place,
+    followed by the rest of it. None when x and y lie in different cells.
+    The root individualisation the Aut/iso search used to run."""
+    out = []
+    found = False
+    for c in cells:
+        if x in c.s:
+            if y not in c.t:
+                return None
+            rest_s = [v for v in c.s if v != x]
+            rest_t = [v for v in c.t if v != y]
+            out.append(_Cell([x], [y]))
+            if rest_s:
+                out.append(_Cell(rest_s, rest_t))
+            found = True
+        else:
+            if y in c.t:
+                return None
+            out.append(c)
+    return out if found else None
 
 
 def _neighbor_masks(g):

@@ -28,7 +28,13 @@ from subsym.graphs import (
 )
 from subsym.transforms import subdivide
 
-from _oracles import bitmask_refine, counted_vertex_invariants
+from _oracles import (
+    bitmask_refine,
+    brute_automorphisms,
+    brute_closure,
+    counted_vertex_invariants,
+    individualize,
+)
 from test_graphs import random_graph_strategy
 
 
@@ -73,6 +79,39 @@ class TestAutomorphismGroup:
     def test_subdivided_cycle_doubles_aut(self):
         for n in (3, 5, 8):
             assert automorphism_group(subdivide(make_cycle(n)).graph).order() == 4 * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graph_strategy(max_n=7, min_n=0))
+def test_automorphism_group_matches_brute_force(g):
+    assert brute_closure(automorphism_group(g).generators, g.n) == brute_automorphisms(g)
+
+
+@pytest.mark.parametrize("g, n", [
+    (make_complete(8), 8),
+    (subdivide(make_complete(12)).graph, 12),
+], ids=["K_8", "S(K_12)"])
+def test_symmetric_group_needs_one_search_per_level(g, n, monkeypatch):
+    # S_n has a base of n - 1 points; pruning each level by the orbits of
+    # the generators found below it leaves one search and one generator per
+    # level, where searching each orbit point would take n(n - 1)/2
+    searches = []
+    depth = [0]
+    dfs = _MappingSearch._dfs
+
+    def counting(self, *args):
+        if depth[0] == 0:
+            searches.append(args)
+        depth[0] += 1
+        try:
+            return dfs(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_MappingSearch, "_dfs", counting)
+    G = automorphism_group(g)
+    assert G.order() == math.factorial(n)
+    assert len(searches) == n - 1 and len(G.generators) == n - 1
 
 
 def _relabel(g, rng):
@@ -196,7 +235,7 @@ def test_refine_matches_full_scan_oracle(case):
         cells = search.initial_cells() or [_Cell(list(range(g1.n)), list(range(g2.n)))]
         for i, x, y in picks:
             cell = cells[i % len(cells)]
-            cells = search._individualize(cells, cell.s[x % len(cell.s)], cell.t[y % len(cell.t)])
+            cells = individualize(cells, cell.s[x % len(cell.s)], cell.t[y % len(cell.t)])
         new = search._refine([_Cell(c.s[:], c.t[:]) for c in cells])
         old = bitmask_refine(g1, g2, [_Cell(c.s[:], c.t[:]) for c in cells])
         assert (new is None) == (old is None)
@@ -216,7 +255,7 @@ def test_child_refine_queues_only_new_cells(case, i, x, y):
         cells = search.initial_cells() or [_Cell(list(range(g1.n)), list(range(g2.n)))]
         for j, a, b in picks:
             cell = cells[j % len(cells)]
-            cells = search._individualize(cells, cell.s[a % len(cell.s)], cell.t[b % len(cell.t)])
+            cells = individualize(cells, cell.s[a % len(cell.s)], cell.t[b % len(cell.t)])
         cells = search._refine(cells)
         if cells is None:
             continue
@@ -273,9 +312,10 @@ class TestPinnedBytes:
     """The refinement keeps the splitter and fragment order of the full-scan
     bitmask refinement (``_oracles.bitmask_refine``), so base points,
     generators, isomorphism maps, the ``--group aut`` cache and the subgroups
-    ``random_subgroups`` draws from the chain stay byte-identical. Both
-    digests were computed with that full-scan engine, before the refinement
-    became incremental, and pass unchanged there."""
+    ``random_subgroups`` draws from the chain depend only on the search
+    order. The isomorphism digest dates from the full-scan engine and still
+    passes there. The generator digest is that of the search that walks one
+    refined path and resolves its levels deepest first."""
 
     def test_generator_bytes(self):
         graphs = [
@@ -287,7 +327,7 @@ class TestPinnedBytes:
             subdivide(make_hoffman_singleton()).graph,
         ]
         images = [[list(p.images) for p in automorphism_group(g).generators] for g in graphs]
-        assert _sha256(images) == "9868392facfa593fc8687b4f778e64ebe697f98a51fa3501f8ada7e4e17b1091"
+        assert _sha256(images) == "7b84fe3db1f3dca8f8a53e952a975d89815c4585916c148cae9f164ffd78af40"
 
     def test_isomorphism_bytes(self):
         rng = random.Random(20250809)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from subsym import cli, symmetry
+from subsym import cli, formats, symmetry
 from subsym.cli import main
 from subsym.formats import (
     FormatError,
@@ -366,6 +366,29 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.count(": true\n") == 4
         assert calls == [0, 10]  # one stabilizer per vertex orbit, not one per s
+
+    def test_analyze_parses_a_subdivision_file_once(self, tmp_path, capsys, monkeypatch):
+        # a base-graph group on a subdivision file: the graph and its parts
+        # line come from one parse
+        sg_path = str(tmp_path / "sp.g")
+        write_subdivision(sg_path, subdivide(make_petersen()))
+        calls = []
+        parse = formats.read_graph_with_parts
+
+        def counting(path):
+            calls.append(path)
+            return parse(path)
+
+        monkeypatch.setattr(formats, "read_graph_with_parts", counting)
+        monkeypatch.setattr(cli, "read_graph_with_parts", counting)
+        rc = main([
+            "analyze", "--graph", sg_path,
+            "--group", os.path.join(FIXTURES, "petersen_aut.gens"),
+            "--property", "arc", "--s", "1..2",
+        ])
+        assert rc == 0
+        assert "induced the degree-10 group" in capsys.readouterr().out
+        assert calls == [sg_path]
 
     def test_analyze_aut_cache_write_is_atomic(self, tmp_path, capsys, monkeypatch):
         g_path = str(tmp_path / "p.g")
