@@ -572,3 +572,13 @@ def random_subgroups(G: PermGroup, count: int, seed: int) -> list[PermGroup]:
         elems = [G.random_element(rng) for _ in range(k)]
         out.append(PermGroup(G.degree, elems))
     return out
+
+
+def equal_groups(H: PermGroup, G: PermGroup) -> bool:
+    """Whether H and G have the same elements, whatever their generators:
+    same degree, same order, and every generator of G sifts to the identity
+    through H's chain (G <= H and |G| = |H| give G = H)."""
+    if H.degree != G.degree or H.order() != G.order():
+        return False
+    chain = H.chain()
+    return all(chain.contains(p) for p in G.generators)

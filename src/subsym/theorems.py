@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .groups import (
     cyclic_group,
     derived_subgroup,
     dihedral_group,
+    equal_groups,
     induced_subdivision_action,
     orbit_partition,
     pair_set_action,
@@ -69,6 +70,8 @@ from .transforms import (
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 SKIPPED = "skipped"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -130,12 +133,14 @@ ARC_EQUIVALENCE = "local-arc-equivalence"
 DISTANCE_EQUIVALENCE = "local-distance-equivalence"
 
 
-def _equivalences(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
-    """The local arc equivalence for each s in arc_s and the local distance
-    equivalence for each s in distance_s, ordered by s (arc first), for G
-    acting on the base graph g = sg.base. Each side reads all its verdicts off
-    one profile: the subdivision side off (S(g), the action G induces on it),
-    the base side off (g, G) at t = ceil((s+1)/2)."""
+def _equivalence_verdicts(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s) -> tuple[dict, dict]:
+    """Both sides of the local arc equivalence for each s in arc_s and of the
+    local distance equivalence for each s in distance_s, for G acting on the
+    base graph g = sg.base: (subdivision verdicts per equivalence and s, base
+    verdicts per t). Each side reads all its verdicts off one profile: the
+    subdivision side off (S(g), the action G induces on it), the base side
+    off (g, G) at t = ceil((s+1)/2). They depend on G's elements only, not on
+    its generators."""
     g = sg.base
     # a single edge with even s is the degenerate case of the arc equivalence
     arc_evaluated = [s for s in arc_s if g.n != 2 or s % 2 == 1]
@@ -145,7 +150,13 @@ def _equivalences(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s, prefix:
         DISTANCE_EQUIVALENCE: _verdicts(sg.graph, Gs, "s-distance", distance_s),
     }
     t_values = sorted({_ceil_half_succ(s) for side in sides.values() for s in side})
-    base = _verdicts(g, G, "s-arc", t_values, local=False)
+    return sides, _verdicts(g, G, "s-arc", t_values, local=False)
+
+
+def _equivalence_outcomes(verdicts: tuple[dict, dict], arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
+    """The outcomes of _equivalence_verdicts under the instance prefix,
+    ordered by s (arc first)."""
+    sides, base = verdicts
     out = []
     for s in sorted({*arc_s, *distance_s}):
         t = _ceil_half_succ(s)
@@ -165,6 +176,23 @@ def _equivalences(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s, prefix:
                 name, instance, lhs == rhs, {"s": s, "t": t, "subdivision_side": lhs, "base_side": rhs}
             ))
     return out
+
+
+def _equivalences(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
+    """The local arc equivalence for each s in arc_s and the local distance
+    equivalence for each s in distance_s, for G acting on sg.base."""
+    return _equivalence_outcomes(_equivalence_verdicts(sg, G, arc_s, distance_s), arc_s, distance_s, prefix)
+
+
+def _once_per_group(evaluated: list, G: PermGroup, evaluate: Callable[[], T]) -> T:
+    """The value stored in evaluated for a group equal to G (same elements,
+    whatever the generators), or else evaluate(), stored under G."""
+    for H, value in evaluated:
+        if equal_groups(H, G):
+            return value
+    value = evaluate()
+    evaluated.append((G, value))
+    return value
 
 
 def check_local_arc_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
@@ -612,10 +640,11 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
             proper.append(H)
         if len(proper) >= subgroup_count:
             break
+    evaluated: list = []  # the selection can hold equal groups: evaluate each once
     negatives = {
-        f"sub{idx}(|H|={H.order()})": _verdicts(
+        f"sub{idx}(|H|={H.order()})": _once_per_group(evaluated, H, lambda H=H: _verdicts(
             sg.graph, induced_subdivision_action(H, sg), "s-distance", s_values
-        )
+        ))
         for idx, H in enumerate(proper)
     }
     ok = all(positives.values()) and all(
@@ -628,6 +657,21 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
 
 
 ALL_SECTIONS = ("rows", "structural", "named-instances", "large-cycles", "random")
+
+
+# least value per config key: random graphs need >= 2 vertices (and
+# random_n_max >= random_n_min), the Kn rows n >= 4, the Knn rows n >= 2,
+# cycles n >= 3, and s starts at 1
+_CONFIG_MINIMUMS = {
+    "random_graphs": 0, "random_n_min": 2, "subgroup_samples": 0, "s_max": 1,
+    "kn_range": 4, "knn_range": 2, "cycle_large_ns": 3,
+}
+
+
+def _check_at_least(where: str, key: str, value: int) -> None:
+    least = _CONFIG_MINIMUMS.get(key)
+    if least is not None and value < least:
+        raise GraphError(f"{where}: {key} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -647,40 +691,64 @@ class CorpusConfig:
 
     @staticmethod
     def from_file(path: str) -> "CorpusConfig":
+        """Parse ``key = value`` lines. A malformed line, an unknown key, a
+        value below its key's least sensible value, or an empty range raises
+        GraphError naming the file, the line and the key."""
         cfg = CorpusConfig()
+        last_line: dict[str, int] = {}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = f"{path}:{lineno}"
                 if "=" not in line:
-                    raise GraphError(f"{path}:{lineno}: expected key = value")
+                    raise GraphError(f"{where}: expected key = value")
                 key, value = (part.strip() for part in line.split("=", 1))
                 try:
                     if key in ("seed", "random_graphs", "random_n_min", "random_n_max",
                                "subgroup_samples", "s_max"):
-                        setattr(cfg, key, int(value))
+                        number = int(value)
+                        _check_at_least(where, key, number)
+                        setattr(cfg, key, number)
                     elif key in ("kn_range", "knn_range"):
                         lo, hi = value.split("..")
-                        setattr(cfg, key, (int(lo), int(hi)))
+                        lo, hi = int(lo), int(hi)
+                        if lo > hi:
+                            raise GraphError(f"{where}: {key} = {value} is empty")
+                        _check_at_least(where, key, lo)
+                        setattr(cfg, key, (lo, hi))
                     elif key == "cycle_large_ns":
-                        cfg.cycle_large_ns = tuple(int(x) for x in value.split(",") if x.strip())
+                        ns = tuple(int(x) for x in value.split(",") if x.strip())
+                        for n in ns:
+                            _check_at_least(where, key, n)
+                        cfg.cycle_large_ns = ns
                     elif key == "sections":
                         parts = tuple(x.strip() for x in value.split(",") if x.strip())
                         for part in parts:
                             if part not in ALL_SECTIONS:
-                                raise GraphError(f"{path}:{lineno}: unknown section {part!r}")
+                                raise GraphError(f"{where}: unknown section {part!r}")
                         cfg.sections = parts
                     elif key == "heavy":
                         cfg.heavy = value.lower() in ("1", "true", "yes", "on")
                     elif key == "budget_seconds":
-                        cfg.budget_seconds = float(value)
+                        budget = float(value)
+                        if not budget >= 0:  # also rejects nan
+                            raise GraphError(f"{where}: budget_seconds must be >= 0, got {value}")
+                        cfg.budget_seconds = budget
                     else:
-                        raise GraphError(f"{path}:{lineno}: unknown key {key!r}")
+                        raise GraphError(f"{where}: unknown key {key!r}")
                 except GraphError:
                     raise
                 except ValueError:  # int()/float() or an "A..B" without ".."
-                    raise GraphError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
+                    raise GraphError(f"{where}: bad value {value!r} for {key}") from None
+                last_line[key] = lineno
+        if cfg.random_n_min > cfg.random_n_max:
+            lineno = max(last_line.get("random_n_min", 0), last_line.get("random_n_max", 0))
+            raise GraphError(
+                f"{path}:{lineno}: random_n_min = {cfg.random_n_min} exceeds "
+                f"random_n_max = {cfg.random_n_max}"
+            )
         return cfg
 
 
@@ -694,7 +762,13 @@ def _named_structural_corpus() -> list[Graph]:
 
 
 def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
-    """The full deterministic sweep; every refuted outcome is a failure."""
+    """The full deterministic sweep; every refuted outcome is a failure.
+
+    The random section checks each graph under Aut(g) and sampled subgroups.
+    Sampled generators often generate the same group twice, and a verdict
+    depends on the group's elements only, so equal groups on one graph share
+    one evaluation: a repeat is found by equal_groups and its outcomes are
+    assembled under its own label from the earlier group's verdicts."""
     started = time.monotonic()
     outcomes: list[CheckOutcome] = []
 
@@ -783,12 +857,16 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
             groups = [aut] + random_subgroups(aut, config.subgroup_samples, rng.randrange(2**30))[2:]
             s_values = range(1, config.s_max + 1)
             distance_s = range(1, min(config.s_max, 2 * g.diameter() - 1) + 1)
+            evaluated: list = []  # (group, verdicts) on this graph only
             for gi, G in enumerate(groups):
                 label = f"{inst} G#{gi}(|G|={G.order()})"
                 if out_of_budget():
                     outcomes.append(skip("equivalence-sweep", label))
-                else:
-                    outcomes.extend(_equivalences(sg, G, s_values, distance_s, label))
+                    continue
+                verdicts = _once_per_group(
+                    evaluated, G, lambda G=G: _equivalence_verdicts(sg, G, s_values, distance_s)
+                )
+                outcomes.extend(_equivalence_outcomes(verdicts, s_values, distance_s, label))
     return outcomes
 
 

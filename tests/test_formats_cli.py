@@ -320,12 +320,30 @@ class TestCli:
         ("budget_seconds = soon", "bad value 'soon' for budget_seconds"),
         ("colour = blue", "unknown key 'colour'"),
         ("sections = nowhere", "unknown section 'nowhere'"),
+        ("random_n_min = 8", "random_n_min = 8 exceeds random_n_max = 7"),
+        ("random_n_max = 2", "random_n_min = 3 exceeds random_n_max = 2"),
+        ("random_n_min = 1", "random_n_min must be >= 2, got 1"),
+        ("random_graphs = -1", "random_graphs must be >= 0, got -1"),
+        ("subgroup_samples = -3", "subgroup_samples must be >= 0, got -3"),
+        ("s_max = 0", "s_max must be >= 1, got 0"),
+        ("kn_range = 3..5", "kn_range must be >= 4, got 3"),
+        ("kn_range = 6..4", "kn_range = 6..4 is empty"),
+        ("knn_range = 1..3", "knn_range must be >= 2, got 1"),
+        ("cycle_large_ns = 16,2", "cycle_large_ns must be >= 3, got 2"),
+        ("budget_seconds = -1", "budget_seconds must be >= 0, got -1"),
+        ("budget_seconds = nan", "budget_seconds must be >= 0, got nan"),
     ])
     def test_verify_bad_config_value(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# comment\n{line}\n")
         assert main(["verify", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+    def test_verify_bad_config_names_the_later_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("random_n_min = 7\nrandom_n_max = 3\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: random_n_min = 7 exceeds random_n_max = 3\n"
 
     @pytest.mark.parametrize("s", ["x", "3..1", "0", "1..y", "..2"])
     def test_analyze_bad_s_range(self, tmp_path, capsys, s):

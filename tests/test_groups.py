@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -28,6 +29,7 @@ from subsym.groups import (
     cyclic_group,
     derived_subgroup,
     dihedral_group,
+    equal_groups,
     from_generators,
     induced_edge_action,
     induced_subdivision_action,
@@ -380,6 +382,45 @@ class TestSubgroups:
             n = N.random_element(rng)
             assert g.inverse() * n * g in N
 
+    def test_equal_groups_ignores_generators(self):
+        rot = cyclic_group(6).generators[0]
+        rot2 = rot * rot
+        assert equal_groups(cyclic_group(6), PermGroup(6, [rot.inverse()]))
+        assert equal_groups(cyclic_group(6), PermGroup(6, [rot2, rot2 * rot]))
+        assert not equal_groups(cyclic_group(6), PermGroup(6, [rot2]))
+        # same order, different elements
+        assert not equal_groups(PermGroup(4, [Perm.from_cycles(4, [(0, 1)])]),
+                                PermGroup(4, [Perm.from_cycles(4, [(2, 3)])]))
+        assert not equal_groups(trivial_group(3), trivial_group(4))
+        assert equal_groups(trivial_group(3), PermGroup(3, [Perm.identity(3)]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(min_value=0, max_value=6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.permutations(range(n)), max_size=3),
+        st.lists(st.permutations(range(n)), max_size=3),
+        st.lists(st.lists(st.integers(min_value=0, max_value=2), max_size=3), max_size=3),
+    )))
+    def test_equal_groups_matches_closure(self, case):
+        degree, h_images, g_images, words = case
+        H = PermGroup(degree, [Perm(p) for p in h_images])
+        letters = [Perm(p) for p in h_images] or [Perm.identity(degree)]
+        # words in H's generators (the empty word is the identity): they
+        # generate H itself under other generators, or a subgroup of it
+        from_words = [
+            functools.reduce(lambda a, b: a * b, (letters[i % len(letters)] for i in word), Perm.identity(degree))
+            for word in words
+        ]
+        candidates = [
+            PermGroup(degree, [Perm(p) for p in g_images]),
+            PermGroup(degree, from_words),
+            PermGroup(degree, from_words + list(reversed(letters))),
+        ]
+        elements = brute_closure(H.generators, degree)
+        for G in candidates:
+            expected = brute_closure(G.generators, degree) == elements
+            assert equal_groups(H, G) == expected == equal_groups(G, H)
+
 
 class TestConcurrency:
     def test_concurrent_first_queries_agree(self):
@@ -470,9 +511,12 @@ class TestPinnedChainBytes:
         return {"lifted": lifted, "fixture": induced_subdivision_action(fixture, sg)}
 
     @pytest.mark.parametrize("name, point, digest", [
-        ("lifted", None, "8ef0f5ae329c833bfbe94d2798e68f185f03e1472dd7c0f334b8fdccbe2cf7b8"),
-        ("lifted", 0, "ec5863c90c3d99be051388c0b56f4fd22e87c48219ae558e5b13d4d729f9d20d"),
-        ("lifted", 50, "f96cceca0be11fc0672378093d9bf746e2a1551aa35c698e1975b037d10f8263"),
+        pytest.param("lifted", None, "8ef0f5ae329c833bfbe94d2798e68f185f03e1472dd7c0f334b8fdccbe2cf7b8",
+                     id="lifted-None"),
+        pytest.param("lifted", 0, "ec5863c90c3d99be051388c0b56f4fd22e87c48219ae558e5b13d4d729f9d20d",
+                     id="lifted-0"),
+        pytest.param("lifted", 50, "f96cceca0be11fc0672378093d9bf746e2a1551aa35c698e1975b037d10f8263",
+                     id="lifted-50"),
         ("fixture", None, "3f9aa43a69fdcc99ea7792abda2193a349d537b0505166e1cba57d5682cb62bc"),
         ("fixture", 0, "44ef9ea6224383ca7f87f1c5e7e4578ad9b697158642cdc2bb61e421a1543a2d"),
         ("fixture", 50, "cca8615ea593d55533d6018ae9a24494707bf62b9e125f8526b9e84140c3ec65"),

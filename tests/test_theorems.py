@@ -222,6 +222,21 @@ class TestLargeSCycles:
         assert oc17.status == CONFIRMED and oc17.details["positives"] == {17: True, 16: True}
         assert len(oc17.details["negatives"]) == 5
 
+    def test_equal_subgroups_evaluated_once(self, monkeypatch):
+        # on C_19 four of the five sampled proper subgroups are the rotation
+        # group under different generators
+        induce = theorems.induced_subdivision_action
+        lifted = []
+        monkeypatch.setattr(theorems, "induced_subdivision_action", lambda G, sg: lifted.append(G) or induce(G, sg))
+        oc = check_large_s_cycles(19)
+        assert [G.order() for G in lifted] == [38, 1, 19]
+        assert oc.status == CONFIRMED
+        orders = [1, 19, 19, 19, 19]
+        assert oc.details == {
+            "positives": {19: True, 18: True},
+            "negatives": {f"sub{i}(|H|={o})": {19: False, 18: False} for i, o in enumerate(orders)},
+        }
+
 
 class TestRunCorpus:
     def test_empty_sections_empty_list(self):
@@ -266,3 +281,35 @@ class TestRunCorpus:
         # the distance formula, the reconstruction and the equivalence sweep
         # share one lift of each random graph, however many groups are sampled
         assert counts == [3, 3]
+
+    def test_random_sweep_evaluates_each_distinct_group_once(self, monkeypatch):
+        subdivide, induce, once = theorems.subdivide, theorems.induced_subdivision_action, theorems._once_per_group
+        graphs, lifted, groups = [], [], []  # groups: (group, whether its verdicts were reused)
+
+        def recording(evaluated, G, evaluate):
+            before = len(evaluated)
+            value = once(evaluated, G, evaluate)
+            groups.append((G, len(evaluated) == before))
+            return value
+
+        monkeypatch.setattr(theorems, "subdivide", lambda g: graphs.append(subdivide(g)) or graphs[-1])
+        monkeypatch.setattr(theorems, "induced_subdivision_action", lambda G, sg: lifted.append(G) or induce(G, sg))
+        monkeypatch.setattr(theorems, "_once_per_group", recording)
+        cfg = CorpusConfig(sections=("random",))
+        outcomes = run_corpus(cfg)
+        # 184 (graph, group) pairs at seed 1729 hold 68 distinct groups
+        assert len(groups) == 184 and len(lifted) == 68
+        assert sum(reused for _, reused in groups) == 116
+        by_label: dict[str, list] = {}
+        for oc in outcomes:
+            if oc.name in (theorems.ARC_EQUIVALENCE, theorems.DISTANCE_EQUIVALENCE):
+                by_label.setdefault(oc.instance.rsplit(" s=", 1)[0], []).append(oc)
+        assert len(by_label) == len(groups)
+        monkeypatch.setattr(theorems, "induced_subdivision_action", induce)
+        s_values = range(1, cfg.s_max + 1)
+        for (label, got), (G, reused) in zip(by_label.items(), groups):
+            sg = graphs[int(label.split("#", 1)[1].split("(", 1)[0])]
+            assert label.endswith(f"(|G|={G.order()})")
+            if reused:
+                distance_s = range(1, min(cfg.s_max, 2 * sg.base.diameter() - 1) + 1)
+                assert got == theorems._equivalences(sg, G, s_values, distance_s, label)
