@@ -46,7 +46,14 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph, GraphError
-from .groups import PermGroup, orbit_partition, point_action, validate_automorphisms
+from .groups import (
+    PermGroup,
+    SubdivisionLift,
+    is_graph_automorphism,
+    orbit_partition,
+    point_action,
+    validate_automorphisms,
+)
 from .perms import Perm
 
 
@@ -319,17 +326,18 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     return group
 
 
-def subdivision_automorphism_group(g: Graph) -> Optional[tuple[PermGroup, Graph]]:
-    """Aut(g) lifted from the base graph, when g is a subdivision S(Sigma)
-    whose two parts valency tells apart, else None.
+def subdivision_parts(g: Graph) -> Optional[tuple[Graph, SubdivisionLift]]:
+    """(Sigma, lift) when g is a subdivision S(Sigma) whose two parts valency
+    tells apart, else None.
 
     E is the set of valency-2 vertices and V the rest. When every edge has
     exactly one end in E, no two E-vertices share their pair of neighbours
     and g has an edge, g is S(Sigma) for Sigma on V with one edge per
     E-vertex, and Sigma has no valency-2 vertex. Every automorphism of g then
     keeps V and E, so Aut(g) is Aut(Sigma) acting on vertices and edges (the
-    reconstruction result for subdivisions). Returns that group on g's own
-    labels and Sigma, relabelled in the sorted order of V.
+    reconstruction result for subdivisions). Sigma is relabelled in the
+    sorted order of V, and the lift places its vertices and edges on g's own
+    labels.
     """
     if g.m == 0:
         return None
@@ -337,28 +345,52 @@ def subdivision_automorphism_group(g: Graph) -> Optional[tuple[PermGroup, Graph]
     if any(in_e[u] == in_e[v] for u, v in g.edge_list):
         return None
     vs = [v for v in range(g.n) if not in_e[v]]
-    mid: dict[tuple[int, int], int] = {}  # neighbour pair -> its E-vertex
+    index = {v: i for i, v in enumerate(vs)}
+    mid: dict[tuple[int, int], int] = {}  # Sigma's edge -> its E-vertex
     for x in range(g.n):
         if in_e[x]:
-            if g.adjacency[x] in mid:
+            a, b = g.adjacency[x]  # sorted, and index keeps the order
+            e = (index[a], index[b])
+            if e in mid:
                 return None
-            mid[g.adjacency[x]] = x
-    index = {v: i for i, v in enumerate(vs)}
-    base = Graph(len(vs), [(index[a], index[b]) for a, b in mid])
+            mid[e] = x
+    return Graph(len(vs), list(mid)), SubdivisionLift(vs, mid)
+
+
+def subdivision_automorphism_group(g: Graph) -> Optional[tuple[PermGroup, Graph]]:
+    """Aut(g) lifted from the base graph, when ``subdivision_parts``
+    recognises g as S(Sigma), else None. Returns that group on g's own labels
+    (a lifted group, see ``groups``) and Sigma."""
+    parts = subdivision_parts(g)
+    if parts is None:
+        return None
+    base, lift = parts
     aut = automorphism_group(base)
-    gens = []
-    for p in aut.generators:
-        images = [0] * g.n
-        for i, v in enumerate(vs):
-            images[v] = vs[p.images[i]]
-        for (a, b), x in mid.items():
-            u, w = images[a], images[b]
-            images[x] = mid[(u, w) if u < w else (w, u)]
-        gens.append(Perm(images))
-    group = PermGroup(g.n, gens)
+    group = lift.group(aut)
     validate_automorphisms(g, group)
     # V and E are Aut-invariant and an E-vertex is fixed by its pair, so the
     # lift is faithful; a mismatch is a bug
     if group.order() != aut.order():
         raise AssertionError("lifted group order != Aut(base) order")
     return group, base
+
+
+def relift_subdivision_group(g: Graph, G: PermGroup) -> PermGroup:
+    """G as a lifted group when ``subdivision_parts`` recognises g as
+    S(Sigma) and G's generators are the lifts of their restrictions to V,
+    so that the two groups have the same generators; G itself otherwise."""
+    parts = subdivision_parts(g)
+    if parts is None or G.degree != g.n:
+        return G
+    base, lift = parts
+    restricted = []
+    for p in G.generators:
+        images = [lift.base_of[p.images[x]] for x in lift.vertex_at]
+        if not all(isinstance(i, int) for i in images):
+            return G  # p moves a V-point into E
+        q = Perm(images)
+        if not is_graph_automorphism(base, q):
+            return G
+        restricted.append(q)
+    lifted = lift.group(PermGroup(base.n, restricted))
+    return lifted if lifted.generators == G.generators else G

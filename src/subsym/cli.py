@@ -13,7 +13,7 @@ import hashlib
 import os
 import sys
 
-from .autgrp import automorphism_group, subdivision_automorphism_group
+from .autgrp import automorphism_group, relift_subdivision_group, subdivision_automorphism_group
 from .formats import (
     FormatError,
     read_generators,
@@ -124,7 +124,9 @@ def _load_group(source: str, graph_path: str, g):
     digest = hashlib.sha256(open(graph_path, "rb").read()).hexdigest()[:8]
     cache = f"{graph_path}.aut-{digest}.gens"
     if os.path.exists(cache):
-        return read_generators(cache)
+        # a recognised S(Sigma) gets its lifted group back, with its cheap
+        # stabilizers, when the cached generators are lifts
+        return relift_subdivision_group(g, read_generators(cache))
     lifted = subdivision_automorphism_group(g)
     if lifted is None:
         G = automorphism_group(g)

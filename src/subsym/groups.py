@@ -5,6 +5,14 @@ each added strong generator extends its level's orbit and only the newly
 created (point, generator) Schreier pairs are sifted. Base points are chosen
 greedily from the largest orbits, which keeps transversals shallow for the
 highly transitive groups this library works with.
+
+A group that a subdivision S(Sigma) gets from a group B on Sigma (B acting on
+V and, through its edges, on E) is a lifted group: it keeps B and the map
+``SubdivisionLift`` from Sigma's vertices and edges to its own points. The
+lift is faithful, so no chain is built on its n + m points: its order is
+B's, its chain is B's chain with points mapped and elements lifted, and its
+point stabilizers are lifts of B's stabilizers, G_v for a V-point and the
+setwise edge stabilizer for an E-point. Those are lifted groups again.
 """
 
 from __future__ import annotations
@@ -167,10 +175,16 @@ class PermGroup:
 
     __slots__ = (
         "degree", "generators", "_chain", "_orbits", "_stabilizers", "_lock", "_validated_graphs",
-        "__weakref__",
+        "_lift", "__weakref__",
     )
 
-    def __init__(self, degree: int, generators: Iterable[Perm] = (), _chain: Optional[StabilizerChain] = None):
+    def __init__(
+        self,
+        degree: int,
+        generators: Iterable[Perm] = (),
+        _chain: Optional[StabilizerChain] = None,
+        _lift: Optional[tuple["PermGroup", "SubdivisionLift"]] = None,
+    ):
         gens = []
         for g in generators:
             if not isinstance(g, Perm):
@@ -187,15 +201,23 @@ class PermGroup:
         self._lock = threading.Lock()
         # graphs known to be preserved; equal graphs share one entry
         self._validated_graphs: weakref.WeakSet = weakref.WeakSet()
+        # (base group, lift) when this group is the lift of a base-graph group
+        self._lift = _lift
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = StabilizerChain(self)
+                    if self._lift is None:
+                        self._chain = StabilizerChain(self)
+                    else:
+                        base, lift = self._lift
+                        self._chain = lift.chain(base.chain())
         return self._chain
 
     def order(self) -> int:
+        if self._lift is not None:  # the lift is faithful
+            return self._lift[0].order()
         return self.chain().order()
 
     def __contains__(self, p: Perm) -> bool:
@@ -428,26 +450,34 @@ def _check_point(G: PermGroup, v: int) -> None:
 
 
 def stabilizer_point(G: PermGroup, v: int) -> PermGroup:
-    """The point stabilizer G_v, via a chain based at v. It is built once per
-    (G, v) and memoised on G behind the lock that guards G's chain, so every
-    later call returns the same object."""
+    """The point stabilizer G_v. It is built once per (G, v) and memoised on
+    G behind the lock that guards G's chain, so every later call returns the
+    same object."""
     _check_point(G, v)
     Gv = G._stabilizers.get(v)
     if Gv is None:
         with G._lock:
             Gv = G._stabilizers.get(v)
             if Gv is None:
-                chain = StabilizerChain(G, base_prefix=[v])
-                if len(chain.levels) < 2:
-                    Gv = PermGroup(G.degree, ())
-                else:
-                    Gv = PermGroup(
-                        G.degree,
-                        chain.generators_at(1),
-                        _chain=StabilizerChain._from_levels(G.degree, chain.levels[1:]),
-                    )
-                G._stabilizers[v] = Gv
+                Gv = G._stabilizers[v] = _build_stabilizer(G, v)
     return Gv
+
+
+def _build_stabilizer(G: PermGroup, v: int) -> PermGroup:
+    """G_v via a chain based at v; on a lifted group, the lift of the base
+    group's stabilizer of the vertex or edge at v."""
+    if G._lift is not None:
+        base, lift = G._lift
+        x = lift.base_of[v]
+        return lift.group(stabilizer_point(base, x) if isinstance(x, int) else stabilizer_edge(base, x))
+    chain = StabilizerChain(G, base_prefix=[v])
+    if len(chain.levels) < 2:
+        return PermGroup(G.degree, ())
+    return PermGroup(
+        G.degree,
+        chain.generators_at(1),
+        _chain=StabilizerChain._from_levels(G.degree, chain.levels[1:]),
+    )
 
 
 def stabilizer_edge(G: PermGroup, e: tuple[int, int]) -> PermGroup:
@@ -512,21 +542,71 @@ def induced_edge_action(G: PermGroup, g: Graph) -> Action:
     return Action(domain=tuple(range(g.m)), apply=apply)
 
 
+class SubdivisionLift:
+    """Where a base graph's vertices and edges sit among the points of its
+    subdivision: base vertex i at ``vertex_at[i]``, base edge (u, v), u < v,
+    at ``edge_at[(u, v)]``. ``base_of`` maps each point back to its vertex
+    (an int) or edge (a pair). A base automorphism p lifts to the
+    permutation that moves the point of each vertex and edge to the point of
+    its image under p."""
+
+    __slots__ = ("degree", "vertex_at", "edge_at", "base_of")
+
+    def __init__(self, vertex_at: Sequence[int], edge_at: dict[tuple[int, int], int]):
+        self.vertex_at = tuple(vertex_at)
+        self.edge_at = edge_at
+        self.degree = len(self.vertex_at) + len(edge_at)
+        self.base_of: dict[int, Any] = {x: e for e, x in edge_at.items()}
+        self.base_of.update((x, i) for i, x in enumerate(self.vertex_at))
+
+    def images(self, p: Perm) -> tuple[int, ...]:
+        """The images of p's lift; p must preserve the base graph."""
+        img, vertex_at, edge_at = p.images, self.vertex_at, self.edge_at
+        out = [0] * self.degree
+        for i, x in enumerate(vertex_at):
+            out[x] = vertex_at[img[i]]
+        for (u, v), x in edge_at.items():
+            a, b = img[u], img[v]
+            out[x] = edge_at[(a, b) if a < b else (b, a)]
+        return tuple(out)
+
+    def group(self, B: PermGroup) -> PermGroup:
+        """The lift of B, a group of automorphisms of the base graph. Its
+        generators are the lifts of B's, through the checked constructor."""
+        return PermGroup(self.degree, [Perm(self.images(p)) for p in B.generators], _lift=(B, self))
+
+    def chain(self, chain: StabilizerChain) -> StabilizerChain:
+        """A base chain with its points mapped and its elements lifted: the
+        lift is an isomorphism onto the lifted group, so this is a chain of
+        that group. The lift of a bijection is a bijection, so the lifted
+        elements skip the constructor's check."""
+        lifted: dict[int, Perm] = {}  # id of a base element -> its lift
+
+        def up(p: Perm) -> Perm:
+            q = lifted.get(id(p))
+            if q is None:
+                q = lifted[id(p)] = Perm._trusted(self.images(p))
+            return q
+
+        levels = []
+        for lvl in chain.levels:
+            new = _Level(self.vertex_at[lvl.point], self.degree)
+            new.gens = [up(g) for g in lvl.gens]
+            new.gens_inv = [up(g) for g in lvl.gens_inv]
+            new.transversal = {self.vertex_at[x]: up(u) for x, u in lvl.transversal.items()}
+            new.transversal_inv = {self.vertex_at[x]: up(u) for x, u in lvl.transversal_inv.items()}
+            levels.append(new)
+        return StabilizerChain._from_levels(self.degree, levels)
+
+
 def induced_subdivision_action(G: PermGroup, sg) -> PermGroup:
     """Embed G <= Aut(base) into Aut(subdivision): V-vertices move as before,
-    E-vertices move with their underlying edges. Faithful, so orders agree."""
-    base = sg.base
-    validate_automorphisms(base, G)
-    index = base.edge_index()
-    n = base.n
-    gens = []
-    for p in G.generators:
-        images = list(p.images)
-        for u, v in sg.edge_of:
-            a, b = p.images[u], p.images[v]
-            images.append(n + index[(a, b) if a < b else (b, a)])
-        gens.append(Perm(images))
-    return PermGroup(n + base.m, gens)
+    E-vertices move with their underlying edges. Faithful, so orders agree;
+    the result is a lifted group (see the module docstring)."""
+    validate_automorphisms(sg.base, G)
+    n = sg.n_base
+    lift = SubdivisionLift(range(n), {e: n + i for i, e in enumerate(sg.edge_of)})
+    return lift.group(G)
 
 
 # -- derived subgroup and subgroup sampling --------------------------------------

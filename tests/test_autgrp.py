@@ -15,6 +15,7 @@ from subsym.autgrp import (
     automorphism_group,
     find_isomorphism,
     is_isomorphic,
+    relift_subdivision_group,
     subdivision_automorphism_group,
 )
 from subsym.graphs import (
@@ -26,6 +27,8 @@ from subsym.graphs import (
     make_petersen,
     random_connected_graph,
 )
+from subsym.groups import PermGroup
+from subsym.perms import Perm
 from subsym.transforms import subdivide
 
 from _oracles import (
@@ -175,6 +178,31 @@ class TestSubdivisionShortcut:
     ], ids=["S(C_7)", "K_2,4", "S(P_3)", "Petersen", "edgeless", "empty"])
     def test_declines(self, g):
         assert subdivision_automorphism_group(g) is None
+
+    def test_relift_restores_the_lift(self):
+        # the generators a cache file holds, from the shortcut or from the
+        # full search, come back as a lifted group with the same generators
+        g = _relabel(subdivide(make_petersen()).graph, random.Random(6))
+        for G in (subdivision_automorphism_group(g)[0], automorphism_group(g)):
+            plain = PermGroup(g.n, G.generators)
+            lifted = relift_subdivision_group(g, plain)
+            assert lifted._lift is not None and plain._lift is None
+            assert lifted.generators == plain.generators and lifted.order() == 120
+
+    def test_relift_keeps_groups_that_are_not_lifts(self):
+        g = subdivide(make_petersen()).graph  # V = 0..9, E = 10..24
+        for gens in (
+            [Perm.from_cycles(g.n, [(10, 11)])],  # moves two E-points alone
+            [Perm.from_cycles(g.n, [(0, 10)])],  # moves a V-point into E
+            [Perm.from_cycles(g.n, [(0, 1)])],  # not an automorphism of Petersen
+        ):
+            G = PermGroup(g.n, gens)
+            assert relift_subdivision_group(g, G) is G
+        G = PermGroup(g.n - 1, ())
+        assert relift_subdivision_group(g, G) is G  # the wrong degree
+        p = make_petersen()
+        G = automorphism_group(p)
+        assert relift_subdivision_group(p, G) is G  # not a subdivision
 
 
 class TestIsomorphism:

@@ -199,6 +199,13 @@ class TestAgainstSympy:
         sympy_group = PermutationGroup([Permutation(list(q.images)) for q in G.generators])
         for v in range(3):
             assert sympy_group.stabilizer(v).order() == stabilizer_point(G, v).order()
+        # the lifted group on S(Petersen): V-points and E-points, whose
+        # stabilizers are lifts of vertex and edge stabilizers of Aut(Petersen)
+        lifted = induced_subdivision_action(G, subdivide(p))
+        sympy_lifted = PermutationGroup([Permutation(list(q.images)) for q in lifted.generators])
+        assert sympy_lifted.order() == lifted.order() == 120
+        for v in (0, 1, 10, 11, 24):
+            assert sympy_lifted.stabilizer(v).order() == stabilizer_point(lifted, v).order()
 
 
 def to_nx(nx, g):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from subsym import cli, formats, symmetry
+from subsym import cli, formats, groups, symmetry
 from subsym.cli import main
 from subsym.formats import (
     FormatError,
@@ -187,6 +187,31 @@ class TestCli:
         capsys.readouterr()
         main(["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", "1..2"])
         assert "cached automorphism" not in capsys.readouterr().out
+
+    def test_analyze_warm_aut_cache_keeps_the_lift(self, tmp_path, capsys, monkeypatch):
+        # a second run reads the cache; it lifts the cached generators again,
+        # so its stabilizers are built on HoSi's 50 points, not on all 225
+        base, g_path = str(tmp_path / "hosi.g"), str(tmp_path / "shosi.g")
+        main(["build", "hoffman-singleton", "--out", base])
+        main(["transform", "subdivide", "--in", base, "--out", g_path])
+        args = ["analyze", "--graph", g_path, "--group", "aut", "--property", "local-distance", "--s", "1..6"]
+        capsys.readouterr()
+        assert main(args) == 0
+        cold = capsys.readouterr().out.splitlines()
+        built = []
+        real = groups.StabilizerChain.__init__
+
+        def counting(self, G, base_prefix=()):
+            built.append(G.degree)
+            real(self, G, base_prefix)
+
+        monkeypatch.setattr(groups.StabilizerChain, "__init__", counting)
+        assert main(args) == 0
+        warm = capsys.readouterr().out.splitlines()
+        # only the cold run says where its group came from and where it went
+        assert [ln for ln in cold if not ln.startswith(("# automorphism group", "cached"))] == warm
+        assert sum(ln.endswith(": true") for ln in warm) == 6
+        assert built and set(built) == {50}
 
     @pytest.mark.parametrize("g, message", [
         (make_complete(2), "s range 1..3 exceeds diameter 1"),

@@ -54,6 +54,7 @@ from subsym.theorems import is_k_transitive
 from subsym.transforms import subdivide
 
 from _oracles import brute_closure
+from test_autgrp import _relabel
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -194,13 +195,25 @@ class TestOrbitsAndStabilizers:
         orbits = G.point_orbits()
         assert G.point_orbits() is orbits
         assert orbits == (tuple(range(10)), tuple(range(10, 25)))
-        # a stabilizer at each representative reads its base-point order
-        # off the cached orbits instead of recomputing them
-        calls = []
-        real = groups_module.orbit_partition
-        monkeypatch.setattr(groups_module, "orbit_partition", lambda *args: calls.append(args[0]) or real(*args))
-        assert [stabilizer_point(G, orb[0]).order() for orb in orbits] == [12, 8]
-        assert calls == [] and G.point_orbits() is orbits
+        # a lifted group's stabilizers are lifts of the base group's: one
+        # chain on the 10 base points per representative, based at its vertex
+        # or at the ends (0, 7) of its edge, and none on all 25 points
+        built = []
+        real = groups_module.StabilizerChain.__init__
+
+        def counting(self, H, base_prefix=()):
+            built.append((H.degree, list(base_prefix)))
+            real(self, H, base_prefix)
+
+        monkeypatch.setattr(groups_module.StabilizerChain, "__init__", counting)
+        stabilizers = [stabilizer_point(G, orb[0]) for orb in orbits]
+        assert built == [(10, [0]), (10, [0, 7])]
+        assert [Gv.order() for Gv in stabilizers] == [12, 8]
+        # the setwise edge stabilizer has no chain yet: its order builds one,
+        # again on the 10 base points
+        assert built[2:] == [(10, [])]
+        assert all(stabilizer_point(G, orb[0]) is Gv for orb, Gv in zip(orbits, stabilizers))
+        assert G.point_orbits() is orbits
 
     @pytest.mark.parametrize("G, e", [
         (symmetric_group(3), (0, 7)),
@@ -348,6 +361,101 @@ class TestInducedActions:
         assert act.apply(a * b, x) == act.apply(b, act.apply(a, x))
 
 
+def _check_chain_shape(chain) -> None:
+    """Each level's transversal takes its base point to each orbit point
+    it is keyed by, its inverses undo it, and the level's generators fix
+    the earlier base points."""
+    base = chain.base()
+    for i, lvl in enumerate(chain.levels):
+        assert lvl.transversal.keys() == lvl.transversal_inv.keys()
+        for pt, u in lvl.transversal.items():
+            assert u.images[lvl.point] == pt and lvl.transversal_inv[pt] == u.inverse()
+        assert all(g.images[b] == b for g in lvl.gens for b in base[:i])
+        assert lvl.gens_inv == [g.inverse() for g in lvl.gens]
+
+
+def _check_against_scratch_chain(G: PermGroup, rng: random.Random) -> None:
+    """Compare a lifted group with a StabilizerChain built from scratch on
+    its generators: the order, the stabilizer of each orbit representative
+    (order and point orbits), and membership of random elements and of
+    non-members, in the group and in each of those stabilizers."""
+    assert G._lift is not None
+    plain = PermGroup(G.degree, G.generators)  # the same generators, no base group
+    scratch = groups_module.StabilizerChain(plain)
+    chain = G.chain()
+    _check_chain_shape(chain)
+    assert G.order() == chain.order() == scratch.order()
+    # an element fixing every V-point fixes every E-point, so swapping two
+    # E-points alone is never an element
+    e1, e2 = sorted(G._lift[1].edge_at.values())[:2]
+    outsider = Perm.from_cycles(G.degree, [(e1, e2)])
+    for _ in range(5):
+        p, q = G.random_element(rng), scratch.random_element(rng)
+        assert scratch.contains(p) and chain.contains(q)
+        assert not scratch.contains(p * outsider) and not chain.contains(p * outsider)
+    for orb in G.point_orbits():
+        x = orb[0]
+        Gx, Px = stabilizer_point(G, x), stabilizer_point(plain, x)
+        assert Gx._lift is not None and Px._lift is None
+        _check_chain_shape(Gx.chain())
+        assert Gx.order() == Gx.chain().order() == Px.order()
+        assert Gx.point_orbits() == Px.point_orbits()
+        for _ in range(3):
+            p, q = Gx.random_element(rng), Px.random_element(rng)
+            assert p in Px and q in Gx
+            mover = G.random_element(rng)
+            if mover.images[x] != x:
+                assert mover not in Gx and mover not in Px
+
+
+class TestLiftedGroups:
+    """Lifted groups (the induced subdivision action, and Aut(S(Sigma))
+    read off Sigma) against chains built from scratch on their generators."""
+
+    @pytest.fixture(scope="class")
+    def shosi(self):
+        sg = subdivide(make_hoffman_singleton())
+        return sg, read_generators(os.path.join(FIXTURES, "hoffman_singleton_aut.gens"))
+
+    def test_petersen(self):
+        g = make_petersen()
+        _check_against_scratch_chain(induced_subdivision_action(automorphism_group(g), subdivide(g)),
+                                     random.Random(1))
+
+    def test_petersen_relabelled(self):
+        # V and E interleaved in the labels, so the lift moves points around
+        rng = random.Random(2)
+        G, _ = subdivision_automorphism_group(_relabel(subdivide(make_petersen()).graph, rng))
+        assert G.order() == 120
+        _check_against_scratch_chain(G, rng)
+
+    def test_k5_alternating(self):
+        G = induced_subdivision_action(alternating_group(5), subdivide(make_complete(5)))
+        assert G.order() == 60
+        _check_against_scratch_chain(G, random.Random(3))
+
+    def test_hoffman_singleton_fixture(self, shosi):
+        sg, fixture = shosi
+        _check_against_scratch_chain(induced_subdivision_action(fixture, sg), random.Random(4))
+
+    def test_hoffman_singleton_aut(self, shosi):
+        G, base = subdivision_automorphism_group(shosi[0].graph)
+        assert base == make_hoffman_singleton() and G.order() == 252000
+        _check_against_scratch_chain(G, random.Random(5))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_random_subgroups(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(3, 8))
+        sg = subdivide(g)
+        for H in random_subgroups(automorphism_group(g), 2, seed):
+            _check_against_scratch_chain(induced_subdivision_action(H, sg), rng)
+        lifted = subdivision_automorphism_group(_relabel(sg.graph, rng))
+        if lifted is not None:  # Sigma has no valency-2 vertex
+            _check_against_scratch_chain(lifted[0], rng)
+
+
 class TestSubgroups:
     def test_random_subgroups_contract(self):
         G = symmetric_group(5)
@@ -440,6 +548,34 @@ class TestConcurrency:
             t.join()
         assert results == [252000] * 8
 
+    def test_concurrent_lifted_stabilizers_are_shared(self):
+        import sys
+        import threading
+
+        sg = subdivide(make_hoffman_singleton())
+        fixture = read_generators(os.path.join(FIXTURES, "hoffman_singleton_aut.gens"))
+        G = induced_subdivision_action(fixture, sg)
+        results = []
+
+        def query():
+            # a V-point, an E-point and the chain: each takes G's lock, then its base group's
+            results.append((stabilizer_point(G, 0), stabilizer_point(G, 50), G.chain()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=query) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        assert all(all(a is b for a, b in zip(r, results[0])) for r in results)
+        G0, G50, chain = results[0]
+        assert (G0.order(), G50.order(), chain.order()) == (5040, 1440, 252000)
+
 
 class TestOrbitPartition:
     def test_partition_counts(self):
@@ -495,13 +631,17 @@ def _levels_digest(chain) -> str:
 
 class TestPinnedChainBytes:
     """Base points, transversals (points, images and inverses, in insertion
-    order) and level generators of a few chains. ``random_subgroups`` draws
-    from these transversals, so ``tests/golden_verify.jsonl`` depends on them
-    staying byte-identical. The ``fixture``, PGammaL(2,8) and edge-stabilizer
-    digests were computed before products became trusted and identity
-    Schreier generators were skipped. The ``lifted`` and normal-closure
-    digests start from generators the Aut search finds, so they are those of
-    the search that resolves its levels deepest first."""
+    order) and level generators of a few chains, so that a change in how a
+    chain is built shows here. The sweep's ``random_subgroups`` draws only
+    from chains of base-graph groups (Aut(g) and the dihedral groups), so
+    ``tests/golden_verify.jsonl`` rests on how those are built, which the
+    PGammaL(2,8) digest pins, and not on the subdivided chains.
+    The PGammaL(2,8) and edge-stabilizer digests were computed before
+    products became trusted and identity Schreier generators were skipped.
+    The ``lifted`` and normal-closure digests start from generators the Aut
+    search finds, so they are those of the search that resolves its levels
+    deepest first. The ``lifted`` and ``fixture`` groups act on S(HoSi), so
+    their chains and stabilizers are lifts of chains on HoSi's 50 points."""
 
     @pytest.fixture(scope="class")
     def groups(self):
@@ -511,15 +651,18 @@ class TestPinnedChainBytes:
         return {"lifted": lifted, "fixture": induced_subdivision_action(fixture, sg)}
 
     @pytest.mark.parametrize("name, point, digest", [
-        pytest.param("lifted", None, "8ef0f5ae329c833bfbe94d2798e68f185f03e1472dd7c0f334b8fdccbe2cf7b8",
+        pytest.param("lifted", None, "1fdf03c085345f34f7757efaf3131399fce964d632ce53f44407673c08f9420e",
                      id="lifted-None"),
-        pytest.param("lifted", 0, "ec5863c90c3d99be051388c0b56f4fd22e87c48219ae558e5b13d4d729f9d20d",
+        pytest.param("lifted", 0, "47b9c7f40cc215ec674954fc97fb522aac08f725e1a1c134877dc7e102cc149c",
                      id="lifted-0"),
-        pytest.param("lifted", 50, "f96cceca0be11fc0672378093d9bf746e2a1551aa35c698e1975b037d10f8263",
+        pytest.param("lifted", 50, "47760edd25a6916ecaf6db2ada5b18e9387cafb517e80c93ee4c599846726726",
                      id="lifted-50"),
-        ("fixture", None, "3f9aa43a69fdcc99ea7792abda2193a349d537b0505166e1cba57d5682cb62bc"),
-        ("fixture", 0, "44ef9ea6224383ca7f87f1c5e7e4578ad9b697158642cdc2bb61e421a1543a2d"),
-        ("fixture", 50, "cca8615ea593d55533d6018ae9a24494707bf62b9e125f8526b9e84140c3ec65"),
+        pytest.param("fixture", None, "e6ceb6d9b500aaf863feaef9fabee2205543f458a748f91d6e94335cf9e5824e",
+                     id="fixture-None"),
+        pytest.param("fixture", 0, "4d3be13454a7faa9fce5a668d74d954796f2b49f51c7559ed6dfacbd3a8888c3",
+                     id="fixture-0"),
+        pytest.param("fixture", 50, "12b50ca5ace1bdfd462fc7784338731bf5b1b08dbddf1b27cd7ac63ff1e39d87",
+                     id="fixture-50"),
     ])
     def test_subdivided_hoffman_singleton(self, groups, name, point, digest):
         G = groups[name]

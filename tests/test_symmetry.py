@@ -213,23 +213,26 @@ class TestNeighborhoodTwoTransitive:
 
 def test_local_kinds_share_point_stabilizers(monkeypatch):
     # local arc reports then local distance reports on one (g, G): the second
-    # kind reuses the stabilizers the first built, one chain per representative
+    # kind reuses the stabilizers the first built. G is lifted from the base
+    # group, so each representative costs one chain on the 10 base points,
+    # based at its vertex or at the ends (0, 7) of its edge
     sg = subdivide(make_petersen())
     G = induced_subdivision_action(automorphism_group(make_petersen()), sg)
     reps = [orb[0] for orb in G.point_orbits()]
     built = []
 
     class CountingChain(groups.StabilizerChain):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("base_prefix"))
-            super().__init__(*args, **kwargs)
+        def __init__(self, G, base_prefix=()):
+            built.append((G.degree, list(base_prefix)))
+            super().__init__(G, base_prefix)
 
     monkeypatch.setattr(groups, "StabilizerChain", CountingChain)
     arc = transitivity_reports(sg.graph, G, "s-arc", True, range(1, 7))
     distance = transitivity_reports(sg.graph, G, "s-distance", True, range(1, 5))
     assert [r.verdict for r in arc] == [True] * 5 + [False]
     assert all(r.verdict for r in distance)
-    assert built == [[v] for v in reps] == [[0], [10]]
+    assert reps == [0, 10] and sg.edge_of[0] == (0, 7)
+    assert built == [(10, [0]), (10, [0, 7])]
 
 
 @pytest.mark.parametrize("name, profile", [("s-arc", "local_arc_profile"), ("s-distance", "local_distance_profile")])
