@@ -9,6 +9,7 @@ out of report files for that reason).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -178,6 +179,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_value(key: str, value) -> str:
+    """value as a corpus config file spells it."""
+    if key.endswith("_range"):
+        return "{}..{}".format(*value)
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = CorpusConfig.from_file(args.config) if args.config else CorpusConfig()
     if args.seed is not None:
@@ -186,13 +196,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cfg.heavy = True
     if args.budget is not None:
         cfg.budget_seconds = args.budget
-    print(
-        "# effective-config: command=verify "
-        f"seed={cfg.seed} random_graphs={cfg.random_graphs} "
-        f"random_n={cfg.random_n_min}..{cfg.random_n_max} "
-        f"subgroups={cfg.subgroup_samples} s_max={cfg.s_max} "
-        f"heavy={cfg.heavy} budget={cfg.budget_seconds}"
-    )
+    print("# effective-config: command=verify " + " ".join(
+        f"{f.name}={_config_value(f.name, getattr(cfg, f.name))}" for f in dataclasses.fields(cfg)
+    ))
     outcomes = run_corpus(cfg)
     counts = summarize(outcomes)
     for oc in outcomes:

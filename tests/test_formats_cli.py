@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import json
 import os
@@ -18,6 +19,7 @@ from subsym.formats import (
 )
 from subsym.graphs import Graph, make_complete, make_cycle, make_petersen, random_connected_graph
 from subsym.groups import dihedral_group, pgammal_2_8
+from subsym.theorems import CorpusConfig
 from subsym.transforms import subdivide
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -332,6 +334,22 @@ class TestCli:
             rec = json.loads(b)
             assert a == b, f"record {i}: {rec['name']} [{rec['instance']}]"
 
+    def test_verify_effective_config_names_every_key(self, tmp_path, capsys):
+        cfg = tmp_path / "corpus.cfg"
+        cfg.write_text("sections = structural\nkn_range = 4..5\ncycle_large_ns = 16,17\nheavy = off\n")
+        assert main(["verify", "--config", str(cfg), "--seed", "7"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("# effective-config: command=verify ")
+        items = dict(part.split("=", 1) for part in line.split()[3:])
+        assert list(items) == [f.name for f in dataclasses.fields(CorpusConfig)]
+        assert items["sections"] == "structural" and items["budget_seconds"] == "None"
+        # the line, read back as a config file, gives the same configuration
+        again = tmp_path / "again.cfg"
+        again.write_text("".join(f"{k} = {v}\n" for k, v in items.items() if v != "None"))
+        assert CorpusConfig.from_file(str(again)) == CorpusConfig(
+            seed=7, kn_range=(4, 5), cycle_large_ns=(16, 17), sections=("structural",)
+        )
+
     def test_verify_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense without equals\n")
@@ -343,6 +361,7 @@ class TestCli:
         ("kn_range = a..b", "bad value 'a..b' for kn_range"),
         ("kn_range = 5", "bad value '5' for kn_range"),
         ("budget_seconds = soon", "bad value 'soon' for budget_seconds"),
+        ("heavy = ture", "bad value 'ture' for heavy"),
         ("colour = blue", "unknown key 'colour'"),
         ("sections = nowhere", "unknown section 'nowhere'"),
         ("random_n_min = 8", "random_n_min = 8 exceeds random_n_max = 7"),

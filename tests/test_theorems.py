@@ -1,6 +1,11 @@
+import itertools
+
+import pytest
+
 from subsym import theorems
 from subsym.autgrp import automorphism_group
 from subsym.graphs import (
+    GraphError,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -256,11 +261,43 @@ class TestRunCorpus:
             (o.name, o.instance, o.status) for o in b
         ]
 
+    def test_unknown_section_raises(self):
+        with pytest.raises(GraphError, match="unknown section 'rowz'"):
+            run_corpus(CorpusConfig(sections=("rows", "rowz")))
+
     def test_budget_exhaustion_reports_skips(self):
         outcomes = run_corpus(CorpusConfig(random_graphs=3, budget_seconds=0.0))
         counts = summarize(outcomes)
         assert counts[SKIPPED] == len(outcomes)
-        assert all(o.details.get("reason") == "budget exhausted" for o in outcomes)
+        assert all(o.details == {"reason": "budget exhausted", "budget_seconds": 0.0} for o in outcomes)
+
+    def test_budget_exhausted_mid_run(self, monkeypatch):
+        # a clock that advances one second per reading: the start, then three
+        # readings per check run (budget test, start, end) and one per skip
+        ticks = itertools.count()
+        monkeypatch.setattr(theorems.time, "monotonic", lambda: float(next(ticks)))
+        cfg = CorpusConfig(sections=("random",), random_graphs=3, subgroup_samples=2, s_max=3, budget_seconds=7)
+        outcomes = run_corpus(cfg)
+        # graph 0 runs its three checks (2 outcomes + 3 groups x 3 s x 2 equivalences),
+        # graphs 1 and 2 skip theirs, the equivalences as one record per graph
+        real, skipped = outcomes[:20], outcomes[20:]
+        assert all(o.status == CONFIRMED for o in real)
+        assert [(o.name, o.instance.split("(", 1)[0]) for o in skipped] == [
+            (name, f"random#{i}") for i in (1, 2)
+            for name in ("distance-formula", "reconstruction", "equivalence-sweep")
+        ]
+        assert all(o.details == {"reason": "budget exhausted", "budget_seconds": 7} for o in skipped)
+
+    def test_sections_are_independent(self):
+        def stripped(outcomes):
+            records = [o.to_json_dict() for o in outcomes]
+            for rec in records:
+                rec["details"].pop("elapsed_s", None)
+            return records
+
+        full = stripped(run_corpus(CorpusConfig()))
+        parts = [stripped(run_corpus(CorpusConfig(sections=(name,)))) for name in theorems.ALL_SECTIONS]
+        assert all(parts) and sum(parts, []) == full
 
     def test_random_sweep_lifts_each_graph_once(self, monkeypatch):
         subdivide = theorems.subdivide
