@@ -38,7 +38,14 @@ from .symmetry import transitivity_reports
 from .theorems import REFUTED, CorpusConfig, run_corpus, summarize
 from .transforms import distance_two_graph, line_graph, reconstruct_from_ambient, subdivide
 
-FAMILIES = ("complete", "complete-bipartite", "cycle", "petersen", "hoffman-singleton")
+# family -> (names of its integer parameters, builder)
+BUILDERS = {
+    "complete": (("N",), make_complete),
+    "complete-bipartite": (("M", "N"), make_complete_bipartite),
+    "cycle": (("N",), make_cycle),
+    "petersen": ((), make_petersen),
+    "hoffman-singleton": ((), make_hoffman_singleton),
+}
 # --property -> (kind name, local) for transitivity_reports
 PROPERTIES = {
     "arc": ("s-arc", False),
@@ -68,25 +75,14 @@ def _parse_s_range(text: str) -> tuple[int, int]:
 
 def cmd_build(args: argparse.Namespace) -> int:
     print(_effective(args, ["family", "params", "out"]))
-    params = [int(x) for x in args.params]
-    if args.family == "complete":
-        if len(params) != 1 or params[0] < 1:
-            raise GraphError("usage: build complete N (N >= 1)")
-        g = make_complete(params[0])
-    elif args.family == "complete-bipartite":
-        if len(params) != 2:
-            raise GraphError("usage: build complete-bipartite M N")
-        g = make_complete_bipartite(params[0], params[1])
-    elif args.family == "cycle":
-        if len(params) != 1:
-            raise GraphError("usage: build cycle N (N >= 3)")
-        g = make_cycle(params[0])
-    elif args.family == "petersen":
-        g = make_petersen()
-    elif args.family == "hoffman-singleton":
-        g = make_hoffman_singleton()
-    else:
-        raise GraphError(f"unknown family {args.family!r}")
+    names, make = BUILDERS[args.family]
+    try:
+        params = [int(x) for x in args.params]
+    except ValueError:
+        params = None
+    if params is None or len(params) != len(names):
+        raise GraphError(" ".join(["usage: build", args.family, *names]))
+    g = make(*params)
     write_graph(args.out, g)
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
@@ -122,7 +118,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def _load_group(source: str, graph_path: str, g):
     if source != "aut":
         return read_generators(source)
-    digest = hashlib.sha256(open(graph_path, "rb").read()).hexdigest()[:8]
+    with open(graph_path, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()[:8]
     cache = f"{graph_path}.aut-{digest}.gens"
     if os.path.exists(cache):
         # a recognised S(Sigma) gets its lifted group back, with its cheap
@@ -195,6 +192,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.heavy:
         cfg.heavy = True
     if args.budget is not None:
+        if not args.budget >= 0:  # also rejects nan
+            raise GraphError(f"--budget: budget_seconds must be >= 0, got {args.budget}")
         cfg.budget_seconds = args.budget
     print("# effective-config: command=verify " + " ".join(
         f"{f.name}={_config_value(f.name, getattr(cfg, f.name))}" for f in dataclasses.fields(cfg)
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="write a named graph as an edge-list file")
-    p_build.add_argument("family", choices=FAMILIES)
+    p_build.add_argument("family", choices=BUILDERS)
     p_build.add_argument("params", nargs="*", help="family parameters (e.g. n)")
     p_build.add_argument("--out", required=True)
     p_build.set_defaults(fn=cmd_build)

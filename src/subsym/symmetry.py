@@ -14,12 +14,17 @@ report for every s off that profile. The global forms are read off the same
 profile by the orbit-stabilizer correspondence: the G-orbits on level-i
 objects (i-arcs, or ordered pairs at distance i) are in bijection with the
 pairs (representative v, G_v-orbit on the level-i objects at v).
+
+A caller that needs only the verdicts asks ``transitivity_verdicts``. Reports
+and verdicts share one level walk, ``_rep_levels``, per representative: the
+profile runs every walk to the end, while the verdicts step the walks level
+by level and stop at the first level that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .graphs import Graph, GraphError, SArc, _arc_levels, _has_arc
 from .groups import (
@@ -136,37 +141,38 @@ def _partition_stats(group: PermGroup, domain: list, apply) -> LevelStat:
 # -- profiles ---------------------------------------------------------------
 
 
-def _arc_stats(g: Graph, group: PermGroup, starts, s_max: int) -> list[LevelStat]:
-    """Orbit statistics of group on the i-arcs from the start vertices,
-    i = 1..s_max, in the lexicographic order of the arc enumeration."""
-    return [_partition_stats(group, arcs, _apply_tuple) for arcs in _arc_levels(g, starts, s_max)]
+def _rep_levels(g: Graph, G: PermGroup, v: int, arcs: bool, s_max: int) -> Iterator[LevelStat]:
+    """Orbit statistics of G_v on the level-i sets at v, i = 1..s_max: with
+    arcs, the i-arcs starting at v in the lexicographic order of the arc
+    enumeration; otherwise the distance-i sphere around v. G_v is built on
+    the first step, so a caller that stops early builds no more than it reads."""
+    Gv = stabilizer_point(G, v)
+    if arcs:
+        for level in _arc_levels(g, [v], s_max):
+            yield _partition_stats(Gv, level, _apply_tuple)
+        return
+    dist = g.distances_matrix()[v]  # cached; checking an s range builds it
+    leaders: list[list[int]] = [[] for _ in range(s_max + 1)]
+    # G_v fixes v, so each of its point orbits (cached on the memoised G_v,
+    # listed by least element) lies in one sphere
+    for orb in Gv.point_orbits():
+        if 1 <= dist[orb[0]] <= s_max:
+            leaders[dist[orb[0]]].append(orb[0])
+    yield from (LevelStat(len(ls), tuple(ls[:2])) for ls in leaders[1:])
 
 
 def local_arc_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     """Per orbit-representative vertex v: orbit statistics of G_v on the
     i-arcs starting at v, i = 1..s_max."""
     _check_inputs(g, G)
-    return {
-        v: _arc_stats(g, stabilizer_point(G, v), [v], s_max)
-        for v in vertex_orbit_reps(g, G)
-    }
+    return {v: list(_rep_levels(g, G, v, True, s_max)) for v in vertex_orbit_reps(g, G)}
 
 
 def local_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
     """Per orbit-representative vertex v: orbit statistics of G_v on the
     distance-i spheres around v, i = 1..s_max."""
     _check_inputs(g, G)
-    out: Profile = {}
-    for v in vertex_orbit_reps(g, G):
-        dist = g.distances_matrix()[v]  # cached; checking an s range builds it
-        leaders: list[list[int]] = [[] for _ in range(s_max + 1)]
-        # G_v fixes v, so each of its point orbits (cached on the memoised
-        # G_v, listed by least element) lies in one sphere
-        for orb in stabilizer_point(G, v).point_orbits():
-            if 1 <= dist[orb[0]] <= s_max:
-                leaders[dist[orb[0]]].append(orb[0])
-        out[v] = [LevelStat(len(ls), tuple(ls[:2])) for ls in leaders[1:]]
-    return out
+    return {v: list(_rep_levels(g, G, v, False, s_max)) for v in vertex_orbit_reps(g, G)}
 
 
 # -- predicate assembly -------------------------------------------------------
@@ -212,6 +218,28 @@ def report_from_profile(kind: PropertyKind, profile: Profile, s: int) -> Transit
     return TransitivityReport(kind, True, None, orbit_counts)
 
 
+def _kinds(g: Graph, name: str, local: bool, s_values: Optional[Iterable[int]]) -> list[PropertyKind]:
+    """The kinds to evaluate, one per s in s_values, after checking name and
+    the s values against it (s >= 1, and s <= diam g for s-distance)."""
+    if (s_values is None) != (name in ("arc", "distance")):
+        raise ValueError(f"{name!r} needs s values exactly when it is parameterised")
+    if name.endswith("distance"):
+        d = g.diameter()
+    if name == "arc":
+        return [PropertyKind("arc", local)]
+    if name == "distance":
+        if d < 1:
+            raise GraphError("distance transitivity needs at least two vertices")
+        return [PropertyKind("distance", local, s=d)]
+    s_values = list(s_values)
+    for s in s_values:
+        if name == "s-arc" and s < 1:
+            raise GraphError("s must be >= 1")
+        if name == "s-distance" and not (1 <= s <= d):
+            raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
+    return [PropertyKind(name, local, s=s) for s in s_values]
+
+
 def transitivity_reports(
     g: Graph,
     G: PermGroup,
@@ -225,24 +253,7 @@ def transitivity_reports(
     unparameterised "arc" (level 1) or "distance" (level diam g) with
     s_values omitted. The inputs are validated once and the profile is built
     once, up to the largest level asked for."""
-    if (s_values is None) != (name in ("arc", "distance")):
-        raise ValueError(f"{name!r} needs s values exactly when it is parameterised")
-    if name.endswith("distance"):
-        d = g.diameter()
-    if name == "arc":
-        kinds = [PropertyKind("arc", local)]
-    elif name == "distance":
-        if d < 1:
-            raise GraphError("distance transitivity needs at least two vertices")
-        kinds = [PropertyKind("distance", local, s=d)]
-    else:
-        s_values = list(s_values)
-        for s in s_values:
-            if name == "s-arc" and s < 1:
-                raise GraphError("s must be >= 1")
-            if name == "s-distance" and not (1 <= s <= d):
-                raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
-        kinds = [PropertyKind(name, local, s=s) for s in s_values]
+    kinds = _kinds(g, name, local, s_values)
     if not kinds:
         return []
     levels = [1 if k.s is None else k.s for k in kinds]
@@ -250,6 +261,41 @@ def transitivity_reports(
     build = local_arc_profile if name.endswith("arc") else local_distance_profile
     profile = build(g, G, max(levels))
     return [report_from_profile(k, profile, level) for k, level in zip(kinds, levels)]
+
+
+def transitivity_verdicts(
+    g: Graph, G: PermGroup, name: str, local: bool, s_values: Iterable[int]
+) -> dict[int, bool]:
+    """The verdict per s in s_values, in the order given, of the reports
+    transitivity_reports gives for "s-arc" or "s-distance", with the same
+    input checks.
+
+    By report_from_profile's rule, verdict(s) holds iff the combined orbit
+    count (max over the representatives when local, sum when global) is at
+    most 1 on levels 1..s and nonzero on level s. So the levels are walked
+    across the representatives, and the walk stops at the first level whose
+    count exceeds 1: that level fails every s from there on. A group that
+    fails early builds the stabilizers and level sets read up to there only."""
+    kinds = _kinds(g, name, local, s_values)
+    if name in ("arc", "distance"):
+        raise ValueError(f"{name!r} is not parameterised; its report gives its verdict")
+    if not kinds:
+        return {}
+    _check_inputs(g, G)
+    s_max = max(k.s for k in kinds)
+    walks = [_rep_levels(g, G, v, name == "s-arc", s_max) for v in vertex_orbit_reps(g, G)]
+    held: list[int] = []  # the combined orbit count of each level that held
+    while len(held) < s_max:
+        count = 0
+        for walk in walks:
+            orbits = next(walk).orbits
+            count = max(count, orbits) if local else count + orbits
+            if count > 1:
+                break
+        if count > 1:
+            break
+        held.append(count)
+    return {k.s: k.s <= len(held) and held[k.s - 1] > 0 for k in kinds}
 
 
 def is_s_arc_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:

@@ -55,11 +55,9 @@ from .groups import (
 )
 from .perms import Perm
 from .symmetry import (
-    is_locally_s_distance_transitive,
-    is_s_arc_transitive,
     is_vertex_transitive,
     local_distance_profile,
-    transitivity_reports,
+    transitivity_verdicts,
 )
 from .transforms import (
     SubdivisionGraph,
@@ -126,8 +124,9 @@ def _lift(g: Graph, G: PermGroup) -> tuple[SubdivisionGraph, PermGroup]:
 
 
 def _verdicts(g: Graph, G: PermGroup, name: str, s_values, local: bool = True) -> dict[int, bool]:
-    """Verdict per s, in the order given, all read off one profile."""
-    return {r.kind.s: r.verdict for r in transitivity_reports(g, G, name, local, s_values)}
+    """Verdict per s, in the order given, from one level walk that stops at
+    the first failing level."""
+    return transitivity_verdicts(g, G, name, local, s_values)
 
 
 # -- equivalence checks --------------------------------------------------------
@@ -243,7 +242,7 @@ def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
     ldist = _verdicts(sg.graph, Gs, "s-distance", [2, 3])
     verdicts = {
         "loc2dist": ldist[2],
-        "base2arc": is_s_arc_transitive(g, G, 2).verdict,
+        "base2arc": _verdicts(g, G, "s-arc", [2], local=False)[2],
         "loc3arc": _verdicts(sg.graph, Gs, "s-arc", [3])[3],
         "loc3dist": ldist[3],
     }
@@ -270,7 +269,7 @@ def check_edge_stabilizer_conditions(g: Graph, G: PermGroup) -> CheckOutcome:
     if g.n == 2:
         return _outcome(name, instance, a_holds, details)
     left_b = left_a and all(st[1].orbits <= 1 for st in stats)
-    two_arc = is_s_arc_transitive(g, G, 2).verdict
+    two_arc = _verdicts(g, G, "s-arc", [2], local=False)[2]
     exceptional = _is_even_cycle_half_dihedral(g, G)
     right_b = two_arc or exceptional
     details.update({"left_b": left_b, "two_arc": two_arc, "exceptional_cycle": exceptional})
@@ -299,7 +298,7 @@ def check_girth_bound(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     if s > 2 * d - 1:
         return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
     sg, Gs = _lift(g, G)
-    premise = is_locally_s_distance_transitive(sg.graph, Gs, s).verdict
+    premise = _verdicts(sg.graph, Gs, "s-distance", [s])[s]
     gr = g.girth()
     holds = (not premise) or (gr is not None and gr >= s + 2)
     return _outcome(name, instance, holds, {"premise": premise, "girth": gr, "bound": s + 2})
@@ -317,8 +316,8 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
         return _outcome(name, instance, None, {"girth": gr}, "needs girth >= 5")
     sg, Gs = _lift(g, G)
     diam_s = sg.graph.diameter()
-    premise = is_locally_s_distance_transitive(sg.graph, Gs, 4).verdict
-    conclusion = is_s_arc_transitive(g, G, 3).verdict
+    premise = _verdicts(sg.graph, Gs, "s-distance", [4])[4]
+    conclusion = _verdicts(g, G, "s-arc", [3], local=False)[3]
     ok = diam_s >= 5 and ((not premise) or conclusion)
     return _outcome(name, instance, ok, {"diam_s": diam_s, "premise": premise, "three_arc": conclusion})
 
@@ -431,6 +430,13 @@ def _row_graph_and_group(row: str, n: Optional[int]) -> tuple[Graph, PermGroup, 
     raise GraphError(f"unknown classification row {row!r}")
 
 
+def _arc_row_s_max(g: Graph, G: PermGroup) -> int:
+    """The bound of a row below its full group: 3 when G is 2-arc transitive
+    on g, 1 when only arc transitive, 0 otherwise."""
+    arc = _verdicts(g, G, "s-arc", [1, 2], local=False)
+    return 3 if arc[2] else 1 if arc[1] else 0
+
+
 def _expected_s_max(row: str, g: Graph, G: PermGroup, n: Optional[int], diam_s: int) -> int:
     """Largest s with the subdivision locally (G, s)-distance transitive,
     according to the published classification for this row's graph."""
@@ -451,22 +457,14 @@ def _expected_s_max(row: str, g: Graph, G: PermGroup, n: Optional[int], diam_s: 
         conds = _bipartite_conditions(g, G)
         if all(conds.values()):
             return 4
-        if is_s_arc_transitive(g, G, 2).verdict:
-            return 3
-        if is_s_arc_transitive(g, G, 1).verdict:
-            return 1
-        return 0
+        return _arc_row_s_max(g, G)
     if row == "C5":
         return 5 if order == 10 else 0
     if row in ("P", "HoSi"):
         full = {"P": (120,), "HoSi": (126000, 252000)}[row]
         if order in full:
             return diam_s
-        if is_s_arc_transitive(g, G, 2).verdict:
-            return 3
-        if is_s_arc_transitive(g, G, 1).verdict:
-            return 1
-        return 0
+        return _arc_row_s_max(g, G)
     raise GraphError(f"unknown classification row {row!r}")
 
 
@@ -604,7 +602,7 @@ def check_bipartite_conditions(n: int, G: PermGroup) -> CheckOutcome:
         raise GraphError("group degree must be 2n")
     conds = _bipartite_conditions(g, G)
     sg, Gs = _lift(g, G)
-    rhs = is_locally_s_distance_transitive(sg.graph, Gs, 4).verdict
+    rhs = _verdicts(sg.graph, Gs, "s-distance", [4])[4]
     lhs = all(conds.values())
     return _outcome(name, instance, lhs == rhs, {**conds, "local_4_distance": rhs})
 

@@ -3,6 +3,7 @@ import glob
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,22 @@ class TestCli:
         assert main(["build", "complete", "0", "--out", str(tmp_path / "x.g")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, usage", [
+        (["complete", "x"], "build complete N"),
+        (["complete", "4.5"], "build complete N"),
+        (["complete-bipartite", "3"], "build complete-bipartite M N"),
+        (["cycle"], "build cycle N"),
+        (["petersen", "5"], "build petersen"),
+        (["hoffman-singleton", "1", "2"], "build hoffman-singleton"),
+    ])
+    def test_build_bad_parameters(self, tmp_path, capsys, args, usage):
+        # a non-integer parameter, or a parameter a fixed family does not take,
+        # is a usage error, not a traceback or an ignored argument
+        out = tmp_path / "x.g"
+        assert main(["build", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: usage: {usage}\n"
+        assert not out.exists()
+
     def test_dist2_writes_components(self, tmp_path):
         g_path = str(tmp_path / "c6.g")
         main(["build", "cycle", "6", "--out", g_path])
@@ -297,7 +314,7 @@ class TestCli:
             assert main(args + ["--out", out]) == 0
             stdout = capsys.readouterr().out
             assert ("from the base graph on" in stdout) == shortcut
-            reports.append((open(out, "rb").read(), [ln for ln in stdout.splitlines() if ln.startswith("s=")]))
+            reports.append((Path(out).read_bytes(), [ln for ln in stdout.splitlines() if ln.startswith("s=")]))
         assert reports[0] == reports[1]
 
     def test_analyze_degree_mismatch_fails(self, tmp_path, capsys):
@@ -317,7 +334,7 @@ class TestCli:
         rep2 = str(tmp_path / "r2.jsonl")
         assert main(["verify", "--config", str(cfg), "--out", rep1]) == 0
         assert main(["verify", "--config", str(cfg), "--out", rep2]) == 0
-        assert open(rep1, "rb").read() == open(rep2, "rb").read()
+        assert Path(rep1).read_bytes() == Path(rep2).read_bytes()
 
     def test_verify_report_matches_golden(self, tmp_path):
         # the committed report pins verdicts, witnesses and details across
@@ -326,7 +343,7 @@ class TestCli:
         cfg.write_text(GOLDEN_CONFIG)
         out = tmp_path / "r.jsonl"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-        want = open(GOLDEN_VERIFY).read().splitlines()
+        want = Path(GOLDEN_VERIFY).read_text().splitlines()
         got = out.read_text().splitlines()
         assert len(got) == len(want) == 343
         assert len({json.loads(line)["name"] for line in want}) == 12
@@ -382,6 +399,14 @@ class TestCli:
         cfg.write_text(f"# comment\n{line}\n")
         assert main(["verify", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}:2: {message}\n"
+
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    def test_verify_bad_budget_flag(self, capsys, budget):
+        # the flag obeys the config key's rule: -1 would skip every check, nan none
+        assert main(["verify", "--budget", budget]) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: --budget: budget_seconds must be >= 0, got {float(budget)}\n"
+        assert out.out == ""
 
     def test_verify_bad_config_names_the_later_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

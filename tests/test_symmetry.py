@@ -43,6 +43,7 @@ from subsym.symmetry import (
     is_s_distance_transitive,
     is_vertex_transitive,
     transitivity_reports,
+    transitivity_verdicts,
     verify_witness,
 )
 from subsym.transforms import subdivide
@@ -456,6 +457,53 @@ class TestOneEvaluationPath:
             transitivity_reports(g, G, "arc", False, [1])
         with pytest.raises(ValueError):
             transitivity_reports(g, G, "s-arc", False)
+
+
+class TestVerdictPath:
+    """transitivity_verdicts walks the levels across the representatives and
+    stops at the first failing level; its verdicts must be the reports'."""
+
+    S_MAX_ARC = 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_verdicts_equal_report_verdicts(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(2, 7))
+        sg = subdivide(g)
+        for H in random_subgroups(automorphism_group(g), 2, rng.randrange(2**30)):
+            for graph, G in ((g, H), (sg.graph, induced_subdivision_action(H, sg))):
+                d = graph.diameter()
+                for name, cap in (("s-arc", self.S_MAX_ARC), ("s-distance", d)):
+                    for local in (True, False):
+                        s_values = rng.sample(range(1, cap + 1), rng.randint(0, cap))
+                        want = {r.kind.s: r.verdict for r in transitivity_reports(graph, G, name, local, s_values)}
+                        assert transitivity_verdicts(graph, G, name, local, s_values) == want
+                        assert list(want) == s_values
+                        for bad in ([1, 0], [d + 1]) if name == "s-distance" else ([0],):
+                            with pytest.raises(GraphError) as want_error:
+                                transitivity_reports(graph, G, name, local, bad)
+                            with pytest.raises(GraphError) as got_error:
+                                transitivity_verdicts(graph, G, name, local, bad)
+                            assert str(got_error.value) == str(want_error.value)
+
+    @pytest.mark.parametrize("name", ["s-arc", "s-distance"])
+    @pytest.mark.parametrize("local", [True, False])
+    def test_stops_at_the_first_failing_level(self, name, local):
+        # the trivial group fixes both neighbours of vertex 0 of C_5, so the
+        # first representative fails at level 1 and no other G_v is built
+        g = make_cycle(5)
+        walked, reported = trivial_group(5), trivial_group(5)
+        assert transitivity_verdicts(g, walked, name, local, [1, 2]) == {1: False, 2: False}
+        assert [r.verdict for r in transitivity_reports(g, reported, name, local, [1, 2])] == [False, False]
+        assert list(walked._stabilizers) == [0]
+        assert sorted(reported._stabilizers) == [0, 1, 2, 3, 4]
+
+    def test_unparameterised_kinds_rejected(self):
+        g, G = make_cycle(5), dihedral_group(5)
+        for name, s_values in (("arc", None), ("distance", None), ("arc", [1])):
+            with pytest.raises(ValueError):
+                transitivity_verdicts(g, G, name, True, s_values)
 
 
 class TestGlobalReportsAgainstElementwiseOrbits:
