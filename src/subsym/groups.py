@@ -13,6 +13,14 @@ lift is faithful, so no chain is built on its n + m points: its order is
 B's, its chain is B's chain with points mapped and elements lifted, and its
 point stabilizers are lifts of B's stabilizers, G_v for a V-point and the
 setwise edge stabilizer for an E-point. Those are lifted groups again.
+
+Every other chain is built by ``StabilizerChain(G, prefix)`` and memoised on
+G with its base prefix. A request for prefix P reuses a memoised chain built
+with prefix Q and base b when len(Q) <= len(P) and b agrees with P on their
+common length: both builds then choose the same base point at every level
+they create, so the memoised chain is the one P would build. Point and edge
+stabilizers are memoised on G in the same way, keyed by the point or by the
+ordered pair.
 """
 
 from __future__ import annotations
@@ -174,8 +182,8 @@ class PermGroup:
     """A permutation group given by generators, with a lazily built chain."""
 
     __slots__ = (
-        "degree", "generators", "_chain", "_orbits", "_stabilizers", "_lock", "_validated_graphs",
-        "_lift", "__weakref__",
+        "degree", "generators", "_chain", "_chains", "_orbits", "_stabilizers", "_lock",
+        "_validated_graphs", "_lift", "__weakref__",
     )
 
     def __init__(
@@ -196,9 +204,14 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain = _chain
+        # (prefix, base, chain) per chain StabilizerChain(self, prefix) built; see _prefix_chain
+        self._chains: list[tuple[tuple[int, ...], tuple[int, ...], StabilizerChain]] = []
         self._orbits: Optional[tuple[tuple[int, ...], ...]] = None  # see point_orbits
-        self._stabilizers: dict[int, PermGroup] = {}  # point -> G_v, see stabilizer_point
-        self._lock = threading.Lock()
+        # point v -> G_v, ordered pair (u, v) -> setwise stabilizer of {u, v};
+        # see stabilizer_point and stabilizer_edge
+        self._stabilizers: dict[Any, PermGroup] = {}
+        # reentrant: a stabilizer build holds it while _prefix_chain takes it again
+        self._lock = threading.RLock()
         # graphs known to be preserved; equal graphs share one entry
         self._validated_graphs: weakref.WeakSet = weakref.WeakSet()
         # (base group, lift) when this group is the lift of a base-graph group
@@ -209,7 +222,7 @@ class PermGroup:
             with self._lock:
                 if self._chain is None:
                     if self._lift is None:
-                        self._chain = StabilizerChain(self)
+                        self._chain = _prefix_chain(self, ())
                     else:
                         base, lift = self._lift
                         self._chain = lift.chain(base.chain())
@@ -449,18 +462,40 @@ def _check_point(G: PermGroup, v: int) -> None:
         raise PermError(f"point {v} out of range")
 
 
+def _prefix_chain(G: PermGroup, prefix: Sequence[int]) -> StabilizerChain:
+    """The chain ``StabilizerChain(G, prefix)`` builds, memoised on G. A
+    memoised chain built with prefix Q and base b serves prefix P when
+    len(Q) <= len(P) and b agrees with P on their first min(len b, len P)
+    points: at every level either build creates, both take the same point,
+    P's or Q's where the prefixes reach and the same residue's first moved
+    point after that, so the chain is the one P would build."""
+    prefix = tuple(prefix)
+    with G._lock:
+        for q, base, chain in G._chains:
+            if len(q) <= len(prefix) and base[: len(prefix)] == prefix[: len(base)]:
+                return chain
+        chain = StabilizerChain(G, prefix)
+        G._chains.append((prefix, tuple(chain.base()), chain))
+        return chain
+
+
+def _memoised_stabilizer(G: PermGroup, key, build: Callable[[PermGroup, Any], PermGroup]) -> PermGroup:
+    """G._stabilizers[key], built once behind G's lock."""
+    H = G._stabilizers.get(key)
+    if H is None:
+        with G._lock:
+            H = G._stabilizers.get(key)
+            if H is None:
+                H = G._stabilizers[key] = build(G, key)
+    return H
+
+
 def stabilizer_point(G: PermGroup, v: int) -> PermGroup:
     """The point stabilizer G_v. It is built once per (G, v) and memoised on
     G behind the lock that guards G's chain, so every later call returns the
     same object."""
     _check_point(G, v)
-    Gv = G._stabilizers.get(v)
-    if Gv is None:
-        with G._lock:
-            Gv = G._stabilizers.get(v)
-            if Gv is None:
-                Gv = G._stabilizers[v] = _build_stabilizer(G, v)
-    return Gv
+    return _memoised_stabilizer(G, v, _build_stabilizer)
 
 
 def _build_stabilizer(G: PermGroup, v: int) -> PermGroup:
@@ -470,7 +505,7 @@ def _build_stabilizer(G: PermGroup, v: int) -> PermGroup:
         base, lift = G._lift
         x = lift.base_of[v]
         return lift.group(stabilizer_point(base, x) if isinstance(x, int) else stabilizer_edge(base, x))
-    chain = StabilizerChain(G, base_prefix=[v])
+    chain = _prefix_chain(G, [v])
     if len(chain.levels) < 2:
         return PermGroup(G.degree, ())
     return PermGroup(
@@ -482,7 +517,8 @@ def _build_stabilizer(G: PermGroup, v: int) -> PermGroup:
 
 def stabilizer_edge(G: PermGroup, e: tuple[int, int]) -> PermGroup:
     """Setwise stabilizer of a 2-set {u, v}: the pointwise stabilizer extended
-    by one endpoint-swapping element when such an element exists.
+    by one endpoint-swapping element when such an element exists. It is
+    memoised on G under the ordered pair (u, v), as stabilizer_point is.
 
     Everything is read off one chain with base prefix [u, v]: level 0's
     transversal gives t with u^t = v, level 1's gives h in G_u with
@@ -494,7 +530,12 @@ def stabilizer_edge(G: PermGroup, e: tuple[int, int]) -> PermGroup:
     _check_point(G, v)
     if u == v:
         raise PermError("edge must be a 2-set")
-    levels = StabilizerChain(G, base_prefix=[u, v]).levels
+    return _memoised_stabilizer(G, (u, v), _build_edge_stabilizer)
+
+
+def _build_edge_stabilizer(G: PermGroup, e: tuple[int, int]) -> PermGroup:
+    u, v = e
+    levels = _prefix_chain(G, e).levels
     gens = list(levels[2].gens) if len(levels) > 2 else []
     if levels and v in levels[0].transversal:
         orbit_of_v = levels[1].transversal if len(levels) > 1 else {v: Perm.identity(G.degree)}

@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .groups import (
     PermGroup,
-    StabilizerChain,
+    _prefix_chain,
     alternating_group,
     cycle_half_dihedral,
     cyclic_group,
@@ -51,6 +51,7 @@ from .groups import (
     stabilizer_point,
     symmetric_group,
     trivial_group,
+    validate_automorphisms,
     wreath_s2,
 )
 from .perms import Perm
@@ -397,7 +398,7 @@ def is_k_transitive(G: PermGroup, k: int) -> bool:
     n = G.degree
     if k > n:
         return False
-    levels = StabilizerChain(G, base_prefix=range(k)).levels
+    levels = _prefix_chain(G, range(k)).levels
     return all(
         (len(levels[i].transversal) if i < len(levels) else 1) == n - i for i in range(k)
     )
@@ -567,8 +568,13 @@ def _bipartite_conditions(g: Graph, G: PermGroup) -> dict[str, bool]:
         h2 = PermGroup(n, [Perm(tuple(x - n for x in p.images[n:])) for p in N.generators])
         cond_ii = is_k_transitive(h1, 2) and is_k_transitive(h2, 2)
     if cond_ii:
+        # G_{u1^g} is G_{u1} conjugated by g, and an automorphism that maps u1
+        # into side 1 keeps the sides: one u1 per G-orbit meeting side 1 decides all
         apply = lambda p, t: p.apply_tuple(t)
-        for u1 in side1:
+        for orb in G.point_orbits():
+            u1 = orb[0]
+            if u1 >= n:
+                continue
             Gu = stabilizer_point(G, u1)
             domain = [(a, b) for a in side1 if a != u1 for b in side2]
             orbits, _ = orbit_partition(Gu, domain, apply)
@@ -580,15 +586,18 @@ def _bipartite_conditions(g: Graph, G: PermGroup) -> dict[str, bool]:
 
 
 def _edge_swap_and_complement(G: PermGroup, side1, side2) -> bool:
-    for u1 in side1:
-        for u2 in side2:
-            Ge = stabilizer_edge(G, (u1, u2))
-            if not any(u1 in orb and u2 in orb for orb in Ge.point_orbits()):
-                return False
-            domain = [(a, b) for a in side1 if a != u1 for b in side2 if b != u2]
-            orbits, _ = orbit_partition(Ge, domain, pair_set_action(domain).apply)
-            if len(orbits) > 1:
-                return False
+    """Condition (iii), checked at one edge per G-orbit on the edges: both
+    parts are invariant under conjugation by G."""
+    edges = [(u1, u2) for u1 in side1 for u2 in side2]
+    edge_orbits, _ = orbit_partition(G, edges, pair_set_action(edges).apply)
+    for u1, u2 in (edge_orbit[0] for edge_orbit in edge_orbits):
+        Ge = stabilizer_edge(G, (u1, u2))
+        if not any(u1 in orb and u2 in orb for orb in Ge.point_orbits()):
+            return False
+        domain = [(a, b) for a in side1 if a != u1 for b in side2 if b != u2]
+        orbits, _ = orbit_partition(Ge, domain, pair_set_action(domain).apply)
+        if len(orbits) > 1:
+            return False
     return True
 
 
@@ -596,10 +605,11 @@ def check_bipartite_conditions(n: int, G: PermGroup) -> CheckOutcome:
     """The three conditions above hold together iff the subdivided K_{n,n}
     is locally (G, 4)-distance transitive."""
     name = "bipartite-conditions"
-    instance = f"K_{{{n},{n}}} |G|={G.order()}"
-    g = make_complete_bipartite(n, n)
     if G.degree != 2 * n:
         raise GraphError("group degree must be 2n")
+    instance = f"K_{{{n},{n}}} |G|={G.order()}"
+    g = make_complete_bipartite(n, n)
+    validate_automorphisms(g, G)  # the one-per-orbit checks need automorphisms
     conds = _bipartite_conditions(g, G)
     sg, Gs = _lift(g, G)
     rhs = _verdicts(sg.graph, Gs, "s-distance", [4])[4]
@@ -627,7 +637,7 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
     s_values = [n] + ([n - 1] if n % 2 == 1 else [])
     sg, Gs = _lift(g, G)
     positives = _verdicts(sg.graph, Gs, "s-distance", s_values)
-    subs = [H for H in random_subgroups(G, 3 * subgroup_count, seed) if H.order() < G.order()]
+    subs = random_subgroups(G, 3 * subgroup_count, seed)
     fallback = [cyclic_group(n), trivial_group(n), PermGroup(n, [dihedral_group(n).generators[1]])]
     if n % 2 == 0:
         fallback.append(cycle_half_dihedral(n))

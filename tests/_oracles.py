@@ -143,6 +143,43 @@ def brute_level_orbits(g, elements, name, i):
     return orbits
 
 
+def brute_bipartite_conditions(n, elements):
+    """The three K_{n,n} conditions of theorems._bipartite_conditions, read
+    off the explicit group elements (image tuples on sides 0..n-1 and
+    n..2n-1, as from brute_closure) at every u1 and every edge: (i) one
+    orbit on the vertices; (ii) (i), the side-preserving elements
+    2-transitive on each side, and each G_u1 transitive on the ordered
+    pairs (a, b), a != u1 in side 1, b in side 2; (iii) each edge's setwise
+    stabilizer swaps its ends and is transitive on the edges disjoint from
+    it."""
+    side1, side2 = range(n), range(n, 2 * n)
+
+    def transitive(group, domain, image):
+        domain = set(domain)
+        return not domain or {image(e, next(iter(domain))) for e in group} == domain
+
+    cond_i = {e[0] for e in elements} == set(range(2 * n))
+    kept = [e for e in elements if all(e[x] < n for x in side1)]
+    cond_ii = cond_i and n >= 2 and all(
+        {(e[side[0]], e[side[1]]) for e in kept} == {(a, b) for a in side for b in side if a != b}
+        for side in (side1, side2)
+    ) and all(
+        transitive([e for e in elements if e[u1] == u1],
+                   [(a, b) for a in side1 if a != u1 for b in side2],
+                   lambda e, t: (e[t[0]], e[t[1]]))
+        for u1 in side1
+    )
+    cond_iii = True
+    for u1 in side1:
+        for u2 in side2:
+            setwise = [e for e in elements if {e[u1], e[u2]} == {u1, u2}]
+            disjoint = [(a, b) for a in side1 if a != u1 for b in side2 if b != u2]
+            if not any(e[u1] == u2 for e in setwise) or not transitive(
+                    setwise, disjoint, lambda e, t: tuple(sorted((e[t[0]], e[t[1]])))):
+                cond_iii = False
+    return {"i": cond_i, "ii": cond_ii, "iii": cond_iii}
+
+
 def individualize(cells, x, y):
     """Split x -> y out of their cells: {x} -> {y} takes the cell's place,
     followed by the rest of it. None when x and y lie in different cells.

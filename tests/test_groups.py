@@ -188,6 +188,9 @@ class TestOrbitsAndStabilizers:
         G = automorphism_group(make_petersen())
         assert stabilizer_point(G, 3) is stabilizer_point(G, 3)
         assert stabilizer_point(G, 3) is not stabilizer_point(G, 4)
+        # edge stabilizers are memoised under the ordered pair
+        assert stabilizer_edge(G, (0, 1)) is stabilizer_edge(G, (0, 1))
+        assert stabilizer_edge(G, (1, 0)) is not stabilizer_edge(G, (0, 1))
 
     def test_point_orbits_are_cached_and_shared(self, monkeypatch):
         sg = subdivide(make_petersen())
@@ -456,6 +459,65 @@ class TestLiftedGroups:
             _check_against_scratch_chain(lifted[0], rng)
 
 
+_NAMED_GROUPS = {
+    "symmetric": symmetric_group,
+    "alternating": alternating_group,
+    "dihedral": dihedral_group,
+    "wreath": wreath_s2,
+    "trivial": trivial_group,
+    "cyclic": cyclic_group,
+}
+
+
+@st.composite
+def _memo_cases(draw):
+    """A group with nothing memoised, and up to 8 prefixes of 0-4 distinct points."""
+    kind = draw(st.sampled_from(["aut", *_NAMED_GROUPS]))
+    n = draw(st.integers(min_value=3, max_value=7))
+    if kind == "aut":
+        rng = random.Random(draw(st.integers(min_value=0, max_value=10**9)))
+        pool = random_subgroups(automorphism_group(random_connected_graph(rng, n)), 3, rng.randrange(10**6))
+        H = draw(st.sampled_from(pool))
+    else:
+        H = _NAMED_GROUPS[kind](n)
+    G = PermGroup(H.degree, H.generators)
+    points = st.integers(min_value=0, max_value=G.degree - 1)
+    prefixes = draw(st.lists(
+        st.lists(points, unique=True, max_size=min(4, G.degree)).map(tuple), min_size=1, max_size=8))
+    return G, prefixes
+
+
+class TestChainMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(_memo_cases())
+    def test_memoised_chain_is_the_one_the_prefix_builds(self, case):
+        G, prefixes = case
+        for prefix in prefixes:
+            chain = groups_module._prefix_chain(G, prefix)
+            assert _levels_digest(chain) == _levels_digest(groups_module.StabilizerChain(G, prefix))
+            assert groups_module._prefix_chain(G, prefix) is chain
+        assert len({prefix for prefix, _, _ in G._chains}) == len(G._chains)
+
+    def test_longer_prefix_is_not_reused(self):
+        G = symmetric_group(5)
+        longer = groups_module._prefix_chain(G, (0, 2))
+        shorter = groups_module._prefix_chain(G, (0,))
+        # the chain based at [0, 2, ...] agrees with (0,) on its first point,
+        # but the (0,) build takes its second base point by precedence
+        assert longer.base()[:2] == [0, 2] and shorter.base()[:2] == [0, 1]
+        assert _levels_digest(shorter) == _levels_digest(groups_module.StabilizerChain(G, (0,)))
+        # the shorter chain serves every longer prefix its base agrees with
+        assert groups_module._prefix_chain(G, (0, 1, 2)) is shorter
+        assert groups_module._prefix_chain(G, (0, 2, 1)) is longer
+
+    def test_given_and_lifted_chains_are_not_memoised(self):
+        Gv = stabilizer_point(symmetric_group(5), 0)  # a chain tail passed in through _chain=
+        assert Gv.chain().order() == 24 and Gv._chains == []
+        sg = subdivide(make_petersen())
+        lifted = induced_subdivision_action(automorphism_group(make_petersen()), sg)
+        assert lifted.chain().order() == 120 and lifted._chains == []
+
+
 class TestSubgroups:
     def test_random_subgroups_contract(self):
         G = symmetric_group(5)
@@ -576,6 +638,60 @@ class TestConcurrency:
         G0, G50, chain = results[0]
         assert (G0.order(), G50.order(), chain.order()) == (5040, 1440, 252000)
 
+    def test_concurrent_memoised_chains_are_built_once(self, monkeypatch):
+        import sys
+        import threading
+
+        G = pgammal_2_8()
+        G = PermGroup(G.degree, G.generators)  # nothing memoised yet
+        built = []
+        real = groups_module.StabilizerChain.__init__
+
+        def counting(self, H, base_prefix=()):
+            real(self, H, base_prefix)
+            if H is G:
+                built.append(tuple(base_prefix))
+
+        monkeypatch.setattr(groups_module.StabilizerChain, "__init__", counting)
+        calls = [
+            ("point", 0), ("point", 4), ("edge", (0, 1)), ("edge", (4, 2)), ("edge", (1, 0)),
+            ("k", 2), ("k", 3), ("k", 4), ("chain", None),
+        ]
+        results = []
+        start = threading.Barrier(8)
+
+        def query(seed):
+            order = random.Random(seed).sample(calls, len(calls))
+            out = {}
+            start.wait(timeout=60)
+            for kind, arg in order:
+                if kind == "point":
+                    out[kind, arg] = stabilizer_point(G, arg)
+                elif kind == "edge":
+                    out[kind, arg] = stabilizer_edge(G, arg)
+                elif kind == "k":
+                    out[kind, arg] = is_k_transitive(G, arg)
+                else:
+                    out[kind, arg] = G.chain()
+            results.append(out)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=query, args=(seed,)) for seed in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        first = results[0]
+        assert all(r[key] is first[key] for r in results for key in first)
+        assert [first["k", k] for k in (2, 3, 4)] == [True, True, False]
+        assert len(built) == len(set(built))  # each prefix chain built once
+        assert first["chain", None].order() == 1512
+
 
 class TestOrbitPartition:
     def test_partition_counts(self):
@@ -689,7 +805,10 @@ class TestPinnedChainBytes:
                 built.append(self)
 
         monkeypatch.setattr(groups_module, "StabilizerChain", Capture)
-        Ge = stabilizer_edge(groups["fixture"], (0, 50))
+        # a fresh group with the fixture's generators: the class-scoped one
+        # may already hold this edge stabilizer
+        G = groups["fixture"]
+        Ge = stabilizer_edge(PermGroup(G.degree, G.generators), (0, 50))
         assert len(built) == 1 and Ge.order() == 720
         assert _levels_digest(built[0]) == "ed7d0b29d257078957eb308ea73e6508d6adb80406394693b90575ecd3b88075"
         gens = json.dumps([list(g.images) for g in Ge.generators]).encode()

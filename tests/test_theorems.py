@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from subsym import groups as groups_module
 from subsym import theorems
 from subsym.autgrp import automorphism_group
 from subsym.graphs import (
@@ -12,16 +13,20 @@ from subsym.graphs import (
     make_petersen,
 )
 from subsym.groups import (
+    NotAnAutomorphismError,
+    PermGroup,
     alternating_group,
     cycle_half_dihedral,
     cyclic_group,
     dihedral_group,
     pgammal_2_8,
     pgl_2_8,
+    random_subgroups,
     symmetric_group,
     trivial_group,
     wreath_s2,
 )
+from subsym.perms import Perm
 from subsym.theorems import (
     CONFIRMED,
     REFUTED,
@@ -43,6 +48,22 @@ from subsym.theorems import (
     summarize,
     _s3_times_s3,
 )
+
+from _oracles import brute_bipartite_conditions, brute_closure
+
+
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """Every StabilizerChain built while the test runs."""
+    built = []
+
+    class Capture(groups_module.StabilizerChain):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(groups_module, "StabilizerChain", Capture)
+    return built
 
 
 class TestLocalArcEquivalence:
@@ -191,6 +212,12 @@ class TestClassificationRows:
         for n in (2, 3):
             assert check_classification_row("Knn", wreath_s2(n), n).status == CONFIRMED
 
+    def test_kn_row_reuses_the_group_chain(self, chain_builds):
+        # G.order()'s chain serves every stabilizer whose prefix its base
+        # starts with; only the 4-transitivity test needs a chain of its own
+        assert check_classification_row("Kn", symmetric_group(9), 9).status == CONFIRMED
+        assert len(chain_builds) == 2
+
     def test_published_table_fails_on_k5_with_a5(self):
         # The machine-found counterexample: the published table predicts the
         # alternating group fails at s=4 on the subdivided K_5, but every
@@ -217,6 +244,33 @@ class TestBipartiteConditions:
         oc = check_bipartite_conditions(3, _s3_times_s3())
         assert oc.status == CONFIRMED
         assert not oc.details["iii"] and not oc.details["local_4_distance"]
+
+    def test_rejects_a_group_that_does_not_preserve_the_graph(self):
+        with pytest.raises(NotAnAutomorphismError):
+            check_bipartite_conditions(2, PermGroup(4, [Perm.from_cycles(4, [(1, 2)])]))
+
+    def test_one_check_per_orbit(self, chain_builds):
+        # wreath_s2(4) is transitive on vertices and on edges: one G_u1 and
+        # one edge stabilizer, against 4 and 16 at every u1 and every edge
+        assert check_bipartite_conditions(4, wreath_s2(4)).status == CONFIRMED
+        assert len(chain_builds) == 4
+
+    def test_conditions_match_every_vertex_and_edge(self):
+        diagonal = PermGroup(6, [  # S_3 acting on both sides at once, and the side swap
+            Perm.from_cycles(6, [(0, 1), (3, 4)]),
+            Perm.from_cycles(6, [(0, 1, 2), (3, 4, 5)]),
+            wreath_s2(3).generators[0],
+        ])
+        cases = [(n, wreath_s2(n)) for n in (2, 3, 4)] + [(3, _s3_times_s3()), (3, diagonal)]
+        cases += [(3, H) for seed in range(6) for H in random_subgroups(wreath_s2(3), 6, seed)]
+        seen = set()
+        for n, G in cases:
+            expected = brute_bipartite_conditions(n, brute_closure(G.generators, 2 * n))
+            assert theorems._bipartite_conditions(make_complete_bipartite(n, n), G) == expected
+            seen.add(tuple(expected.values()))
+        # all hold; (iii) alone fails; (ii) fails with (i) holding (the diagonal
+        # group is 2-transitive on each side, but G_0 has order 2 on 6 pairs)
+        assert {(True, True, True), (True, True, False), (True, False, False), (False, False, False)} <= seen
 
 
 class TestLargeSCycles:
@@ -298,6 +352,19 @@ class TestRunCorpus:
         full = stripped(run_corpus(CorpusConfig()))
         parts = [stripped(run_corpus(CorpusConfig(sections=(name,)))) for name in theorems.ALL_SECTIONS]
         assert all(parts) and sum(parts, []) == full
+
+    def test_edge_stabilizers_per_default_run(self, monkeypatch):
+        calls = []
+        edge = groups_module.stabilizer_edge
+
+        def counting(G, e):
+            calls.append((G, e))
+            return edge(G, e)
+
+        monkeypatch.setattr(groups_module, "stabilizer_edge", counting)
+        monkeypatch.setattr(theorems, "stabilizer_edge", counting)
+        assert summarize(run_corpus(CorpusConfig()))[REFUTED] == 0
+        assert len(calls) <= 76
 
     def test_random_sweep_lifts_each_graph_once(self, monkeypatch):
         subdivide = theorems.subdivide
