@@ -51,7 +51,6 @@ from .groups import (
     SubdivisionLift,
     is_graph_automorphism,
     orbit_partition,
-    point_action,
     validate_automorphisms,
 )
 from .perms import Perm
@@ -290,7 +289,6 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     if g.n == 0:
         return PermGroup(0, ())
     search = _MappingSearch(g, g, node_budget)
-    image = point_action(g.n).apply
     # first pass: (equitable partition, target cell index, base point) per level
     path: list[tuple[list[_Cell], int, int]] = []
     cells = search._refine(search.initial_cells())
@@ -306,18 +304,18 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     group = PermGroup(g.n, gens)
     order = 1
     for cells, at, b in reversed(path):
-        in_orbit = orbit_partition(group, [b], image)[1]
+        in_orbit = orbit_partition(group, [b], Perm.__call__)[1]
         excluded: set[int] = set()
         for w in sorted(cells[at].s):
             if w in in_orbit or w in excluded:
                 continue
             mapping = search._dfs(*_child(cells, at, b, w))
             if mapping is None:
-                excluded.update(orbit_partition(group, [w], image)[1])
+                excluded.update(orbit_partition(group, [w], Perm.__call__)[1])
                 continue
             gens.append(Perm(mapping))
             group = PermGroup(g.n, gens)
-            in_orbit = orbit_partition(group, [b], image)[1]
+            in_orbit = orbit_partition(group, [b], Perm.__call__)[1]
         order *= len(in_orbit)
 
     # the search-side order is an independent count; a mismatch is a bug

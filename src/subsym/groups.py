@@ -1,4 +1,10 @@
-"""Exact permutation groups: stabilizer chains, orbits, stabilizers, actions.
+"""Exact permutation groups: stabilizer chains, orbits, stabilizers, and
+groups lifted from a base graph to its subdivision.
+
+Orbits of every action come from one routine, ``orbit_partition(G, domain,
+apply)``, where apply(p, x) is the image of x under p: ``Perm.__call__`` on
+points, ``Perm.apply_tuple`` on tuples such as arcs, and ``pair_image`` on
+unordered pairs such as edges.
 
 The stabilizer chain is built by a deterministic incremental Schreier-Sims:
 each added strong generator extends its level's orbit and only the newly
@@ -29,7 +35,6 @@ import random
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .graphs import Graph, GraphError
@@ -250,8 +255,7 @@ class PermGroup:
         callers that build chains hold the group's lock, and two threads that
         race here compute equal values."""
         if self._orbits is None:
-            act = point_action(self.degree)
-            orbits, _ = orbit_partition(self, act.domain, act.apply)
+            orbits, _ = orbit_partition(self, range(self.degree), Perm.__call__)
             self._orbits = tuple(tuple(sorted(orb)) for orb in orbits)
         return self._orbits
 
@@ -262,36 +266,10 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
 
 
-@dataclass(frozen=True)
-class Action:
-    """A G-action: a finite domain plus apply(perm, element) -> element."""
-
-    domain: tuple
-    apply: Callable[[Perm, Any], Any]
-
-
-def point_action(degree: int) -> Action:
-    return Action(domain=tuple(range(degree)), apply=lambda p, x: p.images[x])
-
-
-def tuple_action(domain: Iterable[tuple[int, ...]]) -> Action:
-    return Action(domain=tuple(domain), apply=lambda p, t: p.apply_tuple(t))
-
-
-def pair_set_action(domain: Iterable[tuple[int, int]]) -> Action:
-    """Action on unordered pairs kept as sorted tuples."""
-
-    def apply(p: Perm, e: tuple[int, int]) -> tuple[int, int]:
-        a, b = p.images[e[0]], p.images[e[1]]
-        return (a, b) if a < b else (b, a)
-
-    return Action(domain=tuple(domain), apply=apply)
-
-
-def orbit(G: PermGroup, x: Any, act: Action) -> list:
-    """The orbit of x, in deterministic BFS insertion order."""
-    orbits, _ = orbit_partition(G, [x], act.apply)
-    return orbits[0]
+def pair_image(p: Perm, e: tuple[int, int]) -> tuple[int, int]:
+    """The image of an unordered pair, kept as a sorted tuple, under p."""
+    a, b = p.images[e[0]], p.images[e[1]]
+    return (a, b) if a < b else (b, a)
 
 
 def orbit_partition(G: PermGroup, domain: Sequence, apply: Callable[[Perm, Any], Any]) -> tuple[list[list], dict]:
@@ -321,13 +299,6 @@ def orbit_partition(G: PermGroup, domain: Sequence, apply: Callable[[Perm, Any],
 
 
 # -- group constructors -------------------------------------------------------
-
-
-def from_generators(perms: Sequence[Perm]) -> PermGroup:
-    if not perms:
-        raise PermError("need at least one permutation to infer the degree")
-    degree = perms[0].degree
-    return PermGroup(degree, perms)
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -560,27 +531,16 @@ def is_graph_automorphism(g: Graph, p: Perm) -> bool:
 
 
 def validate_automorphisms(g: Graph, G: PermGroup) -> None:
-    """Check every generator preserves adjacency; cached per (graph, group)."""
+    """Check that G acts on g's vertices and that every generator preserves
+    adjacency; cached per (graph, group)."""
+    if G.degree != g.n:
+        raise GraphError(f"group degree {G.degree} != vertex count {g.n}")
     if g in G._validated_graphs:
         return
     for i, p in enumerate(G.generators):
         if not is_graph_automorphism(g, p):
             raise NotAnAutomorphismError(i, "does not preserve adjacency")
     G._validated_graphs.add(g)
-
-
-def induced_edge_action(G: PermGroup, g: Graph) -> Action:
-    """The action of G on sorted-edge indices of g."""
-    validate_automorphisms(g, G)
-    index = g.edge_index()
-    edges = g.edge_list
-
-    def apply(p: Perm, ei: int) -> int:
-        u, v = edges[ei]
-        a, b = p.images[u], p.images[v]
-        return index[(a, b) if a < b else (b, a)]
-
-    return Action(domain=tuple(range(g.m)), apply=apply)
 
 
 class SubdivisionLift:

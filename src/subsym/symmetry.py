@@ -33,6 +33,7 @@ from .groups import (
     stabilizer_point,
     validate_automorphisms,
 )
+from .perms import Perm
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,9 @@ Profile = dict[int, list[LevelStat]]
 def _check_inputs(g: Graph, G: PermGroup) -> None:
     if g.n == 0:
         raise GraphError("transitivity predicates need a graph with at least one vertex")
-    if G.degree != g.n:
-        raise GraphError(f"group degree {G.degree} != vertex count {g.n}")
+    validate_automorphisms(g, G)  # checks the group degree first
     if not g.is_connected():
         raise GraphError("transitivity predicates need a connected graph")
-    validate_automorphisms(g, G)
 
 
 def vertex_orbit_reps(g: Graph, G: PermGroup) -> list[int]:
@@ -127,10 +126,6 @@ def vertex_orbit_reps(g: Graph, G: PermGroup) -> list[int]:
 def is_vertex_transitive(g: Graph, G: PermGroup) -> bool:
     _check_inputs(g, G)
     return len(G.point_orbits()) == 1
-
-
-def _apply_tuple(p, t):
-    return p.apply_tuple(t)
 
 
 def _partition_stats(group: PermGroup, domain: list, apply) -> LevelStat:
@@ -149,7 +144,7 @@ def _rep_levels(g: Graph, G: PermGroup, v: int, arcs: bool, s_max: int) -> Itera
     Gv = stabilizer_point(G, v)
     if arcs:
         for level in _arc_levels(g, [v], s_max):
-            yield _partition_stats(Gv, level, _apply_tuple)
+            yield _partition_stats(Gv, level, Perm.apply_tuple)
         return
     dist = g.distances_matrix()[v]  # cached; checking an s range builds it
     leaders: list[list[int]] = [[] for _ in range(s_max + 1)]
@@ -385,6 +380,6 @@ def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
     if not all(_in_level_class(g, kind, w.level, w.vertex, x) for x in (w.first, w.second)):
         return False
     group = stabilizer_point(G, w.vertex) if kind.local else G
-    apply = _apply_tuple if isinstance(w.first, tuple) else (lambda p, x: p.images[x])
+    apply = Perm.apply_tuple if isinstance(w.first, tuple) else Perm.__call__
     _, orbit_of_first = orbit_partition(group, [w.first], apply)
     return w.second not in orbit_of_first

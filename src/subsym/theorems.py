@@ -34,7 +34,6 @@ from .graphs import (
 )
 from .groups import (
     PermGroup,
-    _prefix_chain,
     alternating_group,
     cycle_half_dihedral,
     cyclic_group,
@@ -43,7 +42,7 @@ from .groups import (
     equal_groups,
     induced_subdivision_action,
     orbit_partition,
-    pair_set_action,
+    pair_image,
     pgammal_2_8,
     pgl_2_8,
     random_subgroups,
@@ -124,12 +123,6 @@ def _lift(g: Graph, G: PermGroup) -> tuple[SubdivisionGraph, PermGroup]:
     return sg, induced_subdivision_action(G, sg)
 
 
-def _verdicts(g: Graph, G: PermGroup, name: str, s_values, local: bool = True) -> dict[int, bool]:
-    """Verdict per s, in the order given, from one level walk that stops at
-    the first failing level."""
-    return transitivity_verdicts(g, G, name, local, s_values)
-
-
 # -- equivalence checks --------------------------------------------------------
 
 
@@ -150,11 +143,11 @@ def _equivalence_verdicts(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s)
     arc_evaluated = [s for s in arc_s if g.n != 2 or s % 2 == 1]
     Gs = induced_subdivision_action(G, sg)
     sides = {
-        ARC_EQUIVALENCE: _verdicts(sg.graph, Gs, "s-arc", arc_evaluated),
-        DISTANCE_EQUIVALENCE: _verdicts(sg.graph, Gs, "s-distance", distance_s),
+        ARC_EQUIVALENCE: transitivity_verdicts(sg.graph, Gs, "s-arc", True, arc_evaluated),
+        DISTANCE_EQUIVALENCE: transitivity_verdicts(sg.graph, Gs, "s-distance", True, distance_s),
     }
     t_values = sorted({_ceil_half_succ(s) for side in sides.values() for s in side})
-    return sides, _verdicts(g, G, "s-arc", t_values, local=False)
+    return sides, transitivity_verdicts(g, G, "s-arc", False, t_values)
 
 
 def _equivalence_outcomes(verdicts: tuple[dict, dict], arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
@@ -182,12 +175,6 @@ def _equivalence_outcomes(verdicts: tuple[dict, dict], arc_s, distance_s, prefix
     return out
 
 
-def _equivalences(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s, prefix: str) -> list[CheckOutcome]:
-    """The local arc equivalence for each s in arc_s and the local distance
-    equivalence for each s in distance_s, for G acting on sg.base."""
-    return _equivalence_outcomes(_equivalence_verdicts(sg, G, arc_s, distance_s), arc_s, distance_s, prefix)
-
-
 def _once_per_group(evaluated: list, G: PermGroup, evaluate: Callable[[], T]) -> T:
     """The value stored in evaluated for a group equal to G (same elements,
     whatever the generators), or else evaluate(), stored under G."""
@@ -211,7 +198,7 @@ def check_local_arc_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     if not g.is_connected() or g.n < 2:
         return _outcome(ARC_EQUIVALENCE, f"{prefix} s={s}", None, {},
                         "need a connected graph on >= 2 vertices")
-    return _equivalences(subdivide(g), G, [s], [], prefix)[0]
+    return _equivalence_outcomes(_equivalence_verdicts(subdivide(g), G, [s], []), [s], [], prefix)[0]
 
 
 def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
@@ -226,7 +213,7 @@ def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOut
     if s > 2 * d - 1:
         return _outcome(DISTANCE_EQUIVALENCE, instance, None, {"d": d},
                         f"s={s} exceeds 2d-1={2 * d - 1}")
-    return _equivalences(subdivide(g), G, [], [s], prefix)[0]
+    return _equivalence_outcomes(_equivalence_verdicts(subdivide(g), G, [], [s]), [], [s], prefix)[0]
 
 
 def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
@@ -240,11 +227,11 @@ def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
     if g.n == 2:
         return _outcome(name, instance, None, {}, "single-edge graph excluded")
     sg, Gs = _lift(g, G)
-    ldist = _verdicts(sg.graph, Gs, "s-distance", [2, 3])
+    ldist = transitivity_verdicts(sg.graph, Gs, "s-distance", True, [2, 3])
     verdicts = {
         "loc2dist": ldist[2],
-        "base2arc": _verdicts(g, G, "s-arc", [2], local=False)[2],
-        "loc3arc": _verdicts(sg.graph, Gs, "s-arc", [3])[3],
+        "base2arc": transitivity_verdicts(g, G, "s-arc", False, [2])[2],
+        "loc3arc": transitivity_verdicts(sg.graph, Gs, "s-arc", True, [3])[3],
         "loc3dist": ldist[3],
     }
     return _outcome(name, instance, len(set(verdicts.values())) == 1, verdicts)
@@ -270,7 +257,7 @@ def check_edge_stabilizer_conditions(g: Graph, G: PermGroup) -> CheckOutcome:
     if g.n == 2:
         return _outcome(name, instance, a_holds, details)
     left_b = left_a and all(st[1].orbits <= 1 for st in stats)
-    two_arc = _verdicts(g, G, "s-arc", [2], local=False)[2]
+    two_arc = transitivity_verdicts(g, G, "s-arc", False, [2])[2]
     exceptional = _is_even_cycle_half_dihedral(g, G)
     right_b = two_arc or exceptional
     details.update({"left_b": left_b, "two_arc": two_arc, "exceptional_cycle": exceptional})
@@ -282,7 +269,7 @@ def _is_even_cycle_half_dihedral(g: Graph, G: PermGroup) -> bool:
         return False
     if G.order() != g.n or not is_vertex_transitive(g, G):
         return False
-    orbits, _ = orbit_partition(G, list(g.edge_list), pair_set_action(g.edge_list).apply)
+    orbits, _ = orbit_partition(G, g.edge_list, pair_image)
     return len(orbits) == 2
 
 
@@ -299,7 +286,7 @@ def check_girth_bound(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     if s > 2 * d - 1:
         return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
     sg, Gs = _lift(g, G)
-    premise = _verdicts(sg.graph, Gs, "s-distance", [s])[s]
+    premise = transitivity_verdicts(sg.graph, Gs, "s-distance", True, [s])[s]
     gr = g.girth()
     holds = (not premise) or (gr is not None and gr >= s + 2)
     return _outcome(name, instance, holds, {"premise": premise, "girth": gr, "bound": s + 2})
@@ -317,8 +304,8 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
         return _outcome(name, instance, None, {"girth": gr}, "needs girth >= 5")
     sg, Gs = _lift(g, G)
     diam_s = sg.graph.diameter()
-    premise = _verdicts(sg.graph, Gs, "s-distance", [4])[4]
-    conclusion = _verdicts(g, G, "s-arc", [3], local=False)[3]
+    premise = transitivity_verdicts(sg.graph, Gs, "s-distance", True, [4])[4]
+    conclusion = transitivity_verdicts(g, G, "s-arc", False, [3])[3]
     ok = diam_s >= 5 and ((not premise) or conclusion)
     return _outcome(name, instance, ok, {"diam_s": diam_s, "premise": premise, "three_arc": conclusion})
 
@@ -392,13 +379,15 @@ def check_reconstruction(g: Graph, sg: Optional[SubdivisionGraph] = None) -> Che
 
 
 def is_k_transitive(G: PermGroup, k: int) -> bool:
-    """Whether G is k-transitive on its full point domain: with base 0..k-1,
-    the stabilizer of 0..i-1 moves i onto all n - i remaining points for every
-    i < k (a level the chain never needed has a one-point transversal)."""
+    """Whether G is k-transitive on its full point domain: on G's own chain,
+    with base b, the stabilizer of b_0..b_{i-1} moves b_i onto all n - i
+    remaining points for every i < k (a level the chain never needed has a
+    one-point transversal). Any chain decides it, since the stabilizer of
+    any i points of a k-transitive group is transitive on the other n - i."""
     n = G.degree
     if k > n:
         return False
-    levels = _prefix_chain(G, range(k)).levels
+    levels = G.chain().levels
     return all(
         (len(levels[i].transversal) if i < len(levels) else 1) == n - i for i in range(k)
     )
@@ -434,7 +423,7 @@ def _row_graph_and_group(row: str, n: Optional[int]) -> tuple[Graph, PermGroup, 
 def _arc_row_s_max(g: Graph, G: PermGroup) -> int:
     """The bound of a row below its full group: 3 when G is 2-arc transitive
     on g, 1 when only arc transitive, 0 otherwise."""
-    arc = _verdicts(g, G, "s-arc", [1, 2], local=False)
+    arc = transitivity_verdicts(g, G, "s-arc", False, [1, 2])
     return 3 if arc[2] else 1 if arc[1] else 0
 
 
@@ -483,7 +472,7 @@ def check_classification_row(row: str, G: Optional[PermGroup] = None, n: Optiona
     diam_s = 2 * report.d + report.delta
     Gs = induced_subdivision_action(G, sg)
     s_max = _expected_s_max(row, g, G, n, diam_s)
-    verdicts = _verdicts(sg.graph, Gs, "s-distance", range(1, diam_s + 1))
+    verdicts = transitivity_verdicts(sg.graph, Gs, "s-distance", True, range(1, diam_s + 1))
     ok = (
         report.d == d_pub
         and report.delta == delta_pub
@@ -514,7 +503,7 @@ def check_known_exception() -> CheckOutcome:
     G = alternating_group(5)
     instance = "K_5 with A_5"
     sg, Gs = _lift(g, G)
-    verdicts = _verdicts(sg.graph, Gs, "s-distance", range(1, 5))
+    verdicts = transitivity_verdicts(sg.graph, Gs, "s-distance", True, range(1, 5))
     four_transitive = is_k_transitive(G, 4)
     ok = all(verdicts.values()) and not four_transitive
     return _outcome(
@@ -570,14 +559,13 @@ def _bipartite_conditions(g: Graph, G: PermGroup) -> dict[str, bool]:
     if cond_ii:
         # G_{u1^g} is G_{u1} conjugated by g, and an automorphism that maps u1
         # into side 1 keeps the sides: one u1 per G-orbit meeting side 1 decides all
-        apply = lambda p, t: p.apply_tuple(t)
         for orb in G.point_orbits():
             u1 = orb[0]
             if u1 >= n:
                 continue
             Gu = stabilizer_point(G, u1)
             domain = [(a, b) for a in side1 if a != u1 for b in side2]
-            orbits, _ = orbit_partition(Gu, domain, apply)
+            orbits, _ = orbit_partition(Gu, domain, Perm.apply_tuple)
             if len(orbits) > 1:
                 cond_ii = False
                 break
@@ -589,13 +577,13 @@ def _edge_swap_and_complement(G: PermGroup, side1, side2) -> bool:
     """Condition (iii), checked at one edge per G-orbit on the edges: both
     parts are invariant under conjugation by G."""
     edges = [(u1, u2) for u1 in side1 for u2 in side2]
-    edge_orbits, _ = orbit_partition(G, edges, pair_set_action(edges).apply)
+    edge_orbits, _ = orbit_partition(G, edges, pair_image)
     for u1, u2 in (edge_orbit[0] for edge_orbit in edge_orbits):
         Ge = stabilizer_edge(G, (u1, u2))
         if not any(u1 in orb and u2 in orb for orb in Ge.point_orbits()):
             return False
         domain = [(a, b) for a in side1 if a != u1 for b in side2 if b != u2]
-        orbits, _ = orbit_partition(Ge, domain, pair_set_action(domain).apply)
+        orbits, _ = orbit_partition(Ge, domain, pair_image)
         if len(orbits) > 1:
             return False
     return True
@@ -612,7 +600,7 @@ def check_bipartite_conditions(n: int, G: PermGroup) -> CheckOutcome:
     validate_automorphisms(g, G)  # the one-per-orbit checks need automorphisms
     conds = _bipartite_conditions(g, G)
     sg, Gs = _lift(g, G)
-    rhs = _verdicts(sg.graph, Gs, "s-distance", [4])[4]
+    rhs = transitivity_verdicts(sg.graph, Gs, "s-distance", True, [4])[4]
     lhs = all(conds.values())
     return _outcome(name, instance, lhs == rhs, {**conds, "local_4_distance": rhs})
 
@@ -636,7 +624,7 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
     G = dihedral_group(n)
     s_values = [n] + ([n - 1] if n % 2 == 1 else [])
     sg, Gs = _lift(g, G)
-    positives = _verdicts(sg.graph, Gs, "s-distance", s_values)
+    positives = transitivity_verdicts(sg.graph, Gs, "s-distance", True, s_values)
     subs = random_subgroups(G, 3 * subgroup_count, seed)
     fallback = [cyclic_group(n), trivial_group(n), PermGroup(n, [dihedral_group(n).generators[1]])]
     if n % 2 == 0:
@@ -653,7 +641,8 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
     evaluated: list = []  # the selection can hold equal groups: evaluate each once
     negatives = {
         f"sub{idx}(|H|={H.order()})": _once_per_group(
-            evaluated, H, lambda: _verdicts(sg.graph, induced_subdivision_action(H, sg), "s-distance", s_values))
+            evaluated, H,
+            lambda: transitivity_verdicts(sg.graph, induced_subdivision_action(H, sg), "s-distance", True, s_values))
         for idx, H in enumerate(proper)
     }
     ok = all(positives.values()) and all(

@@ -21,9 +21,6 @@ from .graphs import (
     make_cycle,
 )
 
-V_PART = "V"
-E_PART = "E"
-
 
 class MalformedSubdivisionError(GraphError):
     pass
@@ -31,16 +28,14 @@ class MalformedSubdivisionError(GraphError):
 
 @dataclass(frozen=True, slots=True)
 class SubdivisionGraph:
-    """A subdivision graph with its part labelling.
+    """A subdivision graph with its base graph.
 
-    graph: the ambient graph on n+m vertices.
-    part: per-vertex tag, V_PART for original vertices, E_PART for mid-edge ones.
+    graph: the ambient graph on n+m vertices; ids below n are V-vertices.
     edge_of: for each E-vertex (in id order n, n+1, ...), the original edge (u, v).
     base: the original graph.
     """
 
     graph: Graph
-    part: tuple[str, ...]
     edge_of: tuple[tuple[int, int], ...]
     base: Graph
 
@@ -53,7 +48,7 @@ class SubdivisionGraph:
         return self.base.m
 
     def is_v_vertex(self, x: int) -> bool:
-        return self.part[x] == V_PART
+        return x < self.n_base
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +78,7 @@ def subdivide(g: Graph) -> SubdivisionGraph:
         edges.append((u, e))
         edges.append((v, e))
     sg = Graph._trusted(n + m, sorted(edges))  # u < n <= e, and each pair is new
-    part = tuple([V_PART] * n + [E_PART] * m)
-    return SubdivisionGraph(graph=sg, part=part, edge_of=g.edge_list, base=g)
+    return SubdivisionGraph(graph=sg, edge_of=g.edge_list, base=g)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -144,19 +138,6 @@ def split_components(g: Graph) -> list[Component]:
         Component(vertices=tuple(verts), graph=Graph._trusted(len(verts), edges[r]))
         for r, verts in members.items()
     ]
-
-
-def reconstruct(sg: SubdivisionGraph, forget_labels: bool = False) -> Graph:
-    """Recover the original graph from its subdivision.
-
-    With labels, this is exact: each E-vertex contributes its original edge.
-    With forget_labels the part tags are ignored and only the ambient graph is
-    used; the result is then isomorphic to the original (a cycle C_{2n} comes
-    back as the canonical C_n, since cycles subdivide to cycles).
-    """
-    if not forget_labels:
-        return Graph(sg.n_base, sg.edge_of)
-    return reconstruct_from_ambient(sg.graph)
 
 
 def reconstruct_from_ambient(gamma: Graph, comps: Optional[list[Component]] = None) -> Graph:

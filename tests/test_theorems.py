@@ -24,6 +24,7 @@ from subsym.groups import (
     random_subgroups,
     symmetric_group,
     trivial_group,
+    validate_automorphisms,
     wreath_s2,
 )
 from subsym.perms import Perm
@@ -214,9 +215,9 @@ class TestClassificationRows:
 
     def test_kn_row_reuses_the_group_chain(self, chain_builds):
         # G.order()'s chain serves every stabilizer whose prefix its base
-        # starts with; only the 4-transitivity test needs a chain of its own
+        # starts with, and the k-transitivity tests read it as it is
         assert check_classification_row("Kn", symmetric_group(9), 9).status == CONFIRMED
-        assert len(chain_builds) == 2
+        assert len(chain_builds) == 1
 
     def test_published_table_fails_on_k5_with_a5(self):
         # The machine-found counterexample: the published table predicts the
@@ -232,6 +233,22 @@ class TestClassificationRows:
         assert oc.status == CONFIRMED
         assert oc.details["verdicts"] == {1: True, 2: True, 3: True, 4: True}
         assert not oc.details["four_transitive"]
+
+
+class TestGroupDegree:
+    @pytest.mark.parametrize("G", [trivial_group(3), symmetric_group(3)], ids=["no-generators", "S_3"])
+    def test_a_group_on_other_points_is_rejected(self, G):
+        # a group with no generators passes every adjacency check, so only
+        # its degree tells that it does not act on the graph's vertices
+        k5 = make_complete(5)
+        calls = (
+            lambda: validate_automorphisms(k5, G),
+            lambda: check_classification_row("Kn", G, 5),
+            lambda: check_edge_stabilizer_conditions(k5, G),
+        )
+        for call in calls:
+            with pytest.raises(GraphError, match="group degree 3 != vertex count 5"):
+                call()
 
 
 class TestBipartiteConditions:
@@ -416,4 +433,5 @@ class TestRunCorpus:
             assert label.endswith(f"(|G|={G.order()})")
             if reused:
                 distance_s = range(1, min(cfg.s_max, 2 * sg.base.diameter() - 1) + 1)
-                assert got == theorems._equivalences(sg, G, s_values, distance_s, label)
+                verdicts = theorems._equivalence_verdicts(sg, G, s_values, distance_s)
+                assert got == theorems._equivalence_outcomes(verdicts, s_values, distance_s, label)

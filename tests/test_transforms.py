@@ -23,7 +23,6 @@ from subsym.transforms import (
     delta_of,
     distance_two_graph,
     line_graph,
-    reconstruct,
     reconstruct_from_ambient,
     split_components,
     subdivide,
@@ -86,9 +85,9 @@ class TestSubdivide:
         sg = subdivide(g)
         assert sg.graph.n == g.n + g.m and sg.graph.m == 2 * g.m
         assert all(sg.graph.degree(g.n + i) == 2 for i in range(g.m))
-        assert sg.part == tuple(["V"] * g.n + ["E"] * g.m)
         # S(g) is bipartite with parts V = 0..n-1 and E = n..n+m-1
-        assert all(sg.part[a] == "V" and sg.part[b] == "E" for a, b in sg.graph.edge_list)
+        assert all(a < g.n <= b for a, b in sg.graph.edge_list)
+        assert [sg.is_v_vertex(x) for x in range(sg.graph.n)] == [True] * g.n + [False] * g.m
 
     def test_girth_doubles(self):
         for g in small_corpus():
@@ -164,16 +163,18 @@ class TestDistanceTwo:
 
 class TestReconstruct:
     def test_labelled_roundtrip_exact(self):
+        # the neighbours of each E-vertex are its base edge, so the labels alone give g back
         for g in small_corpus():
-            assert reconstruct(subdivide(g)) == g
+            sg = subdivide(g)
+            edges = [tuple(sg.graph.adjacency[x]) for x in range(g.n, sg.graph.n)]
+            assert list(sg.edge_of) == edges and Graph(g.n, edges) == g
 
     def test_forget_labels_roundtrip(self):
         for g in small_corpus():
-            assert is_isomorphic(reconstruct(subdivide(g), forget_labels=True), g)
+            assert is_isomorphic(reconstruct_from_ambient(subdivide(g).graph), g)
 
     def test_cycle_comes_back_canonical(self):
-        got = reconstruct(subdivide(make_cycle(5)), forget_labels=True)
-        assert got == make_cycle(5)
+        assert reconstruct_from_ambient(subdivide(make_cycle(5)).graph) == make_cycle(5)
 
     def test_odd_cycle_rejected(self):
         with pytest.raises(MalformedSubdivisionError):
