@@ -1,46 +1,60 @@
 """Graph automorphism group and isomorphism search.
 
-Both run the same engine: equitable partition refinement (source and target
-partitions refined in lockstep) plus backtracking on individualized vertices.
+Both run the same engine: equitable partition refinement plus backtracking
+on individualised vertices, matching a source graph g1 (the s side) to a
+target graph g2 (the t side); for automorphisms both are g.
 
-The automorphism group is found in two passes over one path (McKay and
-Piperno, J. Symb. Comput. 60, 2014). The first pass refines the invariant
-partition, then at each level individualises the least vertex b_i of the
-first smallest non-singleton cell to itself and refines again, keeping each
-level's partition P_i, until the partition is discrete; b_0, b_1, ... is
-the base. The second pass resolves the levels deepest first. While level
-i is resolved, every generator found so far fixes b_0..b_{i-1}, so they
-generate a subgroup of that pointwise stabilizer: a candidate image w of
-b_i in b_i's orbit under them needs no search, a failed search for w rules
-out w's whole orbit under them, and any other w is searched for from P_i
-with b_i -> w. The deeper levels have by then generated the stabilizer of
+The s side of every search node lies on one individualisation path, g1's
+*first path*: refine the invariant partition, then at each level
+individualise the least vertex x of the first smallest non-singleton cell
+and refine again, until the partition is discrete. The search refines that
+path once, lazily as it first goes deeper, and keeps per level the
+partition, its target cell, x and the *trace* of the refinement that made
+it: for each splitter, the cells it touched in position order, each with
+its sorted (count, size) groups, or with its count if a singleton. A
+search node refines only its t side and compares each splitter step with
+the trace; the first difference kills the node. Refining both sides in
+lockstep compares the same per-side data at the same cell positions, so
+this visits the same nodes in the same order and finds the same mapping
+(McKay and Piperno, J. Symb. Comput. 60, 2014).
+
+The automorphism group is found in two passes over the first path. The
+first pass records it; its x's, b_0, b_1, ..., are the base. The second
+pass resolves the levels deepest first. While level i is resolved, every
+generator found so far fixes b_0..b_{i-1}, so they generate a subgroup of
+that pointwise stabilizer: a candidate image w of b_i in b_i's orbit under
+them needs no search, a failed search for w rules out w's whole orbit
+under them, and any other w is searched for from the stored P_i with
+b_i -> w. The deeper levels have by then generated the stabilizer of
 b_0..b_i, so level i runs at most one search per orbit of that stabilizer
-on its cell: the symmetric group S_n takes n - 1 searches, not n(n - 1)/2.
+on its cell: the symmetric group S_n takes n - 1 searches, not
+n(n - 1)/2.
 
-Refinement keeps a vertex-to-cell index per side, so a splitter counts
-neighbours only along its own adjacency lists and regroups only the cells
-holding one of those neighbours (Paige and Tarjan 1987). The splitter queue
-and the fragment order are still those of a scan over every cell: base
-points and generators depend on them, and through the generators so do the
-``--group aut`` cache, the subgroups that ``random_subgroups`` draws for
-the corpus, and ``tests/golden_verify.jsonl``.
+Partitions are nauty-style arrays (``_Partition``): ``lab`` lists the
+vertices cell by cell, and each vertex carries its cell id. A splitter
+counts neighbours along its own adjacency lists and regroups only the
+cells holding one of those neighbours (Paige and Tarjan 1987). A split
+cell's fragments are written in place in count order, take fresh ids and
+join the splitter queue in that order. The splitter queue and the fragment
+order are those of a scan over every cell: base points and generators
+depend on them, and through the generators so do the ``--group aut``
+cache, the subgroups that ``random_subgroups`` draws for the corpus, and
+``tests/golden_verify.jsonl``.
 
 A search child individualises x -> y in one cell C of its parent's refined
-partition. That partition is equitable, with the same counts on the s and
-t sides, and every cell of the child lies inside a parent cell, so an
-unchanged parent cell gives each current cell a constant count as a
-splitter: it splits nothing and detects no mismatch. A child's refinement
-therefore queues only {x} and C - {x}, and its queue, fragment keys and
-result are those of the full scan. Each P_i is equitable, so this holds for
-every step of the first path and every search the second pass starts. Only
-the root refinement of the invariant partition, which is not equitable,
-queues every cell.
+partition. That partition is equitable, and every cell of the child lies
+inside a parent cell, so an unchanged parent cell gives each current cell
+a constant count as a splitter: it splits nothing, and on the t side it
+finds the same counts as on the s side. A child's refinement therefore
+queues only {x} and C - {x}, and its queue, fragment order and result are
+those of the full scan. Only the root refinement of the invariant
+partition, which is not equitable, queues every cell.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from operator import attrgetter
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -60,17 +74,11 @@ class BudgetExceededError(GraphError):
     pass
 
 
-class _Cell:
-    __slots__ = ("s", "t", "dead", "key")
-
-    def __init__(self, s: list[int], t: list[int]):
-        self.s = s
-        self.t = t
-        self.dead = False
-        self.key: tuple[int, ...] = ()  # list position, set by _refine
-
-
-_by_key = attrgetter("key")
+def _check_budget(node_budget) -> None:
+    if node_budget is not None and (
+        isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 0
+    ):
+        raise GraphError(f"node_budget must be None or an int >= 0, got {node_budget!r}")
 
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
@@ -80,37 +88,189 @@ def _vertex_invariants(g: Graph) -> list[tuple]:
     if g._invariants is not None:
         return g._invariants
     n = g.n
-    # shift row v into its own block of n + 1 bins, so one bincount counts all rows
-    shifted = g.distances_matrix() + (np.arange(n, dtype=np.int64)[:, None] * (n + 1) + 1)
-    counts = np.bincount(shifted.ravel(), minlength=n * (n + 1)).reshape(n, n + 1)
-    out = []
-    for v in range(n):
-        row = counts[v]
-        present = np.flatnonzero(row)
-        profile = tuple(zip((present - 1).tolist(), row[present].tolist()))
-        out.append((g.degree(v), profile))
-    g._invariants = out
-    return out
+    dist = g.distances_matrix()
+    # one column per distance -1 (unreached), 0, ..., max; shift row v into
+    # its own block of columns, so one bincount counts all rows
+    width = int(dist.max()) + 2 if n else 0
+    shifted = dist + (np.arange(n, dtype=np.int64)[:, None] * width + 1)
+    rows = np.bincount(shifted.ravel(), minlength=n * width).reshape(n, width).tolist()
+    g._invariants = [
+        (g.degree(v), tuple((d - 1, c) for d, c in enumerate(row) if c))
+        for v, row in enumerate(rows)
+    ]
+    return g._invariants
+
+
+class _Partition:
+    """An ordered partition of a graph's vertices in array form: ``lab``
+    lists the vertices cell by cell in position order, ``cell[v]`` is v's
+    cell id, and cell id c holds ``lab[start[c]:start[c] + size[c]]``. A
+    split cell's id is retired (size 0) and its fragments take fresh ids,
+    so two sides that split alike number their cells alike. The order of
+    the vertices inside a cell means nothing."""
+
+    __slots__ = ("lab", "cell", "start", "size")
+
+    def __init__(self, lab: list[int], cell: list[int], start: list[int], size: list[int]):
+        self.lab = lab
+        self.cell = cell
+        self.start = start
+        self.size = size
+
+    @classmethod
+    def from_cells(cls, cells: list[list[int]]) -> "_Partition":
+        """The partition with these cells, numbered 0, 1, ... in order."""
+        lab: list[int] = []
+        cell = [0] * sum(map(len, cells))
+        start = []
+        for i, c in enumerate(cells):
+            start.append(len(lab))
+            lab += c
+            for v in c:
+                cell[v] = i
+        return cls(lab, cell, start, [len(c) for c in cells])
+
+    def ids(self) -> list[int]:
+        """The live cell ids in position order."""
+        out = []
+        p = 0
+        while p < len(self.lab):
+            c = self.cell[self.lab[p]]
+            out.append(c)
+            p += self.size[c]
+        return out
+
+    def members(self, c: int) -> list[int]:
+        st = self.start[c]
+        return self.lab[st:st + self.size[c]]
+
+    def target(self) -> Optional[int]:
+        """The first smallest non-singleton cell, or None when the partition
+        is discrete."""
+        size = self.size
+        at = None
+        for c in self.ids():
+            if size[c] > 1 and (at is None or size[c] < size[at]):
+                at = c
+        return at
+
+    def child(self, c: int, x: int) -> tuple["_Partition", list[int]]:
+        """Individualise x in cell c of an equitable partition: the child
+        partition, with {x} in c's place followed by the rest of c, and
+        those two new cells, which are the only splitters its refinement
+        needs (see the module docstring)."""
+        lab, cell, start, size = self.lab[:], self.cell[:], self.start[:], self.size[:]
+        st, sz = start[c], size[c]
+        i = lab.index(x, st, st + sz)
+        lab[st], lab[i] = x, lab[st]
+        new = [len(start), len(start) + 1]
+        start += (st, st + 1)
+        size += (1, sz - 1)
+        size[c] = 0
+        cell[x] = new[0]
+        for v in lab[st + 1:st + sz]:
+            cell[v] = new[1]
+        return _Partition(lab, cell, start, size), new
+
+
+def _refine(adj: list, p: _Partition, queue: list[int], trace: list, replay: bool) -> bool:
+    """Refine p in place to an equitable partition.
+
+    Each cell is a splitter once, in FIFO order, starting with ``queue``. A
+    splitter costs the degree sum of its vertices plus the size of the
+    cells it touches; a fragment takes its parent's place, in count order.
+    Each splitter step is one trace entry: the start and the (count, size)
+    groups of every touched cell, by position (a singleton gives its
+    count). Recording (``replay`` false) appends the entries to ``trace``.
+    Replaying compares them with ``trace`` and returns False at the first
+    one that differs, leaving p half refined. While the entries agree, p
+    has the recorded side's cells, ids and queue, so the replay runs out
+    of splitters exactly where the trace ends.
+    """
+    lab, cell, start, size = p.lab, p.cell, p.start, p.size
+    work = deque(queue)
+    step = 0
+    while work:
+        w = work.popleft()
+        sz = size[w]
+        if not sz:
+            continue  # split since it was queued; its fragments are queued
+        st = start[w]
+        if sz == 1:
+            count = dict.fromkeys(adj[lab[st]], 1)
+        else:
+            count = {}
+            for u in lab[st:st + sz]:
+                for v in adj[u]:
+                    count[v] = count.get(v, 0) + 1
+        entry = []
+        splits = []
+        for c in sorted({cell[v] for v in count}, key=start.__getitem__):
+            cs, csz = start[c], size[c]
+            if csz == 1:
+                entry += (cs, count[lab[cs]])
+                continue
+            members = lab[cs:cs + csz]
+            counts = list(map(count.get, members, repeat(0, csz)))
+            k = counts[0]
+            if counts.count(k) == csz:
+                entry += (cs, ((k, csz),))
+                continue
+            groups: dict[int, list[int]] = defaultdict(list)
+            for v, k in zip(members, counts):
+                groups[k].append(v)
+            keys = sorted(groups)
+            entry += (cs, tuple((k, len(groups[k])) for k in keys))
+            splits.append((c, [groups[k] for k in keys]))
+        if replay:
+            if trace[step] != entry:
+                return False
+        else:
+            trace.append(entry)
+        step += 1
+        for c, frags in splits:
+            pos = start[c]
+            size[c] = 0
+            for frag in frags:
+                f = len(start)
+                start.append(pos)
+                size.append(len(frag))
+                lab[pos:pos + len(frag)] = frag
+                for v in frag:
+                    cell[v] = f
+                work.append(f)
+                pos += len(frag)
+    return True
+
+
+class _Level:
+    """One level of the first path: its refined partition, the trace of the
+    refinement that made it, and its target cell and individualised vertex
+    (None at the discrete last level)."""
+
+    __slots__ = ("part", "trace", "target", "x")
+
+    def __init__(self, part: _Partition, trace: list):
+        self.part = part
+        self.trace = trace
+        self.target = part.target()
+        self.x = None if self.target is None else min(part.members(self.target))
 
 
 class _MappingSearch:
-    _UNSET = object()
+    """Searches for isomorphisms g1 -> g2 along g1's first path; ``nodes``
+    counts the t-side partitions refined, which ``node_budget`` bounds."""
 
     def __init__(self, g1: Graph, g2: Graph, node_budget: Optional[int] = None):
         self.g1 = g1
         self.g2 = g2
         self.nodes = 0
         self.budget = node_budget
-        self._groups = self._UNSET  # cached invariant grouping
+        self.path: list[_Level] = []  # g1's first path, as far as the search went
 
-    def initial_cells(self) -> Optional[list[_Cell]]:
-        if self._groups is self._UNSET:
-            self._groups = self._compute_groups()
-        if self._groups is None:
-            return None
-        return [_Cell(s[:], t[:]) for s, t in self._groups]
-
-    def _compute_groups(self) -> Optional[list[tuple[list[int], list[int]]]]:
+    def initial_partitions(self) -> Optional[tuple[_Partition, _Partition]]:
+        """The invariant partitions of g1 and g2, cells in the same order, or
+        None when their invariants differ."""
         if self.g1.n != self.g2.n or self.g1.m != self.g2.m:
             return None
         inv1 = _vertex_invariants(self.g1)
@@ -121,149 +281,81 @@ class _MappingSearch:
             by1[key].append(v)
         for v, key in enumerate(inv2):
             by2[key].append(v)
-        if sorted(by1) != sorted(by2):
+        keys = sorted(by1)
+        if keys != sorted(by2) or any(len(by1[key]) != len(by2[key]) for key in keys):
             return None
-        groups = []
-        for key in sorted(by1):
-            if len(by1[key]) != len(by2[key]):
-                return None
-            groups.append((by1[key], by2[key]))
-        return groups
+        return (_Partition.from_cells([by1[key] for key in keys]),
+                _Partition.from_cells([by2[key] for key in keys]))
 
     def find(self) -> Optional[list[int]]:
         """A mapping (list over g1 vertices) that is an isomorphism, or None."""
-        cells = self.initial_cells()
-        if cells is None:
+        parts = self.initial_partitions()
+        if parts is None:
             return None
-        return self._dfs(cells)
+        s, t = parts
+        queue = list(range(len(s.start)))
+        self._record(s, queue)
+        return self._dfs(t, queue, 0)
+
+    def first_path(self) -> list[_Level]:
+        """g1's whole first path, from its invariant partition to a discrete
+        one. g1 and g2 must have equal invariants, as when g2 is g1."""
+        s = self.initial_partitions()[0]
+        self._record(s, list(range(len(s.start))))
+        while self.path[-1].target is not None:
+            self._extend()
+        return self.path
 
     # -- internals ---------------------------------------------------------
 
-    def _refine(self, cells: list[_Cell], queue: Optional[list[_Cell]] = None) -> Optional[list[_Cell]]:
-        """Refine both partitions to equitable ones in lockstep, or None when
-        the s and t sides stop matching.
+    def _record(self, part: _Partition, queue: list[int]) -> None:
+        trace: list = []
+        _refine(self.g1.adjacency, part, queue, trace, False)
+        self.path.append(_Level(part, trace))
 
-        Each cell is a splitter once, in FIFO order. A splitter costs the
-        degree sum of its vertices plus the size of the cells it touches;
-        a fragment takes its parent's place in the list, ordered by count,
-        which the ``key`` tuples (parent key + fragment index) record.
-        ``queue`` (default: every cell) lists the first splitters; leaving
-        out cells that cannot split anything changes no result (see the
-        module docstring).
-        """
-        adj1, adj2 = self.g1.adjacency, self.g2.adjacency
-        cell1: dict[int, _Cell] = {}  # vertex -> its cell, one index per side
-        cell2: dict[int, _Cell] = {}
-        for i, c in enumerate(cells):
-            c.key = (i,)
-            for v in c.s:
-                cell1[v] = c
-            for v in c.t:
-                cell2[v] = c
-        work = deque(cells if queue is None else queue)
-        while work:
-            w = work.popleft()
-            if w.dead:
-                continue
-            count1: dict[int, int] = {}
-            for u in w.s:
-                for v in adj1[u]:
-                    count1[v] = count1.get(v, 0) + 1
-            count2: dict[int, int] = {}
-            for u in w.t:
-                for v in adj2[u]:
-                    count2[v] = count2.get(v, 0) + 1
-            touched = {cell1[v] for v in count1}
-            if touched != {cell2[v] for v in count2}:
-                return None
-            # split in list order, so fragments queue as a full scan would
-            for c in sorted(touched, key=_by_key):
-                if len(c.s) == 1:
-                    if count1[c.s[0]] != count2[c.t[0]]:
-                        return None
-                    continue
-                groups_s: dict[int, list[int]] = defaultdict(list)
-                for v in c.s:
-                    groups_s[count1.get(v, 0)].append(v)
-                groups_t: dict[int, list[int]] = defaultdict(list)
-                for v in c.t:
-                    groups_t[count2.get(v, 0)].append(v)
-                keys = sorted(groups_s)
-                if keys != sorted(groups_t):
-                    return None
-                if any(len(groups_s[k]) != len(groups_t[k]) for k in keys):
-                    return None
-                if len(keys) == 1:
-                    continue
-                c.dead = True
-                for i, k in enumerate(keys):
-                    frag = _Cell(groups_s[k], groups_t[k])
-                    frag.key = c.key + (i,)
-                    for v in frag.s:
-                        cell1[v] = frag
-                    for v in frag.t:
-                        cell2[v] = frag
-                    work.append(frag)
-        return sorted(set(cell1.values()), key=_by_key)
+    def _extend(self) -> None:
+        """Refine the first path one level deeper."""
+        last = self.path[-1]
+        self._record(*last.part.child(last.target, last.x))
 
-    def _dfs(self, cells: list[_Cell], queue: Optional[list[_Cell]] = None) -> Optional[list[int]]:
+    def _dfs(self, part: _Partition, queue: list[int], depth: int) -> Optional[list[int]]:
+        """Refine the t side ``part`` from ``queue`` against the trace of the
+        first path's level ``depth``, then search below it."""
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceededError(
                 f"mapping search exceeded {self.budget} nodes"
             )
-        cells = self._refine(cells, queue)
-        if cells is None:
+        level = self.path[depth]
+        if not _refine(self.g2.adjacency, part, queue, level.trace, True):
             return None
-        at = _target(cells)
-        if at is None:
-            return self._verify_leaf(cells)
-        target = cells[at]
-        x = min(target.s)
-        for y in sorted(target.t):
-            res = self._dfs(*_child(cells, at, x, y))
+        if level.target is None:
+            return self._verify_leaf(level.part, part)
+        if len(self.path) == depth + 1:
+            self._extend()
+        for y in sorted(part.members(level.target)):
+            res = self._dfs(*part.child(level.target, y), depth + 1)
             if res is not None:
                 return res
         return None
 
-    def _verify_leaf(self, cells: list[_Cell]) -> Optional[list[int]]:
+    def _verify_leaf(self, s: _Partition, t: _Partition) -> Optional[list[int]]:
         mapping = [0] * self.g1.n
-        for c in cells:
-            mapping[c.s[0]] = c.t[0]
+        for u, v in zip(s.lab, t.lab):
+            mapping[u] = v
         for u, v in self.g1.edge_list:
             if not self.g2.has_edge(mapping[u], mapping[v]):
                 return None
         return mapping
 
 
-def _target(cells: list[_Cell]) -> Optional[int]:
-    """Index of the first smallest non-singleton cell, or None when the
-    partition is discrete."""
-    at = None
-    for i, c in enumerate(cells):
-        if len(c.s) > 1 and (at is None or len(c.s) < len(cells[at].s)):
-            at = i
-    return at
-
-
-def _child(cells: list[_Cell], at: int, x: int, y: int) -> tuple[list[_Cell], list[_Cell]]:
-    """Individualise x -> y in cell ``at`` of an equitable partition: the
-    child partition, and its two new cells {x} and the rest, which are the
-    only splitters its refinement needs."""
-    split = cells[at]
-    new = [_Cell([x], [y]), _Cell([v for v in split.s if v != x], [v for v in split.t if v != y])]
-    # fresh _Cell objects, since _refine marks cells dead; it never mutates
-    # the vertex lists, so parent and child share them
-    child = [_Cell(c.s, c.t) for c in cells[:at]] + new
-    child += [_Cell(c.s, c.t) for c in cells[at + 1:]]
-    return child, new
-
-
 def find_isomorphism(g1: Graph, g2: Graph, node_budget: Optional[int] = None) -> Optional[list[int]]:
     """A vertex bijection g1 -> g2 preserving adjacency, or None.
 
     Equal graphs map by the identity, which is also the search's first
-    answer: its two sides stay identical and it tries x -> x first."""
+    answer: its t side retraces the first path and it tries x -> x first.
+    ``node_budget`` (None or an int >= 0) bounds the search nodes."""
+    _check_budget(node_budget)
     if g1 == g2:
         return list(range(g1.n))
     return _MappingSearch(g1, g2, node_budget).find()
@@ -283,33 +375,30 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     with its orbit by an earlier failed search, or searched for explicitly
     from the level's partition. The product of the level orbit sizes is
     the group order, which is cross-checked against the chain order.
+    ``node_budget`` (None or an int >= 0) bounds the search nodes.
     """
+    _check_budget(node_budget)
     if g.n > 400:
         raise BudgetExceededError("automorphism search is budgeted for n <= 400")
     if g.n == 0:
         return PermGroup(0, ())
     search = _MappingSearch(g, g, node_budget)
-    # first pass: (equitable partition, target cell index, base point) per level
-    path: list[tuple[list[_Cell], int, int]] = []
-    cells = search._refine(search.initial_cells())
-    while (at := _target(cells)) is not None:
-        b = min(cells[at].s)
-        path.append((cells, at, b))
-        cells = search._refine(*_child(cells, at, b, b))
-        assert cells is not None
+    path = search.first_path()
 
     # second pass, deepest level first: the generators found so far fix the
     # base points above this level, so their orbits prune its candidates
     gens: list[Perm] = []
     group = PermGroup(g.n, gens)
     order = 1
-    for cells, at, b in reversed(path):
+    for depth in reversed(range(len(path) - 1)):
+        level = path[depth]
+        b = level.x
         in_orbit = orbit_partition(group, [b], Perm.__call__)[1]
         excluded: set[int] = set()
-        for w in sorted(cells[at].s):
+        for w in sorted(level.part.members(level.target)):
             if w in in_orbit or w in excluded:
                 continue
-            mapping = search._dfs(*_child(cells, at, b, w))
+            mapping = search._dfs(*level.part.child(level.target, w), depth + 1)
             if mapping is None:
                 excluded.update(orbit_partition(group, [w], Perm.__call__)[1])
                 continue

@@ -9,7 +9,17 @@ engine used to run.
 from collections import Counter, defaultdict, deque
 from itertools import permutations, product
 
-from subsym.autgrp import _Cell
+
+class PairCell:
+    """One cell of a lockstep partition pair: its source-side vertices
+    ``s``, its target-side vertices ``t``, and ``dead`` once split."""
+
+    __slots__ = ("s", "t", "dead")
+
+    def __init__(self, s, t):
+        self.s = s
+        self.t = t
+        self.dead = False
 
 
 def brute_distances(g, source):
@@ -192,9 +202,9 @@ def individualize(cells, x, y):
                 return None
             rest_s = [v for v in c.s if v != x]
             rest_t = [v for v in c.t if v != y]
-            out.append(_Cell([x], [y]))
+            out.append(PairCell([x], [y]))
             if rest_s:
-                out.append(_Cell(rest_s, rest_t))
+                out.append(PairCell(rest_s, rest_t))
             found = True
         else:
             if y in c.t:
@@ -214,10 +224,11 @@ def _neighbor_masks(g):
 
 
 def bitmask_refine(g1, g2, cells):
-    """Reference for ``autgrp._MappingSearch._refine``: the full-scan
-    refinement. For every splitter it rebuilds both neighbour bitmasks and
-    regroups every vertex of every cell by its count. Marks split input
-    cells dead, as the engine does, so pass it a copy."""
+    """Reference for ``autgrp._refine``: the full-scan refinement of a pair
+    of partitions (a list of PairCell) in lockstep, None once the two sides
+    stop matching. For every splitter it rebuilds both neighbour bitmasks
+    and regroups every vertex of every cell by its count. Marks split input
+    cells dead, so pass it a copy."""
     m1, m2 = _neighbor_masks(g1), _neighbor_masks(g2)
     work = deque(cells)
     while work:
@@ -254,7 +265,7 @@ def bitmask_refine(g1, g2, cells):
                 continue
             c.dead = True
             for k in keys:
-                frag = _Cell(groups_s[k], groups_t[k])
+                frag = PairCell(groups_s[k], groups_t[k])
                 new_cells.append(frag)
                 work.append(frag)
         cells = new_cells

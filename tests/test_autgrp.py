@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from subsym.autgrp import (
     BudgetExceededError,
-    _Cell,
     _MappingSearch,
-    _child,
+    _Partition,
+    _refine,
     _vertex_invariants,
     automorphism_group,
     find_isomorphism,
@@ -20,6 +20,7 @@ from subsym.autgrp import (
 )
 from subsym.graphs import (
     Graph,
+    GraphError,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -32,6 +33,7 @@ from subsym.perms import Perm
 from subsym.transforms import subdivide
 
 from _oracles import (
+    PairCell,
     bitmask_refine,
     brute_automorphisms,
     brute_closure,
@@ -252,23 +254,50 @@ def refine_cases(draw):
     return Graph(n, edges), (relabelled, same_size), picks
 
 
+def _pair_cells(search):
+    """The search's invariant partitions as lockstep pair cells, or the unit
+    partition when the invariants differ."""
+    parts = search.initial_partitions()
+    if parts is None:
+        n = search.g1.n
+        return [PairCell(list(range(n)), list(range(n)))]
+    s, t = parts
+    return [PairCell(s.members(c), t.members(c)) for c in s.ids()]
+
+
+def _record_and_replay(search, s, t, queue):
+    """Refine g1's partition s from queue recording its trace, then g2's
+    partition t replaying it: whether the replay matched."""
+    trace = []
+    assert _refine(search.g1.adjacency, s, queue, trace, False)
+    return _refine(search.g2.adjacency, t, queue, trace, True)
+
+
+def _sorted_cells(s, t):
+    return [(sorted(s.members(c)), sorted(t.members(c))) for c in s.ids()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(refine_cases())
 def test_refine_matches_full_scan_oracle(case):
+    # record the s side, replay the t side against its trace, and compare
+    # with the lockstep full scan: the replay fails exactly when the
+    # lockstep refinement does, and otherwise both give the same cells in
+    # the same order (a cell's vertex order means nothing)
     g1, partners, picks = case
     for g2 in partners:
         search = _MappingSearch(g1, g2)
-        # non-isomorphic invariants give no initial cells; refine the unit
-        # partition instead
-        cells = search.initial_cells() or [_Cell(list(range(g1.n)), list(range(g2.n)))]
+        cells = _pair_cells(search)
         for i, x, y in picks:
             cell = cells[i % len(cells)]
             cells = individualize(cells, cell.s[x % len(cell.s)], cell.t[y % len(cell.t)])
-        new = search._refine([_Cell(c.s[:], c.t[:]) for c in cells])
-        old = bitmask_refine(g1, g2, [_Cell(c.s[:], c.t[:]) for c in cells])
-        assert (new is None) == (old is None)
-        if new is not None:
-            assert [(c.s, c.t) for c in new] == [(c.s, c.t) for c in old]
+        s = _Partition.from_cells([c.s[:] for c in cells])
+        t = _Partition.from_cells([c.t[:] for c in cells])
+        replayed = _record_and_replay(search, s, t, list(range(len(cells))))
+        old = bitmask_refine(g1, g2, [PairCell(c.s[:], c.t[:]) for c in cells])
+        assert replayed == (old is not None)
+        if replayed:
+            assert _sorted_cells(s, t) == [(sorted(c.s), sorted(c.t)) for c in old]
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,24 +309,28 @@ def test_child_refine_queues_only_new_cells(case, i, x, y):
     g1, partners, picks = case
     for g2 in partners:
         search = _MappingSearch(g1, g2)
-        cells = search.initial_cells() or [_Cell(list(range(g1.n)), list(range(g2.n)))]
+        cells = _pair_cells(search)
         for j, a, b in picks:
             cell = cells[j % len(cells)]
             cells = individualize(cells, cell.s[a % len(cell.s)], cell.t[b % len(cell.t)])
-        cells = search._refine(cells)
-        if cells is None:
+        s = _Partition.from_cells([c.s[:] for c in cells])
+        t = _Partition.from_cells([c.t[:] for c in cells])
+        if not _record_and_replay(search, s, t, list(range(len(cells)))):
             continue
-        open_cells = [k for k, c in enumerate(cells) if len(c.s) > 1]
+        open_cells = [c for c in s.ids() if s.size[c] > 1]
         if not open_cells:
             continue
         at = open_cells[i % len(open_cells)]
-        target = cells[at]
-        child, new = _child(cells, at, target.s[x % len(target.s)], target.t[y % len(target.t)])
-        old = bitmask_refine(g1, g2, [_Cell(c.s[:], c.t[:]) for c in child])
-        incremental = search._refine(child, new)
-        assert (incremental is None) == (old is None)
-        if incremental is not None:
-            assert [(c.s, c.t) for c in incremental] == [(c.s, c.t) for c in old]
+        xs, ys = s.members(at), t.members(at)
+        xv, yv = xs[x % len(xs)], ys[y % len(ys)]
+        pairs = [PairCell(s.members(c), t.members(c)) for c in s.ids()]
+        old = bitmask_refine(g1, g2, individualize(pairs, xv, yv))
+        s_child, queue = s.child(at, xv)
+        t_child, _ = t.child(at, yv)
+        replayed = _record_and_replay(search, s_child, t_child, queue)
+        assert replayed == (old is not None)
+        if replayed:
+            assert _sorted_cells(s_child, t_child) == [(sorted(c.s), sorted(c.t)) for c in old]
 
 
 @settings(max_examples=200, deadline=None)
@@ -325,6 +358,27 @@ def test_search_maps_equal_graphs_by_the_identity(g):
     assert find_isomorphism(g, copy) == list(range(g.n))
 
 
+@pytest.mark.parametrize("budget", [-1, True, False, 1.5, "x"])
+def test_node_budget_is_validated_before_any_work(budget):
+    g = make_petersen()
+    for call in (
+        lambda: automorphism_group(g, budget),
+        lambda: automorphism_group(Graph(0, []), budget),
+        lambda: find_isomorphism(g, Graph(g.n, g.edge_list), budget),
+        lambda: is_isomorphic(g, make_cycle(10), budget),  # no search would run
+    ):
+        with pytest.raises(GraphError, match="node_budget must be None or an int >= 0"):
+            call()
+
+
+def test_node_budget_accepts_none_and_non_negative_ints():
+    g = make_petersen()
+    assert automorphism_group(g, None).order() == 120
+    assert find_isomorphism(g, Graph(g.n, g.edge_list), 0) == list(range(g.n))
+    with pytest.raises(BudgetExceededError):
+        automorphism_group(g, 0)
+
+
 def test_equal_graphs_need_no_search_nodes():
     g = subdivide(make_complete(9)).graph
     with pytest.raises(BudgetExceededError):
@@ -336,6 +390,28 @@ def _sha256(obj) -> str:
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
+def _pinned_graphs():
+    return [
+        make_petersen(),
+        make_hoffman_singleton(),
+        subdivide(make_petersen()).graph,
+        subdivide(make_complete(5)).graph,
+        subdivide(make_complete_bipartite(3, 3)).graph,
+        subdivide(make_hoffman_singleton()).graph,
+    ]
+
+
+def _pinned_pairs():
+    rng = random.Random(20250809)
+    pairs = []
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randint(5, 16))
+        images = list(range(g.n))
+        rng.shuffle(images)
+        pairs.append((g, Graph(g.n, [(images[u], images[v]) for u, v in g.edge_list])))
+    return pairs
+
+
 class TestPinnedBytes:
     """The refinement keeps the splitter and fragment order of the full-scan
     bitmask refinement (``_oracles.bitmask_refine``), so base points,
@@ -343,27 +419,37 @@ class TestPinnedBytes:
     ``random_subgroups`` draws from the chain depend only on the search
     order. The isomorphism digest dates from the full-scan engine and still
     passes there. The generator digest is that of the search that walks one
-    refined path and resolves its levels deepest first."""
+    refined path and resolves its levels deepest first; replaying the t side
+    against the first path's trace, in place of refining both sides in
+    lockstep, left both digests and the node counts unchanged."""
 
     def test_generator_bytes(self):
-        graphs = [
-            make_petersen(),
-            make_hoffman_singleton(),
-            subdivide(make_petersen()).graph,
-            subdivide(make_complete(5)).graph,
-            subdivide(make_complete_bipartite(3, 3)).graph,
-            subdivide(make_hoffman_singleton()).graph,
-        ]
-        images = [[list(p.images) for p in automorphism_group(g).generators] for g in graphs]
+        images = [[list(p.images) for p in automorphism_group(g).generators] for g in _pinned_graphs()]
         assert _sha256(images) == "7b84fe3db1f3dca8f8a53e952a975d89815c4585916c148cae9f164ffd78af40"
 
     def test_isomorphism_bytes(self):
-        rng = random.Random(20250809)
-        mappings = []
-        for _ in range(20):
-            g = random_connected_graph(rng, rng.randint(5, 16))
-            images = list(range(g.n))
-            rng.shuffle(images)
-            relabelled = Graph(g.n, [(images[u], images[v]) for u, v in g.edge_list])
-            mappings.append(find_isomorphism(g, relabelled))
+        mappings = [find_isomorphism(g, h) for g, h in _pinned_pairs()]
         assert _sha256(mappings) == "3c8269c64b7f39bccd920c0c4e43dc4d685a2cd488fb86b0126f11da32708fae"
+
+    def test_search_node_counts(self, monkeypatch):
+        # the nodes each search visits, so that node_budget keeps its meaning
+        searches = []
+        init = _MappingSearch.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            searches.append(self)
+
+        monkeypatch.setattr(_MappingSearch, "__init__", recording)
+        aut_nodes = []
+        for g in _pinned_graphs():
+            searches.clear()
+            automorphism_group(g)
+            aut_nodes.append([s.nodes for s in searches])
+        assert aut_nodes == [[10], [59], [10], [10], [14], [56]]
+        iso_nodes = []
+        for g, h in _pinned_pairs():
+            searches.clear()
+            find_isomorphism(g, h)
+            iso_nodes.append([s.nodes for s in searches])
+        assert iso_nodes == [[2], [1], [2]] + [[1]] * 3 + [[2]] + [[1]] * 13
