@@ -3,8 +3,9 @@
 Each check evaluates both sides of an equivalence (or an implication) on a
 concrete graph-and-group instance and reports confirmed / refuted / skipped.
 ``run_corpus`` sweeps a deterministic corpus, one generator per section in
-``SECTIONS``: ``rows`` (the small-s classification rows, the K_5/A_5
-exception and the K_{n,n} conditions), ``structural`` (distance formula and
+``SECTIONS``: ``rows`` (the small-s classification, one ``ROWS`` entry per
+row with the K_5/A_5 counterexample next to its row, and the K_{n,n}
+conditions), ``structural`` (distance formula and
 reconstruction on named graphs), ``named-instances`` (implication checks on
 hand-picked graph-and-group pairs), ``large-cycles`` (the large-s cycles) and
 ``random`` (seeded random connected graphs under sampled subgroups of their
@@ -393,102 +394,92 @@ def is_k_transitive(G: PermGroup, k: int) -> bool:
     )
 
 
-ROW_NAMES = ("K2", "K3", "Kn", "Knn", "C5", "P", "HoSi")
+def _is_aut(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+    """G is Aut(Σ)."""
+    return G.order() == aut.order()
 
 
-def _row_graph_and_group(row: str, n: Optional[int]) -> tuple[Graph, PermGroup, int, int]:
-    """Graph, default group, and the published (d, delta) for a row."""
-    if row == "K2":
-        return make_complete(2), symmetric_group(2), 1, 0
-    if row == "K3":
-        return make_complete(3), symmetric_group(3), 1, 1
-    if row == "Kn":
-        if n is None or n < 4:
-            raise GraphError("row Kn needs n >= 4")
-        return make_complete(n), symmetric_group(n), 1, 2
-    if row == "Knn":
-        if n is None or n < 2:
-            raise GraphError("row Knn needs n >= 2")
-        return make_complete_bipartite(n, n), wreath_s2(n), 2, 0
-    if row == "C5":
-        return make_cycle(5), dihedral_group(5), 2, 1
-    if row == "P":
-        return make_petersen(), automorphism_group(make_petersen()), 2, 2
-    if row == "HoSi":
-        h = make_hoffman_singleton()
-        return h, automorphism_group(h), 2, 2
-    raise GraphError(f"unknown classification row {row!r}")
+def _kn_listed(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+    """G is 4-transitive, or is PΓL(2,8) on K_9."""
+    return is_k_transitive(G, 4) or (g.n == 9 and G.order() == 1512 and is_k_transitive(G, 3))
 
 
-def _arc_row_s_max(g: Graph, G: PermGroup) -> int:
-    """The bound of a row below its full group: 3 when G is 2-arc transitive
-    on g, 1 when only arc transitive, 0 otherwise."""
-    arc = transitivity_verdicts(g, G, "s-arc", False, [1, 2])
-    return 3 if arc[2] else 1 if arc[1] else 0
+def _knn_listed(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+    """Conditions (i)-(iii) of check_bipartite_conditions hold."""
+    return all(_bipartite_conditions(g, G).values())
 
 
-def _expected_s_max(row: str, g: Graph, G: PermGroup, n: Optional[int], diam_s: int) -> int:
-    """Largest s with the subdivision locally (G, s)-distance transitive,
-    according to the published classification for this row's graph."""
-    order = G.order()
-    if row == "K2":
-        return 2 if order == 2 else 0
-    if row == "K3":
-        return 3 if order == 6 else 0
-    if row == "Kn":
-        if is_k_transitive(G, 4) or (g.n == 9 and order == 1512 and is_k_transitive(G, 3)):
-            return 4
-        if is_k_transitive(G, 3):
-            return 3
-        if is_k_transitive(G, 2):
-            return 1
-        return 0
-    if row == "Knn":
-        conds = _bipartite_conditions(g, G)
-        if all(conds.values()):
-            return 4
-        return _arc_row_s_max(g, G)
-    if row == "C5":
-        return 5 if order == 10 else 0
-    if row in ("P", "HoSi"):
-        full = {"P": (120,), "HoSi": (126000, 252000)}[row]
-        if order in full:
-            return diam_s
-        return _arc_row_s_max(g, G)
-    raise GraphError(f"unknown classification row {row!r}")
+def _contains_psu_3_5(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+    """G contains PSU(3,5)."""
+    return G.order() in (126000, 252000)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One row of the published small-s classification: Σ, built from n or,
+    when least_n is None, from nothing; Aut(Σ), the default group; the
+    published (d, delta); and the groups G <= Aut(Σ) the table lists, those
+    for which S(Σ) is locally (G, s)-distance transitive up to its diameter
+    2d + delta, as a test whose docstring states it. For any other group the
+    largest such s is 3 when G is 2-arc transitive on Σ, 1 when arc
+    transitive, and else 0 (the small-s equivalences; on K_n these are
+    3- and 2-transitivity). A counterexample
+    (n, group name, group of n) is a group the row does not list that
+    reaches the diameter all the same."""
+    least_n: Optional[int]
+    graph: Callable[..., Graph]
+    group: Callable[[Graph], PermGroup]
+    d_delta: tuple[int, int]
+    listed: Callable[[Graph, PermGroup, PermGroup], bool]
+    counterexample: Optional[tuple[int, str, Callable[[int], PermGroup]]] = None
+
+
+# P and HoSi look automorphism_group up per call, so a wrapper installed later sees it
+ROWS: dict[str, Row] = {
+    "K2": Row(None, lambda: make_complete(2), lambda g: symmetric_group(g.n), (1, 0), _is_aut),
+    "K3": Row(None, lambda: make_complete(3), lambda g: symmetric_group(g.n), (1, 1), _is_aut),
+    "Kn": Row(4, make_complete, lambda g: symmetric_group(g.n), (1, 2), _kn_listed, (5, "A_5", alternating_group)),
+    "Knn": Row(2, lambda n: make_complete_bipartite(n, n), lambda g: wreath_s2(g.n // 2), (2, 0), _knn_listed),
+    "C5": Row(None, lambda: make_cycle(5), lambda g: dihedral_group(g.n), (2, 1), _is_aut),
+    "P": Row(None, make_petersen, lambda g: automorphism_group(g), (2, 2), _is_aut),
+    "HoSi": Row(None, make_hoffman_singleton, lambda g: automorphism_group(g), (2, 2), _contains_psu_3_5),
+}
 
 
 def check_classification_row(row: str, G: Optional[PermGroup] = None, n: Optional[int] = None) -> CheckOutcome:
-    """Verify one row of the small-s classification: the subdivision graph is
-    locally (G, s)-distance transitive exactly for s up to the published
-    bound for this graph/group pair, and the (d, delta) columns re-derive."""
-    name = "classification-row"
-    g, default_G, d_pub, delta_pub = _row_graph_and_group(row, n)
-    if G is None:
-        G = default_G
+    """Verify one row of ROWS: the subdivision graph is locally (G, s)-distance
+    transitive exactly for s up to the bound the row gives this group, and
+    the (d, delta) columns re-derive. G defaults to the row's group."""
+    spec = ROWS.get(row)
+    if spec is None:
+        raise GraphError(f"unknown classification row {row!r}")
+    if spec.least_n is None and n is not None:
+        raise GraphError(f"row {row} takes no n, got n={n}")
+    if spec.least_n is not None and (n is None or n < spec.least_n):
+        raise GraphError(f"row {row} needs n >= {spec.least_n}")
+    g = spec.graph() if n is None else spec.graph(n)
+    aut = spec.group(g)
+    G = aut if G is None else G
     instance = f"row={row}{'' if n is None else f'(n={n})'} |G|={G.order()}"
     sg = subdivide(g)
     report = delta_of(g, sg)
     diam_s = 2 * report.d + report.delta
     Gs = induced_subdivision_action(G, sg)
-    s_max = _expected_s_max(row, g, G, n, diam_s)
+    if spec.listed(g, G, aut):
+        s_max = diam_s
+    else:
+        arc = transitivity_verdicts(g, G, "s-arc", False, [1, 2])
+        s_max = 3 if arc[2] else 1 if arc[1] else 0
     verdicts = transitivity_verdicts(sg.graph, Gs, "s-distance", True, range(1, diam_s + 1))
-    ok = (
-        report.d == d_pub
-        and report.delta == delta_pub
-        and all(v == (s <= s_max) for s, v in verdicts.items())
-    )
-    return _outcome(
-        name,
-        instance,
-        ok,
-        {"d": report.d, "delta": report.delta, "expected_s_max": s_max, "verdicts": verdicts},
-    )
+    ok = (report.d, report.delta) == spec.d_delta and all(v == (s <= s_max) for s, v in verdicts.items())
+    return _outcome("classification-row", instance, ok,
+                    {"d": report.d, "delta": report.delta, "expected_s_max": s_max, "verdicts": verdicts})
 
 
 def check_known_exception() -> CheckOutcome:
     """The one instance where the published small-s classification fails:
-    the subdivided K_5 with the alternating group A_5.
+    the counterexample of the Kn row in ROWS, the subdivided K_5 with the
+    alternating group A_5.
 
     A_5 is sharply 3-transitive on 5 points, not 4-transitive, yet its edge
     stabilizer (order 6) is transitive on the 3 edges disjoint from the fixed
@@ -498,19 +489,18 @@ def check_known_exception() -> CheckOutcome:
     This check confirms the counterexample still reproduces: all verdicts true
     through s = 4 while A_5 is not 4-transitive.
     """
-    name = "classification-row-exception"
-    g = make_complete(5)
-    G = alternating_group(5)
-    instance = "K_5 with A_5"
-    sg, Gs = _lift(g, G)
-    verdicts = transitivity_verdicts(sg.graph, Gs, "s-distance", True, range(1, 5))
+    kn = ROWS["Kn"]
+    n, label, group = kn.counterexample
+    G = group(n)
+    sg, Gs = _lift(kn.graph(n), G)
+    verdicts = transitivity_verdicts(sg.graph, Gs, "s-distance", True, range(1, sg.graph.diameter() + 1))
     four_transitive = is_k_transitive(G, 4)
     ok = all(verdicts.values()) and not four_transitive
     return _outcome(
-        name, instance, ok,
+        "classification-row-exception", f"K_{n} with {label}", ok,
         {"verdicts": verdicts, "four_transitive": four_transitive,
          "note": "counterexample to the published table; verdicts from exact orbit "
-                 "partitions of the vertex stabilizers of A_5 acting on S(K_5)"},
+                 f"partitions of the vertex stabilizers of {label} acting on S(K_{n})"},
     )
 
 
@@ -593,6 +583,9 @@ def check_bipartite_conditions(n: int, G: PermGroup) -> CheckOutcome:
     """The three conditions above hold together iff the subdivided K_{n,n}
     is locally (G, 4)-distance transitive."""
     name = "bipartite-conditions"
+    least = ROWS["Knn"].least_n
+    if n < least:
+        raise GraphError(f"K_{{n,n}} needs n >= {least}, got n={n}")
     if G.degree != 2 * n:
         raise GraphError("group degree must be 2n")
     instance = f"K_{{{n},{n}}} |G|={G.order()}"
@@ -608,7 +601,11 @@ def check_bipartite_conditions(n: int, G: PermGroup) -> CheckOutcome:
 # -- large-s cycles ----------------------------------------------------------------
 
 
-def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> CheckOutcome:
+# proper subgroups of the dihedral group sampled per large-s cycle
+_LARGE_S_SUBGROUPS = 5
+
+
+def check_large_s_cycles(n: int, seed: int = 1729) -> CheckOutcome:
     """Positive direction of the large-s classification on cycles: the
     subdivided n-cycle with the full dihedral group is locally s-distance
     transitive for s = n (and s = n-1 when n is odd, where s must be even),
@@ -625,7 +622,7 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
     s_values = [n] + ([n - 1] if n % 2 == 1 else [])
     sg, Gs = _lift(g, G)
     positives = transitivity_verdicts(sg.graph, Gs, "s-distance", True, s_values)
-    subs = random_subgroups(G, 3 * subgroup_count, seed)
+    subs = random_subgroups(G, 3 * _LARGE_S_SUBGROUPS, seed)
     fallback = [cyclic_group(n), trivial_group(n), PermGroup(n, [dihedral_group(n).generators[1]])]
     if n % 2 == 0:
         fallback.append(cycle_half_dihedral(n))
@@ -636,7 +633,7 @@ def check_large_s_cycles(n: int, seed: int = 1729, subgroup_count: int = 5) -> C
         if H.order() < G.order() and key not in seen_orders:
             seen_orders.add(key)
             proper.append(H)
-        if len(proper) >= subgroup_count:
+        if len(proper) >= _LARGE_S_SUBGROUPS:
             break
     evaluated: list = []  # the selection can hold equal groups: evaluate each once
     negatives = {
@@ -660,14 +657,13 @@ _Instances = Iterator[tuple[str, str, Callable[[], "CheckOutcome | list[CheckOut
 
 def _rows(config: CorpusConfig) -> _Instances:
     row = "classification-row"
+    exception_n, exception_label, _ = ROWS["Kn"].counterexample
     yield row, "K2", lambda: check_classification_row("K2")
     yield row, "K3", lambda: check_classification_row("K3")
     for n in range(config.kn_range[0], config.kn_range[1] + 1):
         yield row, f"Kn S_{n}", lambda: check_classification_row("Kn", symmetric_group(n), n)
-        if n == 5:
-            # The published table omits this pair; the verified behaviour
-            # is pinned by check_known_exception (see its docstring).
-            yield "classification-row-exception", "Kn A_5", check_known_exception
+        if n == exception_n:
+            yield "classification-row-exception", f"Kn {exception_label}", check_known_exception
         else:
             yield row, f"Kn A_{n}", lambda: check_classification_row("Kn", alternating_group(n), n)
     if config.kn_range[0] <= 9 <= config.kn_range[1]:
@@ -778,11 +774,11 @@ ALL_SECTIONS = tuple(name for name, _ in SECTIONS)
 
 
 # least value per config key: random graphs need >= 2 vertices (and
-# random_n_max >= random_n_min), the Kn rows n >= 4, the Knn rows n >= 2,
+# random_n_max >= random_n_min), the Kn and Knn rows their least n,
 # cycles n >= 3, and s starts at 1
 _CONFIG_MINIMUMS = {
     "random_graphs": 0, "random_n_min": 2, "subgroup_samples": 0, "s_max": 1,
-    "kn_range": 4, "knn_range": 2, "cycle_large_ns": 3,
+    "kn_range": ROWS["Kn"].least_n, "knn_range": ROWS["Knn"].least_n, "cycle_large_ns": 3,
 }
 
 _BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)

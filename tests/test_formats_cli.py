@@ -27,6 +27,25 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "golden_verify.jsonl")
 # the corpus GOLDEN_VERIFY was written with (343 records, all 12 check names)
 GOLDEN_CONFIG = "random_graphs = 3\nkn_range = 4..5\nknn_range = 2..3\ncycle_large_ns = 16,17\n"
+# every record of the rows section at the default ranges, heavy rows included
+GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "golden_rows.jsonl")
+GOLDEN_ROWS_CONFIG = "sections = rows\nheavy = on\n"
+
+
+def _verify_matches_golden(tmp_path, config: str, golden: str) -> list[str]:
+    """Run verify with config and compare its report with golden record by
+    record; return golden's lines."""
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    want = Path(golden).read_text().splitlines()
+    got = out.read_text().splitlines()
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        rec = json.loads(b)
+        assert a == b, f"record {i}: {rec['name']} [{rec['instance']}]"
+    return want
 
 
 class TestGraphFiles:
@@ -339,17 +358,15 @@ class TestCli:
     def test_verify_report_matches_golden(self, tmp_path):
         # the committed report pins verdicts, witnesses and details across
         # refactors; regenerate it only for an intended change of the report
-        cfg = tmp_path / "golden.cfg"
-        cfg.write_text(GOLDEN_CONFIG)
-        out = tmp_path / "r.jsonl"
-        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
-        want = Path(GOLDEN_VERIFY).read_text().splitlines()
-        got = out.read_text().splitlines()
-        assert len(got) == len(want) == 343
+        want = _verify_matches_golden(tmp_path, GOLDEN_CONFIG, GOLDEN_VERIFY)
+        assert len(want) == 343
         assert len({json.loads(line)["name"] for line in want}) == 12
-        for i, (a, b) in enumerate(zip(got, want)):
-            rec = json.loads(b)
-            assert a == b, f"record {i}: {rec['name']} [{rec['instance']}]"
+
+    def test_verify_rows_match_golden(self, tmp_path):
+        # K6-K9, PGammaL(2,8), PGL(2,8), Knn at n = 4 and both HoSi rows are
+        # outside GOLDEN_CONFIG; this pins every row the default corpus runs
+        want = _verify_matches_golden(tmp_path, GOLDEN_ROWS_CONFIG, GOLDEN_ROWS)
+        assert len(want) == 27
 
     def test_verify_effective_config_names_every_key(self, tmp_path, capsys):
         cfg = tmp_path / "corpus.cfg"

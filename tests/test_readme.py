@@ -1,9 +1,12 @@
-"""The README's library example runs and prints what the README shows."""
+"""The README's library example runs and prints what the README shows, and
+its copy of the classification table is the one in subsym.theorems.ROWS."""
 
 import contextlib
 import io
 import os
 import re
+
+from subsym.theorems import ROWS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -18,3 +21,25 @@ def test_library_example_prints_its_comment():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == shown == ["[True, True, True, True, True, True]"]
+
+
+def render_rows() -> str:
+    """ROWS as the markdown table README.md shows."""
+    lines = [
+        "| row | least n | (d, δ) | S(Σ) reaches its diameter 2d + δ when | counterexample |",
+        "|---|---|---|---|---|",
+    ]
+    for name, row in ROWS.items():
+        least = "" if row.least_n is None else row.least_n
+        ce = ""
+        if row.counterexample is not None:
+            n, label, _ = row.counterexample
+            ce = f"{label} at n = {n}"
+        lines.append(f"| {name} | {least} | {row.d_delta} | {row.listed.__doc__} | {ce} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_classification_table_matches_rows():
+    with open(README, encoding="utf-8") as fh:
+        readme = fh.read()
+    assert f"\n\n{render_rows()}\n" in readme

@@ -228,6 +228,11 @@ class TestClassificationRows:
         assert oc.details["expected_s_max"] == 3
         assert oc.details["verdicts"][4] is True
 
+    @pytest.mark.parametrize("row", ["P", "K2", "C5"])
+    def test_a_row_without_n_rejects_one(self, row):
+        with pytest.raises(GraphError, match=f"row {row} takes no n, got n=7"):
+            check_classification_row(row, None, 7)
+
     def test_known_exception_reproduces(self):
         oc = check_known_exception()
         assert oc.status == CONFIRMED
@@ -261,6 +266,11 @@ class TestBipartiteConditions:
         oc = check_bipartite_conditions(3, _s3_times_s3())
         assert oc.status == CONFIRMED
         assert not oc.details["iii"] and not oc.details["local_4_distance"]
+
+    def test_rejects_n_below_the_knn_row(self):
+        # K_{1,1} is a single edge; the Knn row starts at n = 2
+        with pytest.raises(GraphError, match=r"K_\{n,n\} needs n >= 2, got n=1"):
+            check_bipartite_conditions(1, wreath_s2(1))
 
     def test_rejects_a_group_that_does_not_preserve_the_graph(self):
         with pytest.raises(NotAnAutomorphismError):
