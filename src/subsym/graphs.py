@@ -47,6 +47,7 @@ class Graph:
         "_girth",
         "_edge_index",
         "_invariants",
+        "_subdivision",
         "__weakref__",
     )
 
@@ -97,6 +98,7 @@ class Graph:
         self._girth = _UNKNOWN
         self._edge_index = None
         self._invariants = None  # autgrp._vertex_invariants, once computed
+        self._subdivision = None  # S(g) as built by transforms.subdivide, once built
 
     @property
     def m(self) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator, Optional, TypeVar
 
 import numpy as np
@@ -131,18 +132,17 @@ ARC_EQUIVALENCE = "local-arc-equivalence"
 DISTANCE_EQUIVALENCE = "local-distance-equivalence"
 
 
-def _equivalence_verdicts(sg: SubdivisionGraph, G: PermGroup, arc_s, distance_s) -> tuple[dict, dict]:
+def _equivalence_verdicts(g: Graph, G: PermGroup, arc_s, distance_s) -> tuple[dict, dict]:
     """Both sides of the local arc equivalence for each s in arc_s and of the
     local distance equivalence for each s in distance_s, for G acting on the
-    base graph g = sg.base: (subdivision verdicts per equivalence and s, base
+    base graph g: (subdivision verdicts per equivalence and s, base
     verdicts per t). Each side reads all its verdicts off one profile: the
     subdivision side off (S(g), the action G induces on it), the base side
     off (g, G) at t = ceil((s+1)/2). They depend on G's elements only, not on
     its generators."""
-    g = sg.base
     # a single edge with even s is the degenerate case of the arc equivalence
     arc_evaluated = [s for s in arc_s if g.n != 2 or s % 2 == 1]
-    Gs = induced_subdivision_action(G, sg)
+    sg, Gs = _lift(g, G)
     sides = {
         ARC_EQUIVALENCE: transitivity_verdicts(sg.graph, Gs, "s-arc", True, arc_evaluated),
         DISTANCE_EQUIVALENCE: transitivity_verdicts(sg.graph, Gs, "s-distance", True, distance_s),
@@ -199,7 +199,7 @@ def check_local_arc_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     if not g.is_connected() or g.n < 2:
         return _outcome(ARC_EQUIVALENCE, f"{prefix} s={s}", None, {},
                         "need a connected graph on >= 2 vertices")
-    return _equivalence_outcomes(_equivalence_verdicts(subdivide(g), G, [s], []), [s], [], prefix)[0]
+    return _equivalence_outcomes(_equivalence_verdicts(g, G, [s], []), [s], [], prefix)[0]
 
 
 def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
@@ -214,7 +214,7 @@ def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOut
     if s > 2 * d - 1:
         return _outcome(DISTANCE_EQUIVALENCE, instance, None, {"d": d},
                         f"s={s} exceeds 2d-1={2 * d - 1}")
-    return _equivalence_outcomes(_equivalence_verdicts(subdivide(g), G, [], [s]), [], [s], prefix)[0]
+    return _equivalence_outcomes(_equivalence_verdicts(g, G, [], [s]), [], [s], prefix)[0]
 
 
 def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
@@ -314,22 +314,19 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
 # -- structural checks -----------------------------------------------------------
 
 
-def check_distance_formula(g: Graph, sg: Optional[SubdivisionGraph] = None) -> CheckOutcome:
+def check_distance_formula(g: Graph) -> CheckOutcome:
     """Closed-form subdivision distances agree with BFS on every vertex pair,
     the diameter excess delta lies in {0,1,2}, and delta=2 exactly when two
-    edges realise the base diameter on all four cross distances.
-
-    ``sg`` is ``subdivide(g)`` when the caller has it already."""
+    edges realise the base diameter on all four cross distances."""
     name = "distance-formula"
     instance = f"g=({g.n},{g.m})"
     if g.n < 2 or not g.is_connected():
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    if sg is None:
-        sg = subdivide(g)
+    sg = subdivide(g)
     formula = subdivision_distance_matrix(sg)
     bfs = sg.graph.distances_matrix()
     mismatches = int((formula != bfs).sum())
-    report = delta_of(g, sg)  # raises if delta leaves {0,1,2} or witness test disagrees
+    report = delta_of(g)  # raises if delta leaves {0,1,2} or witness test disagrees
     ok = mismatches == 0
     return _outcome(
         name,
@@ -339,19 +336,16 @@ def check_distance_formula(g: Graph, sg: Optional[SubdivisionGraph] = None) -> C
     )
 
 
-def check_reconstruction(g: Graph, sg: Optional[SubdivisionGraph] = None) -> CheckOutcome:
+def check_reconstruction(g: Graph) -> CheckOutcome:
     """The distance-2 graph of the subdivision splits into exactly two
     components, one isomorphic to the base and one to its line graph, and
-    label-free reconstruction recovers the base up to isomorphism.
-
-    ``sg`` is ``subdivide(g)`` when the caller has it already."""
+    label-free reconstruction recovers the base up to isomorphism."""
     name = "reconstruction"
     instance = f"g=({g.n},{g.m})"
     if g.n < 2 or not g.is_connected():
         return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
-    if sg is None:
-        sg = subdivide(g)
-    comps = distance_two_graph(sg.graph)
+    gamma = subdivide(g).graph
+    comps = distance_two_graph(gamma)
     lg = line_graph(g)
     two = len(comps) == 2
     matched = False
@@ -360,7 +354,7 @@ def check_reconstruction(g: Graph, sg: Optional[SubdivisionGraph] = None) -> Che
         matched = (is_isomorphic(c0, g) and is_isomorphic(c1, lg)) or (
             is_isomorphic(c1, g) and is_isomorphic(c0, lg)
         )
-    recon = reconstruct_from_ambient(sg.graph, comps)
+    recon = reconstruct_from_ambient(gamma, comps)
     round_trip = is_isomorphic(recon, g)
     ok = two and matched and round_trip
     return _outcome(
@@ -394,22 +388,22 @@ def is_k_transitive(G: PermGroup, k: int) -> bool:
     )
 
 
-def _is_aut(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+def _is_aut(g: Graph, G: PermGroup, aut: Callable[[], PermGroup]) -> bool:
     """G is Aut(Σ)."""
-    return G.order() == aut.order()
+    return G.order() == aut().order()
 
 
-def _kn_listed(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+def _kn_listed(g: Graph, G: PermGroup, aut: Callable[[], PermGroup]) -> bool:
     """G is 4-transitive, or is PΓL(2,8) on K_9."""
     return is_k_transitive(G, 4) or (g.n == 9 and G.order() == 1512 and is_k_transitive(G, 3))
 
 
-def _knn_listed(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+def _knn_listed(g: Graph, G: PermGroup, aut: Callable[[], PermGroup]) -> bool:
     """Conditions (i)-(iii) of check_bipartite_conditions hold."""
     return all(_bipartite_conditions(g, G).values())
 
 
-def _contains_psu_3_5(g: Graph, G: PermGroup, aut: PermGroup) -> bool:
+def _contains_psu_3_5(g: Graph, G: PermGroup, aut: Callable[[], PermGroup]) -> bool:
     """G contains PSU(3,5)."""
     return G.order() in (126000, 252000)
 
@@ -420,17 +414,18 @@ class Row:
     when least_n is None, from nothing; Aut(Σ), the default group; the
     published (d, delta); and the groups G <= Aut(Σ) the table lists, those
     for which S(Σ) is locally (G, s)-distance transitive up to its diameter
-    2d + delta, as a test whose docstring states it. For any other group the
-    largest such s is 3 when G is 2-arc transitive on Σ, 1 when arc
-    transitive, and else 0 (the small-s equivalences; on K_n these are
-    3- and 2-transitivity). A counterexample
-    (n, group name, group of n) is a group the row does not list that
-    reaches the diameter all the same."""
+    2d + delta, as a test listed(g, G, aut) whose docstring states it; aut()
+    builds Aut(Σ) when first called, so a test that does not read it costs
+    no automorphism search. For any other group the largest such s is 3 when
+    G is 2-arc transitive on Σ, 1 when arc transitive, and else 0 (the
+    small-s equivalences; on K_n these are 3- and 2-transitivity). A
+    counterexample (n, group name, group of n) is a group the row does not
+    list that reaches the diameter all the same."""
     least_n: Optional[int]
     graph: Callable[..., Graph]
     group: Callable[[Graph], PermGroup]
     d_delta: tuple[int, int]
-    listed: Callable[[Graph, PermGroup, PermGroup], bool]
+    listed: Callable[[Graph, PermGroup, Callable[[], PermGroup]], bool]
     counterexample: Optional[tuple[int, str, Callable[[int], PermGroup]]] = None
 
 
@@ -458,13 +453,12 @@ def check_classification_row(row: str, G: Optional[PermGroup] = None, n: Optiona
     if spec.least_n is not None and (n is None or n < spec.least_n):
         raise GraphError(f"row {row} needs n >= {spec.least_n}")
     g = spec.graph() if n is None else spec.graph(n)
-    aut = spec.group(g)
-    G = aut if G is None else G
+    aut = cache(lambda: spec.group(g))  # built only when G is None or listed reads it
+    G = aut() if G is None else G
     instance = f"row={row}{'' if n is None else f'(n={n})'} |G|={G.order()}"
-    sg = subdivide(g)
-    report = delta_of(g, sg)
+    report = delta_of(g)
     diam_s = 2 * report.d + report.delta
-    Gs = induced_subdivision_action(G, sg)
+    sg, Gs = _lift(g, G)
     if spec.listed(g, G, aut):
         s_max = diam_s
     else:
@@ -689,9 +683,8 @@ def _structural(config: CorpusConfig) -> _Instances:
     graphs.append(make_petersen())
     for g in graphs:
         inst = f"g=({g.n},{g.m})"
-        sg = subdivide(g)
-        yield "distance-formula", inst, lambda: check_distance_formula(g, sg)
-        yield "reconstruction", inst, lambda: check_reconstruction(g, sg)
+        yield "distance-formula", inst, lambda: check_distance_formula(g)
+        yield "reconstruction", inst, lambda: check_reconstruction(g)
 
 
 def _named_instances(config: CorpusConfig) -> _Instances:
@@ -734,30 +727,29 @@ def _random(config: CorpusConfig) -> _Instances:
         n = rng.randint(config.random_n_min, config.random_n_max)
         g = random_connected_graph(rng, n)
         inst = f"random#{idx}(n={g.n},m={g.m})"
-        sg = subdivide(g)  # one lift per graph, shared by every check on it
-        yield "distance-formula", inst, lambda: check_distance_formula(g, sg)
-        yield "reconstruction", inst, lambda: check_reconstruction(g, sg)
+        yield "distance-formula", inst, lambda: check_distance_formula(g)
+        yield "reconstruction", inst, lambda: check_reconstruction(g)
         # a skipped sweep draws no subgroup seed from rng
-        yield "equivalence-sweep", inst, lambda: _equivalence_sweep(sg, config, rng.randrange(2**30), inst)
+        yield "equivalence-sweep", inst, lambda: _equivalence_sweep(g, config, rng.randrange(2**30), inst)
 
 
-def _equivalence_sweep(sg: SubdivisionGraph, config: CorpusConfig, seed: int, prefix: str) -> list[CheckOutcome]:
-    """Both equivalences for s up to config.s_max on sg.base under its
+def _equivalence_sweep(g: Graph, config: CorpusConfig, seed: int, prefix: str) -> list[CheckOutcome]:
+    """Both equivalences for s up to config.s_max on g under its
     automorphism group and the subgroups sampled with seed.
 
     Sampled generators often generate the same group twice, and a verdict
     depends on the group's elements only, so equal groups on one graph share
     one evaluation: a repeat is found by equal_groups and its outcomes are
     assembled under its own label from the earlier group's verdicts."""
-    aut = automorphism_group(sg.base)
+    aut = automorphism_group(g)
     groups = [aut] + random_subgroups(aut, config.subgroup_samples, seed)[2:]
     s_values = range(1, config.s_max + 1)
-    distance_s = range(1, min(config.s_max, 2 * sg.base.diameter() - 1) + 1)
+    distance_s = range(1, min(config.s_max, 2 * g.diameter() - 1) + 1)
     evaluated: list = []  # (group, verdicts) on this graph only
     outcomes = []
     for gi, G in enumerate(groups):
         label = f"{prefix} G#{gi}(|G|={G.order()})"
-        verdicts = _once_per_group(evaluated, G, lambda: _equivalence_verdicts(sg, G, s_values, distance_s))
+        verdicts = _once_per_group(evaluated, G, lambda: _equivalence_verdicts(g, G, s_values, distance_s))
         outcomes.extend(_equivalence_outcomes(verdicts, s_values, distance_s, label))
     return outcomes
 

@@ -3,7 +3,9 @@
 The subdivision of a graph on n vertices and m edges keeps the original ids
 0..n-1 ("V-vertices") and assigns ids n..n+m-1 to the new mid-edge vertices
 ("E-vertices"), in sorted edge-list order. That numbering is fixed so induced
-group actions and fixture files are reproducible byte for byte.
+group actions and fixture files are reproducible byte for byte. S(g)'s Graph
+is built once per g and cached on it, like g's distance matrix, so every
+caller of ``subdivide(g)`` shares it and whatever is cached on it.
 """
 
 from __future__ import annotations
@@ -70,15 +72,21 @@ class DeltaReport:
 
 
 def subdivide(g: Graph) -> SubdivisionGraph:
-    """The subdivision graph: one new vertex in the middle of each edge."""
-    n, m = g.n, g.m
-    edges = []
-    for i, (u, v) in enumerate(g.edge_list):
-        e = n + i
-        edges.append((u, e))
-        edges.append((v, e))
-    sg = Graph._trusted(n + m, sorted(edges))  # u < n <= e, and each pair is new
-    return SubdivisionGraph(graph=sg, edge_of=g.edge_list, base=g)
+    """The subdivision graph: one new vertex in the middle of each edge.
+
+    The Graph of S(g) is built on the first call and cached on g; each call
+    wraps it in a fresh SubdivisionGraph, so the cached graph holds no
+    reference back to g. Its edges are the pairs (u, n + i) for each vertex
+    u and each edge i at u, made in sorted order: u ascends, then i.
+    """
+    if g._subdivision is None:
+        n = g.n
+        incident: list[list[int]] = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(g.edge_list, n):
+            incident[u].append(e)
+            incident[v].append(e)
+        g._subdivision = Graph._trusted(n + g.m, [(u, e) for u, es in enumerate(incident) for e in es])
+    return SubdivisionGraph(graph=g._subdivision, edge_of=g.edge_list, base=g)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -206,26 +214,25 @@ def subdivision_distance(sg: SubdivisionGraph, a: int, b: int) -> int:
 def subdivision_distance_matrix(sg: SubdivisionGraph) -> np.ndarray:
     """All subdivision-graph distances by the closed formula, vectorised.
 
-    Same three cases as subdivision_distance; the diagonal of the E/E block is
-    zeroed since the formula's minimum is over two distinct edges. The
-    endpoints of an edge share a component, so each minimum is over base
-    distances that are either all UNREACHED or all reached.
+    Same three cases as subdivision_distance. near[x, j], the base distance
+    from vertex x to the nearer end of edge j, is the V/E block; for edge
+    i = (u, v) the E/E entry is min(near[u, j], near[v, j]), so two row
+    gathers of near give that block. Its diagonal is zeroed since the
+    formula's minimum is over two distinct edges. The endpoints of an edge
+    share a component, so each minimum is over base distances that are
+    either all UNREACHED or all reached.
     """
     d = sg.base.distances_matrix()
     n, m = sg.n_base, sg.m_base
     out = np.empty((n + m, n + m), dtype=np.int32)
     out[:n, :n] = _scale(d, 0)
     if m:
-        u = np.fromiter((e[0] for e in sg.edge_of), dtype=np.int64, count=m)
-        v = np.fromiter((e[1] for e in sg.edge_of), dtype=np.int64, count=m)
-        ve = _scale(np.minimum(d[:, u], d[:, v]), 1)
+        u, v = np.array(sg.edge_of, dtype=np.intp).T
+        near = np.minimum(d[:, u], d[:, v])
+        ve = _scale(near, 1)
         out[:n, n:] = ve
         out[n:, :n] = ve.T
-        ee = np.minimum(
-            np.minimum(d[np.ix_(u, u)], d[np.ix_(u, v)]),
-            np.minimum(d[np.ix_(v, u)], d[np.ix_(v, v)]),
-        )
-        ee = _scale(ee, 2)
+        ee = _scale(np.minimum(near[u], near[v]), 2)
         np.fill_diagonal(ee, 0)
         out[n:, n:] = ee
     return out
@@ -236,22 +243,18 @@ def _scale(base: np.ndarray, offset: int) -> np.ndarray:
     return np.where(base < 0, UNREACHED, 2 * base + offset)
 
 
-def delta_of(g: Graph, sg: Optional[SubdivisionGraph] = None) -> DeltaReport:
+def delta_of(g: Graph) -> DeltaReport:
     """diam(S(g)) = 2*diam(g) + delta with delta in {0, 1, 2}.
 
     diam(S(g)) is measured on the distance matrix of the actual subdivision
     graph, never on the closed formula; the delta=2 case is cross-checked
     against its witness criterion (two edges whose four cross-distances all
-    equal diam(g)). ``sg`` is ``subdivide(g)`` when the caller has it already.
+    equal diam(g)).
     """
     if g.n < 2:
         raise GraphError("need at least 2 vertices")
-    if sg is None:
-        sg = subdivide(g)
-    elif sg.base != g:
-        raise GraphError("sg is not the subdivision of g")
     d = g.diameter()
-    diam_s = sg.graph.diameter()
+    diam_s = subdivide(g).graph.diameter()
     delta = diam_s - 2 * d
     if delta not in (0, 1, 2):
         raise AssertionError(f"delta out of range: {delta}")

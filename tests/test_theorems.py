@@ -219,6 +219,16 @@ class TestClassificationRows:
         assert check_classification_row("Kn", symmetric_group(9), 9).status == CONFIRMED
         assert len(chain_builds) == 1
 
+    def test_heavy_rows_search_aut_hosi_twice(self, monkeypatch):
+        # once for the full row and once for its derived subgroup; the derived
+        # row's _contains_psu_3_5 never reads Aut(HoSi), so it builds none
+        search = theorems.automorphism_group
+        searched = []
+        monkeypatch.setattr(theorems, "automorphism_group", lambda g: searched.append(g.n) or search(g))
+        outcomes = run_corpus(CorpusConfig(sections=("rows",), heavy=True))
+        assert summarize(outcomes)[REFUTED] == 0
+        assert searched.count(50) == 2
+
     def test_published_table_fails_on_k5_with_a5(self):
         # The machine-found counterexample: the published table predicts the
         # alternating group fails at s=4 on the subdivided K_5, but every
@@ -398,8 +408,8 @@ class TestRunCorpus:
         lifted = []
 
         def counting(g):
-            lifted.append(g)
-            return subdivide(g)
+            lifted.append(subdivide(g))
+            return lifted[-1]
 
         monkeypatch.setattr(theorems, "subdivide", counting)
         counts = []
@@ -408,13 +418,13 @@ class TestRunCorpus:
             cfg = CorpusConfig(sections=("random",), random_graphs=3, subgroup_samples=samples, s_max=3)
             outcomes = run_corpus(cfg)
             assert summarize(outcomes)[REFUTED] == 0
-            counts.append(len(lifted))
+            counts.append(len({id(sg.graph) for sg in lifted}))
         # the distance formula, the reconstruction and the equivalence sweep
-        # share one lift of each random graph, however many groups are sampled
+        # share one S(g) of each random graph, however many groups are sampled
         assert counts == [3, 3]
 
     def test_random_sweep_evaluates_each_distinct_group_once(self, monkeypatch):
-        subdivide, induce, once = theorems.subdivide, theorems.induced_subdivision_action, theorems._once_per_group
+        make, induce, once = theorems.random_connected_graph, theorems.induced_subdivision_action, theorems._once_per_group
         graphs, lifted, groups = [], [], []  # groups: (group, whether its verdicts were reused)
 
         def recording(evaluated, G, evaluate):
@@ -423,7 +433,7 @@ class TestRunCorpus:
             groups.append((G, len(evaluated) == before))
             return value
 
-        monkeypatch.setattr(theorems, "subdivide", lambda g: graphs.append(subdivide(g)) or graphs[-1])
+        monkeypatch.setattr(theorems, "random_connected_graph", lambda rng, n: graphs.append(make(rng, n)) or graphs[-1])
         monkeypatch.setattr(theorems, "induced_subdivision_action", lambda G, sg: lifted.append(G) or induce(G, sg))
         monkeypatch.setattr(theorems, "_once_per_group", recording)
         cfg = CorpusConfig(sections=("random",))
@@ -439,9 +449,9 @@ class TestRunCorpus:
         monkeypatch.setattr(theorems, "induced_subdivision_action", induce)
         s_values = range(1, cfg.s_max + 1)
         for (label, got), (G, reused) in zip(by_label.items(), groups):
-            sg = graphs[int(label.split("#", 1)[1].split("(", 1)[0])]
+            g = graphs[int(label.split("#", 1)[1].split("(", 1)[0])]
             assert label.endswith(f"(|G|={G.order()})")
             if reused:
-                distance_s = range(1, min(cfg.s_max, 2 * sg.base.diameter() - 1) + 1)
-                verdicts = theorems._equivalence_verdicts(sg, G, s_values, distance_s)
+                distance_s = range(1, min(cfg.s_max, 2 * g.diameter() - 1) + 1)
+                verdicts = theorems._equivalence_verdicts(g, G, s_values, distance_s)
                 assert got == theorems._equivalence_outcomes(verdicts, s_values, distance_s, label)

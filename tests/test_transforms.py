@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from subsym.autgrp import is_isomorphic
 from subsym.graphs import (
@@ -65,6 +65,21 @@ def test_built_graphs_equal_checked_ones(g):
     for h in built:
         checked = Graph(h.n, h.edge_list)
         assert (h.n, h.edge_list, h.adjacency) == (checked.n, checked.edge_list, checked.adjacency)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_graph_strategy(max_n=10, min_n=0))
+@example(Graph(5, []))  # no edges
+@example(Graph(5, [(1, 3)]))  # isolated vertices
+def test_subdivision_is_built_once_in_sorted_order(g):
+    # the pairs (u, n+i), (v, n+i) through the checked constructor give the
+    # same graph as the direct sorted build, and every call shares that graph
+    sg = subdivide(g)
+    pairs = [(x, g.n + i) for i, e in enumerate(g.edge_list) for x in e]
+    checked = Graph(g.n + g.m, pairs)
+    assert (sg.graph.n, sg.graph.edge_list, sg.graph.adjacency) == (checked.n, checked.edge_list, checked.adjacency)
+    assert subdivide(g).graph is sg.graph
+    assert subdivide(g) is not sg and subdivide(g).base is g
 
 
 class TestSubdivide:
@@ -309,22 +324,19 @@ class TestDelta:
         else:
             assert delta2_witness(g) == brute_delta2_witness(g)
 
-    def test_delta_of_reuses_the_callers_subdivision(self, monkeypatch):
-        from subsym import theorems, transforms
+    def test_formula_and_reconstruction_share_one_subdivision(self, monkeypatch):
+        from subsym import graphs, theorems
 
+        closure = graphs._distance_closure
+        sizes = []
+
+        def counting(adjacency):
+            sizes.append(len(adjacency))
+            return closure(adjacency)
+
+        monkeypatch.setattr(graphs, "_distance_closure", counting)
         g = make_complete_bipartite(3, 4)
-        sg = subdivide(g)
-        lifts = []
-
-        def counting_subdivide(h):
-            lifts.append(h)
-            return subdivide(h)
-
-        monkeypatch.setattr(transforms, "subdivide", counting_subdivide)
-        monkeypatch.setattr(theorems, "subdivide", counting_subdivide)
-        assert delta_of(g, sg) == delta_of(g)
-        assert len(lifts) == 1
         assert theorems.check_distance_formula(g).status == theorems.CONFIRMED
-        assert len(lifts) == 2  # one lift serves the formula check and delta_of
-        with pytest.raises(GraphError):
-            delta_of(make_cycle(5), sg)
+        assert theorems.check_reconstruction(g).status == theorems.CONFIRMED
+        # one distance matrix of g and one of S(g), shared by delta_of and both checks
+        assert sizes == [g.n, g.n + g.m]
