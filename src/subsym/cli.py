@@ -192,9 +192,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.heavy:
         cfg.heavy = True
     if args.budget is not None:
-        if not args.budget >= 0:  # also rejects nan
-            raise GraphError(f"--budget: budget_seconds must be >= 0, got {args.budget}")
         cfg.budget_seconds = args.budget
+        cfg.check(lambda *keys: "--budget")  # the file's values are checked already
     print("# effective-config: command=verify " + " ".join(
         f"{f.name}={_config_value(f.name, getattr(cfg, f.name))}" for f in dataclasses.fields(cfg)
     ))

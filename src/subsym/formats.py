@@ -1,9 +1,10 @@
 """Interchange file formats.
 
 Edge lists: first line "n m", then one "u v" line per edge with
-0 <= u < v < n. Subdivision graphs add an advisory part-tag line
-"parts: V=0..n-1 E=n..n+m-1". Generator files: first line "degree k",
-then one permutation per line as a space-separated image list.
+0 <= u < v < n. Subdivision graphs add a part-tag line
+"parts: V=0..n-1 E=n..n+m-1", whose form is checked on read. Generator
+files: first line "degree k", then one permutation per line as a
+space-separated image list.
 Comment lines start with '#' in both formats.
 """
 
@@ -52,8 +53,8 @@ def read_graph(path: str) -> Graph:
 
 
 def read_graph_with_parts(path: str) -> tuple[Graph, Optional[int]]:
-    """Parse an edge-list file, also returning the V-part size from an
-    advisory "parts:" line when one is present."""
+    """Parse an edge-list file, also returning the V-part size from a
+    "parts:" line when one is present."""
     header = None
     edges = []
     n_base = None

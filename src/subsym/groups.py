@@ -15,18 +15,20 @@ highly transitive groups this library works with.
 A group that a subdivision S(Sigma) gets from a group B on Sigma (B acting on
 V and, through its edges, on E) is a lifted group: it keeps B and the map
 ``SubdivisionLift`` from Sigma's vertices and edges to its own points. The
-lift is faithful, so no chain is built on its n + m points: its order is
-B's, its chain is B's chain with points mapped and elements lifted, and its
-point stabilizers are lifts of B's stabilizers, G_v for a V-point and the
-setwise edge stabilizer for an E-point. Those are lifted groups again.
+lift is faithful, so its order is B's, and its point stabilizers are lifts
+of B's stabilizers, G_v for a V-point and the setwise edge stabilizer for
+an E-point. Those are lifted groups again. Its orbits come from its own
+generators. No library flow asks a lifted group for its chain; one that
+did would get a chain built like any other group's.
 
-Every other chain is built by ``StabilizerChain(G, prefix)`` and memoised on
-G with its base prefix. A request for prefix P reuses a memoised chain built
-with prefix Q and base b when len(Q) <= len(P) and b agrees with P on their
-common length: both builds then choose the same base point at every level
-they create, so the memoised chain is the one P would build. Point and edge
-stabilizers are memoised on G in the same way, keyed by the point or by the
-ordered pair.
+A chain is given at construction (a stabilizer's chain tail, or the chain
+``normal_closure`` builds) or built by ``StabilizerChain(G, prefix)`` and
+memoised on G with its base prefix. A request for prefix P reuses a
+memoised chain built with prefix Q and base b when len(Q) <= len(P) and b
+agrees with P on their common length: both builds then choose the same base
+point at every level they create, so the memoised chain is the one P would
+build. Point and edge stabilizers are memoised on G in the same way, keyed
+by the point or by the ordered pair.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self._chain = _chain
+        self._chain = _chain  # given at construction: a chain tail or normal_closure's chain
         # (prefix, base, chain) per chain StabilizerChain(self, prefix) built; see _prefix_chain
         self._chains: list[tuple[tuple[int, ...], tuple[int, ...], StabilizerChain]] = []
         self._orbits: Optional[tuple[tuple[int, ...], ...]] = None  # see point_orbits
@@ -223,15 +225,7 @@ class PermGroup:
         self._lift = _lift
 
     def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    if self._lift is None:
-                        self._chain = _prefix_chain(self, ())
-                    else:
-                        base, lift = self._lift
-                        self._chain = lift.chain(base.chain())
-        return self._chain
+        return self._chain or _prefix_chain(self, ())
 
     def order(self) -> int:
         if self._lift is not None:  # the lift is faithful
@@ -560,44 +554,21 @@ class SubdivisionLift:
         self.base_of: dict[int, Any] = {x: e for e, x in edge_at.items()}
         self.base_of.update((x, i) for i, x in enumerate(self.vertex_at))
 
-    def images(self, p: Perm) -> tuple[int, ...]:
-        """The images of p's lift; p must preserve the base graph."""
-        img, vertex_at, edge_at = p.images, self.vertex_at, self.edge_at
-        out = [0] * self.degree
-        for i, x in enumerate(vertex_at):
-            out[x] = vertex_at[img[i]]
-        for (u, v), x in edge_at.items():
-            a, b = img[u], img[v]
-            out[x] = edge_at[(a, b) if a < b else (b, a)]
-        return tuple(out)
-
     def group(self, B: PermGroup) -> PermGroup:
         """The lift of B, a group of automorphisms of the base graph. Its
         generators are the lifts of B's, through the checked constructor."""
-        return PermGroup(self.degree, [Perm(self.images(p)) for p in B.generators], _lift=(B, self))
-
-    def chain(self, chain: StabilizerChain) -> StabilizerChain:
-        """A base chain with its points mapped and its elements lifted: the
-        lift is an isomorphism onto the lifted group, so this is a chain of
-        that group. The lift of a bijection is a bijection, so the lifted
-        elements skip the constructor's check."""
-        lifted: dict[int, Perm] = {}  # id of a base element -> its lift
-
-        def up(p: Perm) -> Perm:
-            q = lifted.get(id(p))
-            if q is None:
-                q = lifted[id(p)] = Perm._trusted(self.images(p))
-            return q
-
-        levels = []
-        for lvl in chain.levels:
-            new = _Level(self.vertex_at[lvl.point], self.degree)
-            new.gens = [up(g) for g in lvl.gens]
-            new.gens_inv = [up(g) for g in lvl.gens_inv]
-            new.transversal = {self.vertex_at[x]: up(u) for x, u in lvl.transversal.items()}
-            new.transversal_inv = {self.vertex_at[x]: up(u) for x, u in lvl.transversal_inv.items()}
-            levels.append(new)
-        return StabilizerChain._from_levels(self.degree, levels)
+        vertex_at, edge_at = self.vertex_at, self.edge_at
+        gens = []
+        for p in B.generators:
+            img = p.images
+            out = [0] * self.degree
+            for i, x in enumerate(vertex_at):
+                out[x] = vertex_at[img[i]]
+            for (u, v), x in edge_at.items():
+                a, b = img[u], img[v]
+                out[x] = edge_at[(a, b) if a < b else (b, a)]
+            gens.append(Perm(out))
+        return PermGroup(self.degree, gens, _lift=(B, self))
 
 
 def induced_subdivision_action(G: PermGroup, sg) -> PermGroup:

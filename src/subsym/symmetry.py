@@ -52,8 +52,8 @@ class PropertyKind:
 
     def label(self) -> str:
         scope = "locally" if self.local else "globally"
-        if self.s is not None:
-            return f"{scope} {self.s}-{self.name.replace('s-', '')} transitive"
+        if self.name.startswith("s-"):  # "distance" carries s = diam but is unparameterised
+            return f"{scope} {self.s}-{self.name[2:]} transitive"
         return f"{scope} {self.name} transitive"
 
 

@@ -518,7 +518,8 @@ def _bipart_preserving_subgroup(G: PermGroup, block: frozenset[int]) -> PermGrou
         else:
             gens.extend([a * tau_inv, tau * a])
     N = PermGroup(G.degree, gens)
-    assert 2 * N.order() == G.order()
+    if 2 * N.order() != G.order():
+        raise AssertionError("bipart-preserving subgroup is not of index 2")
     return N
 
 
@@ -767,19 +768,14 @@ ALL_SECTIONS = tuple(name for name, _ in SECTIONS)
 
 # least value per config key: random graphs need >= 2 vertices (and
 # random_n_max >= random_n_min), the Kn and Knn rows their least n,
-# cycles n >= 3, and s starts at 1
+# cycles n >= 3, s starts at 1, and a negative budget would skip every check
 _CONFIG_MINIMUMS = {
     "random_graphs": 0, "random_n_min": 2, "subgroup_samples": 0, "s_max": 1,
     "kn_range": ROWS["Kn"].least_n, "knn_range": ROWS["Knn"].least_n, "cycle_large_ns": 3,
+    "budget_seconds": 0,
 }
 
 _BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
-
-
-def _check_at_least(where: str, key: str, value: int) -> None:
-    least = _CONFIG_MINIMUMS.get(key)
-    if least is not None and value < least:
-        raise GraphError(f"{where}: {key} must be >= {least}, got {value}")
 
 
 @dataclass
@@ -797,76 +793,92 @@ class CorpusConfig:
     heavy: bool = False
     budget_seconds: Optional[float] = None
 
+    def check(self, where: Callable[..., str] = lambda *keys: "CorpusConfig",
+              spelled: Optional[dict[str, str]] = None) -> None:
+        """Raise GraphError for a value below its key's least sensible value,
+        an empty range, random_n_min above random_n_max, or an unknown
+        section. ``where(*keys)`` names the place that set the keys, such as
+        a file and line; a message quotes a budget or a range as
+        ``spelled[key]`` when given, as written there."""
+        spelled = spelled or {}
+
+        def at_least(key: str, value, shown=None) -> None:
+            least = _CONFIG_MINIMUMS[key]
+            if not value >= least:  # also rejects nan
+                shown = value if shown is None else shown
+                raise GraphError(f"{where(key)}: {key} must be >= {least}, got {shown}")
+
+        for key in ("random_graphs", "random_n_min", "subgroup_samples", "s_max"):
+            at_least(key, getattr(self, key))
+        for key in ("kn_range", "knn_range"):
+            lo, hi = getattr(self, key)
+            if lo > hi:
+                raise GraphError(f"{where(key)}: {key} = {spelled.get(key, f'{lo}..{hi}')} is empty")
+            at_least(key, lo)
+        for n in self.cycle_large_ns:
+            at_least("cycle_large_ns", n)
+        for part in self.sections:
+            if part not in ALL_SECTIONS:
+                raise GraphError(f"{where('sections')}: unknown section {part!r}")
+        if self.budget_seconds is not None:
+            at_least("budget_seconds", self.budget_seconds, spelled.get("budget_seconds"))
+        if self.random_n_min > self.random_n_max:
+            raise GraphError(
+                f"{where('random_n_min', 'random_n_max')}: random_n_min = {self.random_n_min} "
+                f"exceeds random_n_max = {self.random_n_max}"
+            )
+
     @staticmethod
     def from_file(path: str) -> "CorpusConfig":
-        """Parse ``key = value`` lines. A malformed line, an unknown key, a
-        value below its key's least sensible value, or an empty range raises
-        GraphError naming the file, the line and the key."""
+        """Parse ``key = value`` lines. A malformed line, an unknown key, or a
+        value that ``check`` rejects raises GraphError naming the file, the
+        line that last set the key (the later of random_n_min and
+        random_n_max when they cross) and the key."""
         cfg = CorpusConfig()
         last_line: dict[str, int] = {}
+        spelled: dict[str, str] = {}
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                where = f"{path}:{lineno}"
                 if "=" not in line:
-                    raise GraphError(f"{where}: expected key = value")
+                    raise GraphError(f"{path}:{lineno}: expected key = value")
                 key, value = (part.strip() for part in line.split("=", 1))
                 try:
                     if key in ("seed", "random_graphs", "random_n_min", "random_n_max",
                                "subgroup_samples", "s_max"):
-                        number = int(value)
-                        _check_at_least(where, key, number)
-                        setattr(cfg, key, number)
+                        setattr(cfg, key, int(value))
                     elif key in ("kn_range", "knn_range"):
                         lo, hi = value.split("..")
-                        lo, hi = int(lo), int(hi)
-                        if lo > hi:
-                            raise GraphError(f"{where}: {key} = {value} is empty")
-                        _check_at_least(where, key, lo)
-                        setattr(cfg, key, (lo, hi))
+                        setattr(cfg, key, (int(lo), int(hi)))
                     elif key == "cycle_large_ns":
-                        ns = tuple(int(x) for x in value.split(",") if x.strip())
-                        for n in ns:
-                            _check_at_least(where, key, n)
-                        cfg.cycle_large_ns = ns
+                        cfg.cycle_large_ns = tuple(int(x) for x in value.split(",") if x.strip())
                     elif key == "sections":
-                        parts = tuple(x.strip() for x in value.split(",") if x.strip())
-                        for part in parts:
-                            if part not in ALL_SECTIONS:
-                                raise GraphError(f"{where}: unknown section {part!r}")
-                        cfg.sections = parts
+                        cfg.sections = tuple(x.strip() for x in value.split(",") if x.strip())
                     elif key == "heavy":
                         cfg.heavy = _BOOLEANS[value.lower()]
                     elif key == "budget_seconds":
-                        budget = float(value)
-                        if not budget >= 0:  # also rejects nan
-                            raise GraphError(f"{where}: budget_seconds must be >= 0, got {value}")
-                        cfg.budget_seconds = budget
+                        cfg.budget_seconds = float(value)
                     else:
-                        raise GraphError(f"{where}: unknown key {key!r}")
+                        raise GraphError(f"{path}:{lineno}: unknown key {key!r}")
                 except GraphError:
                     raise
                 except (KeyError, ValueError):  # int()/float(), an "A..B" without "..", or not a boolean
-                    raise GraphError(f"{where}: bad value {value!r} for {key}") from None
+                    raise GraphError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
                 last_line[key] = lineno
-        if cfg.random_n_min > cfg.random_n_max:
-            lineno = max(last_line.get("random_n_min", 0), last_line.get("random_n_max", 0))
-            raise GraphError(
-                f"{path}:{lineno}: random_n_min = {cfg.random_n_min} exceeds "
-                f"random_n_max = {cfg.random_n_max}"
-            )
+                spelled[key] = value
+        cfg.check(lambda *keys: f"{path}:{max(last_line.get(k, 0) for k in keys)}", spelled)
         return cfg
 
 
 def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
     """The sections of config.sections, in SECTIONS order; every refuted
-    outcome is a failure. The budget is checked before each check, and a
-    check started past it is reported skipped, naming the budget."""
-    for name in config.sections:
-        if name not in ALL_SECTIONS:
-            raise GraphError(f"unknown section {name!r}")
+    outcome is a failure. A config that ``CorpusConfig.check`` rejects
+    raises GraphError before any check runs. The budget is checked before
+    each check, and a check started past it is reported skipped, naming the
+    budget."""
+    config.check()
     budget = config.budget_seconds
     started = time.monotonic()
     outcomes: list[CheckOutcome] = []

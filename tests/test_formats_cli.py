@@ -20,7 +20,7 @@ from subsym.formats import (
 )
 from subsym.graphs import Graph, make_complete, make_cycle, make_petersen, random_connected_graph
 from subsym.groups import dihedral_group, pgammal_2_8
-from subsym.theorems import CorpusConfig
+from subsym.theorems import CorpusConfig, run_corpus
 from subsym.transforms import subdivide
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -250,6 +250,35 @@ class TestCli:
         assert [ln for ln in cold if not ln.startswith(("# automorphism group", "cached"))] == warm
         assert sum(ln.endswith(": true") for ln in warm) == 6
         assert built and set(built) == {50}
+
+    def test_no_flow_builds_a_chain_for_a_lifted_group(self, tmp_path, capsys, monkeypatch):
+        # a lifted group takes its order and stabilizers from its base group,
+        # so analyze on S(Petersen) builds chains on Petersen's 10 points only
+        lifted, plain = [], []
+        real = groups.StabilizerChain.__init__
+
+        def recording(self, G, base_prefix=()):
+            (lifted if G._lift is not None else plain).append(G.degree)
+            real(self, G, base_prefix)
+
+        monkeypatch.setattr(groups.StabilizerChain, "__init__", recording)
+        base, g_path = str(tmp_path / "p.g"), str(tmp_path / "sp.g")
+        main(["build", "petersen", "--out", base])
+        main(["transform", "subdivide", "--in", base, "--out", g_path])
+        fixture = os.path.join(FIXTURES, "petersen_aut.gens")
+        capsys.readouterr()
+        # the first aut run is cold and writes the cache, every later one reads it
+        for group, note in (("aut", "# automorphism group from the base graph"),
+                            ("aut", "# effective-config"),
+                            (fixture, "# induced the degree-10 group")):
+            for prop in sorted(cli.PROPERTIES):
+                args = ["analyze", "--graph", g_path, "--group", group, "--property", prop, "--s", "1..3"]
+                assert main(args) == 0
+                assert note in capsys.readouterr().out
+                note = "# effective-config"
+        assert lifted == [] and set(plain) == {10}
+        run_corpus(CorpusConfig())
+        assert lifted == [] and len(set(plain)) > 1
 
     @pytest.mark.parametrize("g, message", [
         (make_complete(2), "s range 1..3 exceeds diameter 1"),

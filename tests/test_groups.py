@@ -493,12 +493,15 @@ class TestChainMemo:
         assert groups_module._prefix_chain(G, (0, 1, 2)) is shorter
         assert groups_module._prefix_chain(G, (0, 2, 1)) is longer
 
-    def test_given_and_lifted_chains_are_not_memoised(self):
+    def test_given_chains_are_not_memoised_lifted_chains_are(self):
         Gv = stabilizer_point(symmetric_group(5), 0)  # a chain tail passed in through _chain=
         assert Gv.chain().order() == 24 and Gv._chains == []
+        # a lifted group's chain is built on its own points, like any other group's
         sg = subdivide(make_petersen())
         lifted = induced_subdivision_action(automorphism_group(make_petersen()), sg)
-        assert lifted.chain().order() == 120 and lifted._chains == []
+        chain = lifted.chain()
+        assert chain.degree == 25 and chain.order() == 120
+        assert [c for _, _, c in lifted._chains] == [chain] and lifted.chain() is chain
 
 
 class TestSubgroups:
@@ -739,8 +742,9 @@ class TestPinnedChainBytes:
     products became trusted and identity Schreier generators were skipped.
     The ``lifted`` and normal-closure digests start from generators the Aut
     search finds, so they are those of the search that resolves its levels
-    deepest first. The ``lifted`` and ``fixture`` groups act on S(HoSi), so
-    their chains and stabilizers are lifts of chains on HoSi's 50 points."""
+    deepest first. The ``lifted`` and ``fixture`` groups act on S(HoSi):
+    their stabilizers are lifts of stabilizers on HoSi's 50 points, and each
+    chain pinned here is built from the lifted generators on S(HoSi)'s 225."""
 
     @pytest.fixture(scope="class")
     def groups(self):
@@ -750,17 +754,17 @@ class TestPinnedChainBytes:
         return {"lifted": lifted, "fixture": induced_subdivision_action(fixture, sg)}
 
     @pytest.mark.parametrize("name, point, digest", [
-        pytest.param("lifted", None, "1fdf03c085345f34f7757efaf3131399fce964d632ce53f44407673c08f9420e",
+        pytest.param("lifted", None, "8ef0f5ae329c833bfbe94d2798e68f185f03e1472dd7c0f334b8fdccbe2cf7b8",
                      id="lifted-None"),
-        pytest.param("lifted", 0, "47b9c7f40cc215ec674954fc97fb522aac08f725e1a1c134877dc7e102cc149c",
+        pytest.param("lifted", 0, "bc6c70aafbcacc9d0722f6bc56bf06cfd7f00797da4ad3479f9366724cac2a47",
                      id="lifted-0"),
-        pytest.param("lifted", 50, "47760edd25a6916ecaf6db2ada5b18e9387cafb517e80c93ee4c599846726726",
+        pytest.param("lifted", 50, "c6e0eda57b2fec760a767d852495e148d0d7044ed5fa1175a11e23506b05c4c2",
                      id="lifted-50"),
-        pytest.param("fixture", None, "e6ceb6d9b500aaf863feaef9fabee2205543f458a748f91d6e94335cf9e5824e",
+        pytest.param("fixture", None, "3f9aa43a69fdcc99ea7792abda2193a349d537b0505166e1cba57d5682cb62bc",
                      id="fixture-None"),
-        pytest.param("fixture", 0, "4d3be13454a7faa9fce5a668d74d954796f2b49f51c7559ed6dfacbd3a8888c3",
+        pytest.param("fixture", 0, "3602dc7513c037ccd12485e78f7728d78eed29ccd226128971cc9cdf1f3e5f31",
                      id="fixture-0"),
-        pytest.param("fixture", 50, "12b50ca5ace1bdfd462fc7784338731bf5b1b08dbddf1b27cd7ac63ff1e39d87",
+        pytest.param("fixture", 50, "47f7de7a3383785f027792fad2f691edfd4e56c729ea5f093d1adbea55c0bfd5",
                      id="fixture-50"),
     ])
     def test_subdivided_hoffman_singleton(self, groups, name, point, digest):

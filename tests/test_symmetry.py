@@ -585,3 +585,19 @@ class TestReportSerialization:
         assert d["verdict"] is False
         assert isinstance(d["witness"]["first"], list)
         assert d["orbit_counts"]["4"] >= 2
+
+    @pytest.mark.parametrize("predicate, label", [
+        (is_arc_transitive, "globally arc transitive"),
+        (is_locally_arc_transitive, "locally arc transitive"),
+        (is_distance_transitive, "globally distance transitive"),
+        (is_locally_distance_transitive, "locally distance transitive"),
+        (lambda g, G: is_s_arc_transitive(g, G, 3), "globally 3-arc transitive"),
+        (lambda g, G: is_locally_s_arc_transitive(g, G, 3), "locally 3-arc transitive"),
+        (lambda g, G: is_s_distance_transitive(g, G, 2), "globally 2-distance transitive"),
+        (lambda g, G: is_locally_s_distance_transitive(g, G, 2), "locally 2-distance transitive"),
+    ])
+    def test_kind_labels(self, predicate, label):
+        # the unparameterised distance kind carries s = diam = 2 on Petersen,
+        # which its label does not show
+        P = make_petersen()
+        assert predicate(P, automorphism_group(P)).kind.label() == label

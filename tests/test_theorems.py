@@ -356,6 +356,18 @@ class TestRunCorpus:
         with pytest.raises(GraphError, match="unknown section 'rowz'"):
             run_corpus(CorpusConfig(sections=("rows", "rowz")))
 
+    @pytest.mark.parametrize("values, message", [
+        ({"budget_seconds": -1.0}, "budget_seconds must be >= 0, got -1.0"),
+        ({"knn_range": (3, 2)}, "knn_range = 3..2 is empty"),
+        ({"s_max": 0}, "s_max must be >= 1, got 0"),
+        ({"random_n_min": 5, "random_n_max": 3}, "random_n_min = 5 exceeds random_n_max = 3"),
+    ])
+    def test_rejects_what_a_config_file_may_not_say(self, values, message):
+        # the same check as CorpusConfig.from_file, before any check runs
+        with pytest.raises(GraphError) as err:
+            run_corpus(CorpusConfig(**values))
+        assert str(err.value) == f"CorpusConfig: {message}"
+
     def test_budget_exhaustion_reports_skips(self):
         outcomes = run_corpus(CorpusConfig(random_graphs=3, budget_seconds=0.0))
         counts = summarize(outcomes)
