@@ -30,6 +30,19 @@ b_0..b_i, so level i runs at most one search per orbit of that stabilizer
 on its cell: the symmetric group S_n takes n - 1 searches, not
 n(n - 1)/2.
 
+The second pass is also a stabilizer chain, and the group comes back with
+it. Level i's walk of b_i's orbit under the generators found at depth >= i
+records, for each point p it reaches, the element u_p that maps b_i to p:
+that walk is the level's transversal, and those generators are its strong
+generators (the base and strong generating set nauty finds, McKay and
+Piperno 2014). Trailing one-point levels are dropped. Before the group is
+returned, the chain is verified by Schreier's lemma: every Schreier
+generator u_p * s * u_{p^s}^-1 must sift to the identity through the levels
+below it (see ``_verified``), which proves that the group's order is the
+product of the level orbit sizes. The chain is memoised on the group under
+the prefix (b_0,), where it serves the point stabilizer of b_0, the edge
+stabilizer of (b_0, b_1) and every other prefix its base starts with.
+
 Partitions are nauty-style arrays (``_Partition``): ``lab`` lists the
 vertices cell by cell, and each vertex carries its cell id. A splitter
 counts neighbours along its own adjacency lists and regroups only the
@@ -55,14 +68,16 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from itertools import repeat
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import Graph, GraphError
 from .groups import (
     PermGroup,
+    StabilizerChain,
     SubdivisionLift,
+    _ChainLevel,
     is_graph_automorphism,
     orbit_partition,
     validate_automorphisms,
@@ -99,6 +114,14 @@ def _vertex_invariants(g: Graph) -> list[tuple]:
         for v, row in enumerate(rows)
     ]
     return g._invariants
+
+
+def _invariant_cells(g: Graph) -> dict[tuple, list[int]]:
+    """g's vertices grouped by ``_vertex_invariants``, each group ascending."""
+    by: dict[tuple, list[int]] = defaultdict(list)
+    for v, key in enumerate(_vertex_invariants(g)):
+        by[key].append(v)
+    return by
 
 
 class _Partition:
@@ -273,14 +296,8 @@ class _MappingSearch:
         None when their invariants differ."""
         if self.g1.n != self.g2.n or self.g1.m != self.g2.m:
             return None
-        inv1 = _vertex_invariants(self.g1)
-        inv2 = inv1 if self.g2 is self.g1 else _vertex_invariants(self.g2)
-        by1: dict[tuple, list[int]] = defaultdict(list)
-        by2: dict[tuple, list[int]] = defaultdict(list)
-        for v, key in enumerate(inv1):
-            by1[key].append(v)
-        for v, key in enumerate(inv2):
-            by2[key].append(v)
+        by1 = _invariant_cells(self.g1)
+        by2 = by1 if self.g2 is self.g1 else _invariant_cells(self.g2)
         keys = sorted(by1)
         if keys != sorted(by2) or any(len(by1[key]) != len(by2[key]) for key in keys):
             return None
@@ -300,7 +317,8 @@ class _MappingSearch:
     def first_path(self) -> list[_Level]:
         """g1's whole first path, from its invariant partition to a discrete
         one. g1 and g2 must have equal invariants, as when g2 is g1."""
-        s = self.initial_partitions()[0]
+        by = _invariant_cells(self.g1)
+        s = _Partition.from_cells([by[key] for key in sorted(by)])
         self._record(s, list(range(len(s.start))))
         while self.path[-1].target is not None:
             self._extend()
@@ -366,15 +384,21 @@ def is_isomorphic(g1: Graph, g2: Graph, node_budget: Optional[int] = None) -> bo
 
 
 def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
-    """The full automorphism group of g as a permutation group.
+    """The full automorphism group of g as a permutation group, returned
+    with the stabilizer chain its search found.
 
     One refined path fixes the base: at each level, the least vertex b of
     the first smallest non-singleton cell is individualised to itself.
     The levels are then resolved deepest first: each candidate image w of
     b is either in b's orbit under the generators found so far, excluded
     with its orbit by an earlier failed search, or searched for explicitly
-    from the level's partition. The product of the level orbit sizes is
-    the group order, which is cross-checked against the chain order.
+    from the level's partition. The walks of the b's orbits are the
+    transversals of a stabilizer chain based on the path (see the module
+    docstring). ``_verified`` proves that chain by Schreier's lemma, and its
+    order must equal the product of the level orbit sizes; a failure is a
+    bug and raises AssertionError. The group is returned with the chain
+    memoised on it under the prefix (b_0,); ``chain()`` still builds the
+    group's own (see ``groups``).
     ``node_budget`` (None or an int >= 0) bounds the search nodes.
     """
     _check_budget(node_budget)
@@ -388,29 +412,92 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     # second pass, deepest level first: the generators found so far fix the
     # base points above this level, so their orbits prune its candidates
     gens: list[Perm] = []
-    group = PermGroup(g.n, gens)
+    gens_inv: list[Perm] = []
+    levels: list[_ChainLevel] = []
     order = 1
     for depth in reversed(range(len(path) - 1)):
         level = path[depth]
-        b = level.x
-        in_orbit = orbit_partition(group, [b], Perm.__call__)[1]
+        chain_level = _ChainLevel(level.x, g.n)
+        chain_level.extend(gens, gens_inv)
+        in_orbit = chain_level.transversal
         excluded: set[int] = set()
         for w in sorted(level.part.members(level.target)):
             if w in in_orbit or w in excluded:
                 continue
             mapping = search._dfs(*level.part.child(level.target, w), depth + 1)
             if mapping is None:
-                excluded.update(orbit_partition(group, [w], Perm.__call__)[1])
+                excluded.update(orbit_partition(PermGroup(g.n, gens), [w], Perm.__call__)[1])
                 continue
             gens.append(Perm(mapping))
-            group = PermGroup(g.n, gens)
-            in_orbit = orbit_partition(group, [b], Perm.__call__)[1]
+            gens_inv.append(gens[-1].inverse())
+            chain_level.extend(gens[-1:], gens_inv[-1:])
+        levels.append(chain_level)
         order *= len(in_orbit)
 
+    levels.reverse()
+    chain = _search_chain(g.n, levels)
     # the search-side order is an independent count; a mismatch is a bug
-    if group.order() != order:
+    if not _verified(chain, gens) or chain.order() != order:
         raise AssertionError("automorphism search order != chain order")
+    group = PermGroup(g.n, gens)
+    # not shared yet, so no lock; a trivial group's base is empty, and its
+    # one chain, the empty one, serves every prefix including chain()'s ()
+    base = tuple(chain.base())
+    group._chains.append((base[:1], base, chain))
     return group
+
+
+def _search_chain(degree: int, levels: list[_ChainLevel]) -> StabilizerChain:
+    """The second pass's levels, top level first, as a stabilizer chain:
+    the trailing levels with one point, where the group is already
+    trivial, are dropped."""
+    while levels and len(levels[-1].transversal) == 1:
+        levels.pop()
+    return StabilizerChain._from_levels(degree, levels)
+
+
+def _verified(chain: StabilizerChain, generators: Sequence[Perm]) -> bool:
+    """Whether ``chain`` is a base and strong generating set of the group
+    H_0 that ``generators`` generate, so that |H_0| is the product of its
+    orbit lengths. With H_i the group of level i's generators, b_i its base
+    point and u_p its transversal element at p, it checks at every level:
+
+    - level 0's generators are ``generators``, and level i + 1's are the
+      first ones of level i's and fix b_i, so H_{i+1} <= (H_i)_{b_i};
+    - u_{b_i} is the identity and every other u_q is u_p * s for a point p
+      reached earlier and a generator s, so u_q is in H_i and maps b_i to
+      q; each stored inverse is u_q's inverse;
+    - the orbit is closed under the generators, so it is b_i's H_i-orbit;
+    - every Schreier generator u_p * s * u_{p^s}^-1 sifts to the identity
+      through the levels below (past the last level it must be the
+      identity), so (H_i)_{b_i} <= H_{i+1} by Schreier's lemma.
+
+    Then H_{i+1} = (H_i)_{b_i} at every level, and |H_i| is |H_{i+1}|
+    times level i's orbit length."""
+    levels = chain.levels
+    if (levels[0].gens if levels else []) != list(generators):
+        return False
+    for i, lvl in enumerate(levels):
+        b, trans, trans_inv = lvl.point, lvl.transversal, lvl.transversal_inv
+        below = levels[i + 1].gens if i + 1 < len(levels) else []
+        if lvl.gens[:len(below)] != below or any(s.images[b] != b for s in below):
+            return False
+        if b not in trans or not trans[b].is_identity():
+            return False
+        reached = {b}
+        for p, u_p in trans.items():
+            if p not in reached or not (u_p * trans_inv[p]).is_identity():
+                return False
+            for s in lvl.gens:
+                q = s.images[p]
+                if q not in trans:
+                    return False
+                u_p_s = u_p * s
+                if u_p_s == trans[q]:  # a tree step: the Schreier generator is the identity
+                    reached.add(q)
+                elif not chain.sift(u_p_s * trans_inv[q], i + 1)[0].is_identity():
+                    return False
+    return True
 
 
 def subdivision_parts(g: Graph) -> Optional[tuple[Graph, SubdivisionLift]]:

@@ -76,23 +76,38 @@ class Graph:
         self._fill(n, tuple(sorted(seen)))
 
     @classmethod
-    def _trusted(cls, n: int, edge_list: Iterable[tuple[int, int]]) -> "Graph":
+    def _trusted(
+        cls,
+        n: int,
+        edge_list: Iterable[tuple[int, int]],
+        adjacency: Optional[tuple[tuple[int, ...], ...]] = None,
+    ) -> "Graph":
         """A Graph on edges the library built itself: distinct pairs (u, v)
-        with 0 <= u < v < n, in sorted order."""
+        with 0 <= u < v < n, in sorted order. A builder that already holds
+        the sorted neighbour tuples of those edges passes them as
+        ``adjacency``."""
         g = object.__new__(cls)
-        g._fill(n, tuple(edge_list))
+        g._fill(n, tuple(edge_list), adjacency)
         return g
 
-    def _fill(self, n: int, edge_list: tuple[tuple[int, int], ...]) -> None:
-        """Set every field from a sorted tuple of distinct pairs u < v < n."""
-        adj: list[list[int]] = [[] for _ in range(n)]
-        # in sorted edge order a vertex meets its smaller neighbours (as v)
-        # before its larger ones (as u), each run ascending: adj comes out sorted
-        for u, v in edge_list:
-            adj[u].append(v)
-            adj[v].append(u)
+    def _fill(
+        self,
+        n: int,
+        edge_list: tuple[tuple[int, int], ...],
+        adjacency: Optional[tuple[tuple[int, ...], ...]] = None,
+    ) -> None:
+        """Set every field from a sorted tuple of distinct pairs u < v < n,
+        and their adjacency when it is given."""
+        if adjacency is None:
+            adj: list[list[int]] = [[] for _ in range(n)]
+            # in sorted edge order a vertex meets its smaller neighbours (as v)
+            # before its larger ones (as u), each run ascending: adj comes out sorted
+            for u, v in edge_list:
+                adj[u].append(v)
+                adj[v].append(u)
+            adjacency = tuple(map(tuple, adj))
         self.n = n
-        self.adjacency = tuple(map(tuple, adj))
+        self.adjacency = adjacency
         self.edge_list = edge_list
         self._apsp = None
         self._girth = _UNKNOWN

@@ -27,8 +27,17 @@ memoised on G with its base prefix. A request for prefix P reuses a
 memoised chain built with prefix Q and base b when len(Q) <= len(P) and b
 agrees with P on their common length: both builds then choose the same base
 point at every level they create, so the memoised chain is the one P would
-build. Point and edge stabilizers are memoised on G in the same way, keyed
-by the point or by the ordered pair.
+build. ``autgrp.automorphism_group`` also returns its group with a chain:
+the base and strong generating set its search found, verified by Schreier's
+lemma and memoised under the prefix (b_0,) of its base b. By the same rule
+it serves every non-empty prefix that b starts with, as any chain with base
+b serves, though it is not the chain a build for that prefix would make:
+its level generators are those the search found. ``chain()``, the prefix
+(), is still built by Schreier-Sims, so what ``random_element`` draws does
+not depend on the search chain; only a trivial group, whose one chain is
+the empty one, has it memoised under (). ``order()`` reads the first
+memoised chain, when there is one. Point and edge stabilizers are memoised
+on G in the same way as chains, keyed by the point or by the ordered pair.
 """
 
 from __future__ import annotations
@@ -49,7 +58,11 @@ class NotAnAutomorphismError(GraphError):
         self.index = index
 
 
-class _Level:
+class _ChainLevel:
+    """One level of a stabilizer chain: its base point b, its strong
+    generators with their inverses, and for each point p of b's orbit under
+    them the transversal element u_p, which maps b to p, with its inverse."""
+
     __slots__ = ("point", "gens", "gens_inv", "transversal", "transversal_inv")
 
     def __init__(self, point: int, degree: int):
@@ -59,6 +72,23 @@ class _Level:
         self.gens_inv: list[Perm] = []  # their inverses, in the same order
         self.transversal: dict[int, Perm] = {point: ident}
         self.transversal_inv: dict[int, Perm] = {point: ident}
+
+    def extend(self, gens: Sequence[Perm], gens_inv: Sequence[Perm]) -> None:
+        """Add generators, given with their inverses, and walk the orbit on:
+        every point reached so far under each new generator, then every newly
+        reached point under all the level's generators. u_q = u_p * s is
+        recorded as the walk first reaches q from p along s."""
+        trans, trans_inv = self.transversal, self.transversal_inv
+        work = deque((p, s, s_inv) for p in list(trans) for s, s_inv in zip(gens, gens_inv))
+        self.gens += gens
+        self.gens_inv += gens_inv
+        while work:
+            p, s, s_inv = work.popleft()
+            q = s.images[p]
+            if q not in trans:
+                trans[q] = trans[p] * s
+                trans_inv[q] = s_inv * trans_inv[p]
+                work.extend((q, t, t_inv) for t, t_inv in zip(self.gens, self.gens_inv))
 
 
 class StabilizerChain:
@@ -73,7 +103,7 @@ class StabilizerChain:
 
     def __init__(self, G: "PermGroup", base_prefix: Sequence[int] = ()):
         self.degree = G.degree
-        self.levels: list[_Level] = []
+        self.levels: list[_ChainLevel] = []
         self._base_prefix = list(base_prefix)
         size = {x: len(orb) for orb in G.point_orbits() for x in orb}
         self._precedence = sorted(range(self.degree), key=lambda x: (-size[x], x))
@@ -81,7 +111,7 @@ class StabilizerChain:
             self.add_generator(g)
 
     @classmethod
-    def _from_levels(cls, degree: int, levels: list[_Level]) -> "StabilizerChain":
+    def _from_levels(cls, degree: int, levels: list[_ChainLevel]) -> "StabilizerChain":
         chain = cls.__new__(cls)
         chain.degree = degree
         chain.levels = levels
@@ -144,7 +174,7 @@ class StabilizerChain:
         j = start
         while True:
             if j == len(self.levels):
-                self.levels.append(_Level(self._next_base_point(g, j), self.degree))
+                self.levels.append(_ChainLevel(self._next_base_point(g, j), self.degree))
             lvl = self.levels[j]
             self._process_new_generator(j, g)
             if g.images[lvl.point] != lvl.point:
@@ -230,6 +260,8 @@ class PermGroup:
     def order(self) -> int:
         if self._lift is not None:  # the lift is faithful
             return self._lift[0].order()
+        if self._chain is None and self._chains:  # any chain of G gives |G|
+            return self._chains[0][2].order()
         return self.chain().order()
 
     def __contains__(self, p: Perm) -> bool:
@@ -433,7 +465,12 @@ def _prefix_chain(G: PermGroup, prefix: Sequence[int]) -> StabilizerChain:
     len(Q) <= len(P) and b agrees with P on their first min(len b, len P)
     points: at every level either build creates, both take the same point,
     P's or Q's where the prefixes reach and the same residue's first moved
-    point after that, so the chain is the one P would build."""
+    point after that, so the chain is the one P would build. The Aut
+    search's chain, memoised under (b_0,), is served by the same rule: its
+    base agrees with P, so it is a chain for P, with the search's level
+    generators. The empty prefix, ``chain()``'s, is not served by it,
+    except in a trivial group, whose one chain, the empty one, is memoised
+    under ()."""
     prefix = tuple(prefix)
     with G._lock:
         for q, base, chain in G._chains:

@@ -77,7 +77,9 @@ def subdivide(g: Graph) -> SubdivisionGraph:
     The Graph of S(g) is built on the first call and cached on g; each call
     wraps it in a fresh SubdivisionGraph, so the cached graph holds no
     reference back to g. Its edges are the pairs (u, n + i) for each vertex
-    u and each edge i at u, made in sorted order: u ascends, then i.
+    u and each edge i at u, made in sorted order: u ascends, then i. Its
+    adjacency is read off the same lists: a V-vertex's row is its incident
+    edge points, ascending, and E-vertex n + i's row is edge i's ends.
     """
     if g._subdivision is None:
         n = g.n
@@ -85,7 +87,11 @@ def subdivide(g: Graph) -> SubdivisionGraph:
         for e, (u, v) in enumerate(g.edge_list, n):
             incident[u].append(e)
             incident[v].append(e)
-        g._subdivision = Graph._trusted(n + g.m, [(u, e) for u, es in enumerate(incident) for e in es])
+        g._subdivision = Graph._trusted(
+            n + g.m,
+            [(u, e) for u, es in enumerate(incident) for e in es],
+            tuple(map(tuple, incident)) + g.edge_list,
+        )
     return SubdivisionGraph(graph=g._subdivision, edge_of=g.edge_list, base=g)
 
 

@@ -6,11 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsym import autgrp
 from subsym.autgrp import (
     BudgetExceededError,
     _MappingSearch,
     _Partition,
     _refine,
+    _verified,
     _vertex_invariants,
     automorphism_group,
     find_isomorphism,
@@ -28,7 +30,14 @@ from subsym.graphs import (
     make_petersen,
     random_connected_graph,
 )
-from subsym.groups import PermGroup
+from subsym.groups import (
+    PermGroup,
+    StabilizerChain,
+    equal_groups,
+    is_graph_automorphism,
+    stabilizer_edge,
+    stabilizer_point,
+)
 from subsym.perms import Perm
 from subsym.transforms import subdivide
 
@@ -117,6 +126,79 @@ def test_symmetric_group_needs_one_search_per_level(g, n, monkeypatch):
     G = automorphism_group(g)
     assert G.order() == math.factorial(n)
     assert len(searches) == n - 1 and len(G.generators) == n - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32),
+       st.booleans())
+def test_search_chain_is_verified_and_serves_stabilizers(n, seed, subdivided):
+    # the chain the search returns, memoised on the group under (b_0,),
+    # against chains built from scratch for the same generators
+    g = random_connected_graph(random.Random(seed), n)
+    if subdivided:
+        g = subdivide(g).graph
+    G = automorphism_group(g)
+    [(prefix, base, chain)] = G._chains
+    assert _verified(chain, G.generators)
+    assert base == tuple(chain.base()) and prefix == base[:1]
+    fresh = PermGroup(g.n, G.generators)
+    assert chain.order() == G.order() == StabilizerChain(fresh).order()
+    u = base[0] if base else 0
+    v = base[1] if len(base) > 1 else (u + 1) % g.n
+    assert equal_groups(stabilizer_point(G, u), stabilizer_point(fresh, u))
+    assert equal_groups(stabilizer_edge(G, (u, v)), stabilizer_edge(fresh, (u, v)))
+    assert len(G._chains) == 1  # both stabilizers were read off the search chain
+    # chain() is still the precedence build, as random_element draws from it:
+    # the same base, transversals in the same order and level generators
+    # (what test_groups' chain digests hash)
+    assert _levels(G.chain()) == _levels(fresh.chain())
+
+
+def _levels(chain):
+    return [(lvl.point, list(lvl.transversal.items()), list(lvl.transversal_inv.items()), lvl.gens)
+            for lvl in chain.levels]
+
+
+def _add_non_automorphism(chain, g):
+    x = Perm.from_cycles(g.n, [(0, 1)])
+    assert not is_graph_automorphism(g, x)
+    chain.levels[0].gens.append(x)
+    chain.levels[0].gens_inv.append(x.inverse())
+
+
+def _drop_generators(level):
+    def mutate(chain, g):
+        del chain.levels[level].gens[:], chain.levels[level].gens_inv[:]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _add_non_automorphism, _drop_generators(1), _drop_generators(-1),
+], ids=["non-automorphism-at-level-0", "drop-level-1", "drop-last-level"])
+@pytest.mark.parametrize("g", [make_hoffman_singleton(), make_petersen()], ids=["HoSi", "Petersen"])
+def test_a_broken_search_chain_fails_verification(g, mutate, monkeypatch):
+    build = autgrp._search_chain
+
+    def broken(degree, levels):
+        chain = build(degree, levels)
+        mutate(chain, g)
+        return chain
+
+    monkeypatch.setattr(autgrp, "_search_chain", broken)
+    with pytest.raises(AssertionError, match="automorphism search order != chain order"):
+        automorphism_group(g)
+
+
+@pytest.mark.parametrize("g", [make_hoffman_singleton(), make_petersen()], ids=["HoSi", "Petersen"])
+def test_verification_sifts_the_schreier_generators(g):
+    # Aut(g)'s chain with a non-automorphism x added to level 0, checked as
+    # a chain for the generators and x: level 0's orbit is every vertex, so
+    # it stays closed, and only x's Schreier generators, which do not sift
+    # through the levels below, show that the order is wrong
+    G = automorphism_group(g)
+    chain = G._chains[0][2]
+    _add_non_automorphism(chain, g)
+    assert not _verified(chain, list(G.generators) + chain.levels[0].gens[-1:])
 
 
 def _relabel(g, rng):
