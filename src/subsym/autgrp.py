@@ -201,7 +201,8 @@ def _refine(adj: list, p: _Partition, queue: list[int], trace: list, replay: boo
 
     Each cell is a splitter once, in FIFO order, starting with ``queue``. A
     splitter costs the degree sum of its vertices plus the size of the
-    cells it touches; a fragment takes its parent's place, in count order.
+    cells it touches (a singleton: of the cells it splits); a fragment
+    takes its parent's place, in count order.
     Each splitter step is one trace entry: the start and the (count, size)
     groups of every touched cell, by position (a singleton gives its
     count). Recording (``replay`` false) appends the entries to ``trace``.
@@ -209,8 +210,17 @@ def _refine(adj: list, p: _Partition, queue: list[int], trace: list, replay: boo
     one that differs, leaving p half refined. While the entries agree, p
     has the recorded side's cells, ids and queue, so the replay runs out
     of splitters exactly where the trace ends.
+
+    A singleton splitter {x} gives every vertex a count of 0 or 1, so it
+    counts ``adj[x]`` by cell in one pass and reads each touched cell's
+    entry off its size k and its j neighbours of x: a singleton gives 1, a
+    cell with j = k stays whole, and any other splits into its
+    non-neighbours, then its neighbours, each in lab order. Only a cell
+    that splits is scanned. A larger splitter counts the neighbours of its
+    vertices in a dict and groups each touched cell's vertices by count.
     """
     lab, cell, start, size = p.lab, p.cell, p.start, p.size
+    position = start.__getitem__
     work = deque(queue)
     step = 0
     while work:
@@ -219,32 +229,52 @@ def _refine(adj: list, p: _Partition, queue: list[int], trace: list, replay: boo
         if not sz:
             continue  # split since it was queued; its fragments are queued
         st = start[w]
+        entry = []
+        splits = []
         if sz == 1:
-            count = dict.fromkeys(adj[lab[st]], 1)
+            near = adj[lab[st]]
+            near_set = None  # built for the first cell that splits
+            hits: dict[int, int] = {}
+            for v in near:
+                c = cell[v]
+                hits[c] = hits.get(c, 0) + 1
+            for c in sorted(hits, key=position):
+                cs, csz = start[c], size[c]
+                j = hits[c]
+                if csz == 1:
+                    entry += (cs, 1)
+                elif j == csz:
+                    entry += (cs, ((1, csz),))
+                else:
+                    entry += (cs, ((0, csz - j), (1, j)))
+                    if near_set is None:
+                        near_set = set(near)
+                    out, into = [], []
+                    for v in lab[cs:cs + csz]:
+                        (into if v in near_set else out).append(v)
+                    splits.append((c, (out, into)))
         else:
-            count = {}
+            count: dict[int, int] = {}
             for u in lab[st:st + sz]:
                 for v in adj[u]:
                     count[v] = count.get(v, 0) + 1
-        entry = []
-        splits = []
-        for c in sorted({cell[v] for v in count}, key=start.__getitem__):
-            cs, csz = start[c], size[c]
-            if csz == 1:
-                entry += (cs, count[lab[cs]])
-                continue
-            members = lab[cs:cs + csz]
-            counts = list(map(count.get, members, repeat(0, csz)))
-            k = counts[0]
-            if counts.count(k) == csz:
-                entry += (cs, ((k, csz),))
-                continue
-            groups: dict[int, list[int]] = defaultdict(list)
-            for v, k in zip(members, counts):
-                groups[k].append(v)
-            keys = sorted(groups)
-            entry += (cs, tuple((k, len(groups[k])) for k in keys))
-            splits.append((c, [groups[k] for k in keys]))
+            for c in sorted({cell[v] for v in count}, key=position):
+                cs, csz = start[c], size[c]
+                if csz == 1:
+                    entry += (cs, count[lab[cs]])
+                    continue
+                members = lab[cs:cs + csz]
+                counts = list(map(count.get, members, repeat(0, csz)))
+                k = counts[0]
+                if counts.count(k) == csz:
+                    entry += (cs, ((k, csz),))
+                    continue
+                groups: dict[int, list[int]] = defaultdict(list)
+                for v, k in zip(members, counts):
+                    groups[k].append(v)
+                keys = sorted(groups)
+                entry += (cs, tuple((k, len(groups[k])) for k in keys))
+                splits.append((c, [groups[k] for k in keys]))
         if replay:
             if trace[step] != entry:
                 return False

@@ -44,6 +44,7 @@ class Graph:
         "adjacency",
         "edge_list",
         "_apsp",
+        "_diameter",
         "_girth",
         "_edge_index",
         "_invariants",
@@ -110,6 +111,7 @@ class Graph:
         self.adjacency = adjacency
         self.edge_list = edge_list
         self._apsp = None
+        self._diameter = None  # set by the first call of diameter() that succeeds
         self._girth = _UNKNOWN
         self._edge_index = None
         self._invariants = None  # autgrp._vertex_invariants, once computed
@@ -147,13 +149,16 @@ class Graph:
         return self._apsp
 
     def diameter(self) -> int:
-        """Largest hop distance. Rejects empty and disconnected graphs."""
-        if self.n == 0:
-            raise DisconnectedGraphError("empty graph has no diameter")
-        dist = self.distances_matrix()
-        if int(dist.min()) < 0:
-            raise DisconnectedGraphError("diameter undefined for disconnected graph")
-        return int(dist.max())
+        """Largest hop distance, cached after the first call. Rejects empty
+        and disconnected graphs on every call."""
+        if self._diameter is None:
+            if self.n == 0:
+                raise DisconnectedGraphError("empty graph has no diameter")
+            dist = self.distances_matrix()
+            if int(dist.min()) < 0:
+                raise DisconnectedGraphError("diameter undefined for disconnected graph")
+            self._diameter = int(dist.max())
+        return self._diameter
 
     def girth(self) -> Optional[int]:
         """Length of a shortest cycle, or None for acyclic graphs.
@@ -164,7 +169,12 @@ class Graph:
         2*D[r,x]; each such walk contains a cycle no longer than itself. A
         shortest cycle is isometric, so a root on it realises its length as
         one of these two cases, and the minimum over all roots is the girth.
-        Unreached (-1) entries never match a reached one and are masked out.
+        The odd case compares D at both ends of every edge. For the even
+        case, each edge that steps one level away from r is a parent edge
+        of its far end, and one np.bincount over the flat indices
+        (r, child) counts the parent edges of every vertex for a block of
+        roots. Unreached (-1) entries never match a reached one and are
+        masked out.
         """
         if self._girth is _UNKNOWN:
             self._girth = self._girth_from_distances() if self.m else None
@@ -172,27 +182,25 @@ class Graph:
 
     def _girth_from_distances(self) -> Optional[int]:
         dist = self.distances_matrix()
-        # the arcs in adjacency order: indices[indptr[v]:indptr[v+1]] are v's neighbours
-        degrees = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.fromiter((w for a in self.adjacency for w in a), dtype=np.intp, count=2 * self.m)
-        source = np.repeat(np.arange(self.n), degrees)
+        n = self.n
         u, w = np.array(self.edge_list, dtype=np.intp).T
         lengths = []
         # Root blocks bound the O(rows * m) temporaries.
         step = max(1, _GIRTH_BLOCK // (2 * self.m))
-        for lo in range(0, self.n, step):
+        for lo in range(0, n, step):
             d = dist[lo:lo + step]
             du = d[:, u]
-            level = du[(du == d[:, w]) & (du >= 0)]
+            diff = du - d[:, w]
+            level = du[(diff == 0) & (du >= 0)]
             if level.size:
                 lengths.append(2 * int(level.min()) + 1)
-            # parents[:, k] counts the arcs among the first k (in adjacency order)
-            # that step back one level towards the root
-            parents = np.zeros((d.shape[0], 2 * self.m + 1), dtype=np.int32)
-            np.cumsum(d[:, indices] == d[:, source] - 1, axis=1, dtype=np.int32, out=parents[:, 1:])
-            level = d[parents[:, indptr[1:]] - parents[:, indptr[:-1]] >= 2]
+            # count each vertex's parent edges per root at flat index row * n + x:
+            # edge (u, w) leads u -> w when D[r,u] = D[r,w] - 1, w -> u when
+            # D[r,w] = D[r,u] - 1 (two unreached ends differ by 0)
+            row = np.arange(0, d.shape[0] * n, n)[:, None]
+            children = np.concatenate(((row + w)[diff == -1], (row + u)[diff == 1]))
+            parents = np.bincount(children, minlength=d.size)
+            level = d.ravel()[parents >= 2]
             if level.size:
                 lengths.append(2 * int(level.min()))
         return min(lengths, default=None)

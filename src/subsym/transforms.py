@@ -227,26 +227,31 @@ def subdivision_distance_matrix(sg: SubdivisionGraph) -> np.ndarray:
     formula's minimum is over two distinct edges. The endpoints of an edge
     share a component, so each minimum is over base distances that are
     either all UNREACHED or all reached.
+
+    Each block is written into the output in place as 2 * base + offset.
+    That maps UNREACHED to UNREACHED in the V/E block only; when the base
+    is disconnected, the V/V entries 2 * UNREACHED and the off-diagonal E/E
+    entries 2 * UNREACHED + 2 are reset to UNREACHED.
     """
     d = sg.base.distances_matrix()
     n, m = sg.n_base, sg.m_base
     out = np.empty((n + m, n + m), dtype=np.int32)
-    out[:n, :n] = _scale(d, 0)
+    vv, ve, ev, ee = out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:]
+    np.multiply(d, 2, out=vv)
     if m:
         u, v = np.array(sg.edge_of, dtype=np.intp).T
         near = np.minimum(d[:, u], d[:, v])
-        ve = _scale(near, 1)
-        out[:n, n:] = ve
-        out[n:, :n] = ve.T
-        ee = _scale(np.minimum(near[u], near[v]), 2)
-        np.fill_diagonal(ee, 0)
-        out[n:, n:] = ee
+        np.multiply(near, 2, out=ve)
+        np.add(ve, 1, out=ve)
+        ev[...] = ve.T
+        np.minimum(near[u], near[v], out=ee)
+        np.multiply(ee, 2, out=ee)
+        np.add(ee, 2, out=ee)
+    if not sg.base.is_connected():
+        vv[vv == 2 * UNREACHED] = UNREACHED
+        ee[ee == 2 * UNREACHED + 2] = UNREACHED
+    np.fill_diagonal(ee, 0)
     return out
-
-
-def _scale(base: np.ndarray, offset: int) -> np.ndarray:
-    """2*base + offset on reached entries; UNREACHED stays UNREACHED."""
-    return np.where(base < 0, UNREACHED, 2 * base + offset)
 
 
 def delta_of(g: Graph) -> DeltaReport:

@@ -2,12 +2,12 @@
 
 These deliberately avoid the library's own algorithms: plain dict BFS,
 exhaustive tuple filtering, explicit element enumeration, and the full-scan
-bitmask partition refinement and per-row distance counts that the Aut/iso
-engine used to run.
+bitmask partition refinement, the per-splitter counting refinement and
+the per-row distance counts that the Aut/iso engine used to run.
 """
 
 from collections import Counter, defaultdict, deque
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 
 
 class PairCell:
@@ -270,3 +270,65 @@ def bitmask_refine(g1, g2, cells):
                 work.append(frag)
         cells = new_cells
     return cells
+
+
+def counting_refine(adj, p, queue, trace, replay):
+    """Reference for ``autgrp._refine``, with its signature and trace
+    format: the refinement loop it ran before singleton splitters had their
+    own path. Every splitter, a singleton included, counts its vertices'
+    neighbours in a dict, and every touched cell is regrouped by those
+    counts."""
+    lab, cell, start, size = p.lab, p.cell, p.start, p.size
+    work = deque(queue)
+    step = 0
+    while work:
+        w = work.popleft()
+        sz = size[w]
+        if not sz:
+            continue
+        st = start[w]
+        if sz == 1:
+            count = dict.fromkeys(adj[lab[st]], 1)
+        else:
+            count = {}
+            for u in lab[st:st + sz]:
+                for v in adj[u]:
+                    count[v] = count.get(v, 0) + 1
+        entry = []
+        splits = []
+        for c in sorted({cell[v] for v in count}, key=start.__getitem__):
+            cs, csz = start[c], size[c]
+            if csz == 1:
+                entry += (cs, count[lab[cs]])
+                continue
+            members = lab[cs:cs + csz]
+            counts = list(map(count.get, members, repeat(0, csz)))
+            k = counts[0]
+            if counts.count(k) == csz:
+                entry += (cs, ((k, csz),))
+                continue
+            groups = defaultdict(list)
+            for v, k in zip(members, counts):
+                groups[k].append(v)
+            keys = sorted(groups)
+            entry += (cs, tuple((k, len(groups[k])) for k in keys))
+            splits.append((c, [groups[k] for k in keys]))
+        if replay:
+            if trace[step] != entry:
+                return False
+        else:
+            trace.append(entry)
+        step += 1
+        for c, frags in splits:
+            pos = start[c]
+            size[c] = 0
+            for frag in frags:
+                f = len(start)
+                start.append(pos)
+                size.append(len(frag))
+                lab[pos:pos + len(frag)] = frag
+                for v in frag:
+                    cell[v] = f
+                work.append(f)
+                pos += len(frag)
+    return True

@@ -47,6 +47,7 @@ from _oracles import (
     brute_automorphisms,
     brute_closure,
     counted_vertex_invariants,
+    counting_refine,
     individualize,
 )
 from test_graphs import random_graph_strategy
@@ -413,6 +414,58 @@ def test_child_refine_queues_only_new_cells(case, i, x, y):
         assert replayed == (old is not None)
         if replayed:
             assert _sorted_cells(s_child, t_child) == [(sorted(c.s), sorted(c.t)) for c in old]
+
+
+def _copy(p):
+    return _Partition(p.lab[:], p.cell[:], p.start[:], p.size[:])
+
+
+def _state(p):
+    return p.lab, p.cell, p.start, p.size
+
+
+def _assert_refines_like_oracle(adj1, adj2, s, t, queue):
+    """Record s on adj1, then replay t on adj2 against that trace, once with
+    ``_refine`` and once with the counting oracle: the same traces, return
+    values and partition arrays (cells, ids and each cell's vertex order).
+    Returns the refined partitions and whether the replay matched."""
+    runs = []
+    for refine in (_refine, counting_refine):
+        s_run, t_run, trace = _copy(s), _copy(t), []
+        recorded = refine(adj1, s_run, queue, trace, False)
+        replayed = refine(adj2, t_run, queue, trace, True)
+        runs.append((trace, recorded, replayed, _state(s_run), _state(t_run)))
+    assert runs[0] == runs[1]
+    return s_run, t_run, runs[0][2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(refine_cases(), st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
+def test_refine_matches_counting_oracle(case, i, x, y):
+    # the root queue (every cell of an invariant partition, individualised
+    # or not), then a child's queue (the two cells of one more x -> y split
+    # of the refined partition), each recorded on g1 and replayed on g2
+    g1, partners, picks = case
+    for g2 in partners:
+        search = _MappingSearch(g1, g2)
+        cells = _pair_cells(search)
+        for j, a, b in picks:
+            cell = cells[j % len(cells)]
+            cells = individualize(cells, cell.s[a % len(cell.s)], cell.t[b % len(cell.t)])
+        s = _Partition.from_cells([c.s[:] for c in cells])
+        t = _Partition.from_cells([c.t[:] for c in cells])
+        s, t, replayed = _assert_refines_like_oracle(
+            g1.adjacency, g2.adjacency, s, t, list(range(len(cells))))
+        if not replayed:
+            t = s  # replay the s side on g2 from the same child
+        open_cells = [c for c in s.ids() if s.size[c] > 1]
+        if not open_cells:
+            continue
+        at = open_cells[i % len(open_cells)]
+        s_child, queue = s.child(at, s.members(at)[x % s.size[at]])
+        t_child, _ = t.child(at, t.members(at)[y % t.size[at]])
+        _assert_refines_like_oracle(g1.adjacency, g2.adjacency, s_child, t_child, queue)
 
 
 @settings(max_examples=200, deadline=None)

@@ -258,8 +258,15 @@ class TestMetrics:
 
     def test_disconnected_metrics_rejected(self):
         for g in (Graph(3, [(0, 1)]), Graph(0, [])):
-            with pytest.raises(DisconnectedGraphError):
-                g.diameter()
+            for _ in range(2):  # a failure is never cached
+                with pytest.raises(DisconnectedGraphError):
+                    g.diameter()
+
+    def test_diameter_is_cached(self, monkeypatch):
+        g = make_petersen()
+        assert g.diameter() == 2
+        monkeypatch.setattr(Graph, "distances_matrix", lambda self: pytest.fail("matrix read again"))
+        assert g.diameter() == 2
 
     def test_acyclic_girth_is_none(self):
         path = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -290,7 +297,11 @@ class TestMetrics:
     @given(random_graph_strategy())
     def test_diameter_matches_oracle(self, g):
         if g.is_connected():
-            assert g.diameter() == brute_diameter(g)
+            assert g.diameter() == brute_diameter(g) == g.diameter()
+        else:
+            for _ in range(2):
+                with pytest.raises(DisconnectedGraphError):
+                    g.diameter()
 
     def test_distance_sphere(self):
         p = make_petersen()

@@ -254,6 +254,10 @@ class TestSubdivisionDistance:
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy())
+    @example(Graph(0, []))
+    @example(Graph(1, []))
+    @example(Graph(3, []))
+    @example(Graph(5, [(0, 1), (2, 3)]))
     def test_formula_equals_bfs_on_any_edge_set(self, g):
         sg = subdivide(g)
         formula = subdivision_distance_matrix(sg)
