@@ -30,18 +30,19 @@ b_0..b_i, so level i runs at most one search per orbit of that stabilizer
 on its cell: the symmetric group S_n takes n - 1 searches, not
 n(n - 1)/2.
 
-The second pass is also a stabilizer chain, and the group comes back with
-it. Level i's walk of b_i's orbit under the generators found at depth >= i
-records, for each point p it reaches, the element u_p that maps b_i to p:
-that walk is the level's transversal, and those generators are its strong
-generators (the base and strong generating set nauty finds, McKay and
-Piperno 2014). Trailing one-point levels are dropped. Before the group is
-returned, the chain is verified by Schreier's lemma: every Schreier
-generator u_p * s * u_{p^s}^-1 must sift to the identity through the levels
-below it (see ``_verified``), which proves that the group's order is the
-product of the level orbit sizes. The chain is memoised on the group under
-the prefix (b_0,), where it serves the point stabilizer of b_0, the edge
-stabilizer of (b_0, b_1) and every other prefix its base starts with.
+The second pass also builds the group's stabilizer chain, and the group
+comes back with it. Each generator goes, as it is found, into the
+library's incremental Schreier-Sims (``StabilizerChain``; Seress 2003,
+ch. 4) on the path's vertices b_0, b_1, ... as base, so the chain is a
+base and strong generating set by construction (McKay and Piperno 2014).
+Level i's transversal is b_i's orbit under the generators found so far,
+and it prunes level i. Two checks catch a search bug with AssertionError:
+a generator found at depth d must fix b_0..b_{d-1}, and the product of
+each level's orbit size when that level was resolved must equal the
+chain's order at the end, which fails when a level grew after it was
+resolved. The chain is memoised on the group under the prefix (b_0,),
+where it serves the point stabilizer of b_0, the edge stabilizer of
+(b_0, b_1) and every other prefix its base starts with.
 
 Partitions are nauty-style arrays (``_Partition``): ``lab`` lists the
 vertices cell by cell, and each vertex carries its cell id. A splitter
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,7 +78,6 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     SubdivisionLift,
-    _ChainLevel,
     is_graph_automorphism,
     orbit_partition,
     validate_automorphisms,
@@ -422,11 +422,12 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     The levels are then resolved deepest first: each candidate image w of
     b is either in b's orbit under the generators found so far, excluded
     with its orbit by an earlier failed search, or searched for explicitly
-    from the level's partition. The walks of the b's orbits are the
-    transversals of a stabilizer chain based on the path (see the module
-    docstring). ``_verified`` proves that chain by Schreier's lemma, and its
-    order must equal the product of the level orbit sizes; a failure is a
-    bug and raises AssertionError. The group is returned with the chain
+    from the level's partition. Every generator found goes into a
+    Schreier-Sims chain based on the path, whose transversals are those
+    orbits (see the module docstring). A generator found at depth d must
+    fix the base points above it, and the chain's order must equal the
+    product of the level orbit sizes as each level was resolved; a failure
+    is a bug and raises AssertionError. The group is returned with the chain
     memoised on it under the prefix (b_0,); ``chain()`` still builds the
     group's own (see ``groups``).
     ``node_budget`` (None or an int >= 0) bounds the search nodes.
@@ -438,96 +439,49 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
         return PermGroup(0, ())
     search = _MappingSearch(g, g, node_budget)
     path = search.first_path()
+    base = [level.x for level in path[:-1]]
 
     # second pass, deepest level first: the generators found so far fix the
     # base points above this level, so their orbits prune its candidates
+    chain = StabilizerChain(PermGroup(g.n), base)
     gens: list[Perm] = []
-    gens_inv: list[Perm] = []
-    levels: list[_ChainLevel] = []
     order = 1
-    for depth in reversed(range(len(path) - 1)):
+    for depth in reversed(range(len(base))):
         level = path[depth]
-        chain_level = _ChainLevel(level.x, g.n)
-        chain_level.extend(gens, gens_inv)
-        in_orbit = chain_level.transversal
         excluded: set[int] = set()
         for w in sorted(level.part.members(level.target)):
-            if w in in_orbit or w in excluded:
+            if w in _orbit(chain, depth, level.x) or w in excluded:
                 continue
             mapping = search._dfs(*level.part.child(level.target, w), depth + 1)
             if mapping is None:
                 excluded.update(orbit_partition(PermGroup(g.n, gens), [w], Perm.__call__)[1])
                 continue
+            if any(mapping[b] != b for b in base[:depth]):
+                raise AssertionError(
+                    f"automorphism search generator at depth {depth} moves a base point above it"
+                )
             gens.append(Perm(mapping))
-            gens_inv.append(gens[-1].inverse())
-            chain_level.extend(gens[-1:], gens_inv[-1:])
-        levels.append(chain_level)
-        order *= len(in_orbit)
+            chain.add_generator(gens[-1])
+        order *= len(_orbit(chain, depth, level.x))
 
-    levels.reverse()
-    chain = _search_chain(g.n, levels)
-    # the search-side order is an independent count; a mismatch is a bug
-    if not _verified(chain, gens) or chain.order() != order:
+    # the search-side order is an independent count: a level that grew after
+    # it was resolved reached a point a failed search had excluded, or left
+    # its cell, and that is a bug
+    if chain.order() != order:
         raise AssertionError("automorphism search order != chain order")
     group = PermGroup(g.n, gens)
-    # not shared yet, so no lock; a trivial group's base is empty, and its
-    # one chain, the empty one, serves every prefix including chain()'s ()
+    # not shared yet, so no lock. The chain's base is the path's without its
+    # trailing one-point levels; a trivial group's is empty, and its one
+    # chain, the empty one, serves every prefix including chain()'s ()
     base = tuple(chain.base())
     group._chains.append((base[:1], base, chain))
     return group
 
 
-def _search_chain(degree: int, levels: list[_ChainLevel]) -> StabilizerChain:
-    """The second pass's levels, top level first, as a stabilizer chain:
-    the trailing levels with one point, where the group is already
-    trivial, are dropped."""
-    while levels and len(levels[-1].transversal) == 1:
-        levels.pop()
-    return StabilizerChain._from_levels(degree, levels)
-
-
-def _verified(chain: StabilizerChain, generators: Sequence[Perm]) -> bool:
-    """Whether ``chain`` is a base and strong generating set of the group
-    H_0 that ``generators`` generate, so that |H_0| is the product of its
-    orbit lengths. With H_i the group of level i's generators, b_i its base
-    point and u_p its transversal element at p, it checks at every level:
-
-    - level 0's generators are ``generators``, and level i + 1's are the
-      first ones of level i's and fix b_i, so H_{i+1} <= (H_i)_{b_i};
-    - u_{b_i} is the identity and every other u_q is u_p * s for a point p
-      reached earlier and a generator s, so u_q is in H_i and maps b_i to
-      q; each stored inverse is u_q's inverse;
-    - the orbit is closed under the generators, so it is b_i's H_i-orbit;
-    - every Schreier generator u_p * s * u_{p^s}^-1 sifts to the identity
-      through the levels below (past the last level it must be the
-      identity), so (H_i)_{b_i} <= H_{i+1} by Schreier's lemma.
-
-    Then H_{i+1} = (H_i)_{b_i} at every level, and |H_i| is |H_{i+1}|
-    times level i's orbit length."""
-    levels = chain.levels
-    if (levels[0].gens if levels else []) != list(generators):
-        return False
-    for i, lvl in enumerate(levels):
-        b, trans, trans_inv = lvl.point, lvl.transversal, lvl.transversal_inv
-        below = levels[i + 1].gens if i + 1 < len(levels) else []
-        if lvl.gens[:len(below)] != below or any(s.images[b] != b for s in below):
-            return False
-        if b not in trans or not trans[b].is_identity():
-            return False
-        reached = {b}
-        for p, u_p in trans.items():
-            if p not in reached or not (u_p * trans_inv[p]).is_identity():
-                return False
-            for s in lvl.gens:
-                q = s.images[p]
-                if q not in trans:
-                    return False
-                u_p_s = u_p * s
-                if u_p_s == trans[q]:  # a tree step: the Schreier generator is the identity
-                    reached.add(q)
-                elif not chain.sift(u_p_s * trans_inv[q], i + 1)[0].is_identity():
-                    return False
-    return True
+def _orbit(chain: StabilizerChain, depth: int, point: int):
+    """Level ``depth``'s transversal: the orbit of its base point ``point``,
+    which is ``point`` alone while the level does not exist yet."""
+    return chain.levels[depth].transversal if depth < len(chain.levels) else (point,)
 
 
 def subdivision_parts(g: Graph) -> Optional[tuple[Graph, SubdivisionLift]]:

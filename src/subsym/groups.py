@@ -28,16 +28,17 @@ memoised chain built with prefix Q and base b when len(Q) <= len(P) and b
 agrees with P on their common length: both builds then choose the same base
 point at every level they create, so the memoised chain is the one P would
 build. ``autgrp.automorphism_group`` also returns its group with a chain:
-the base and strong generating set its search found, verified by Schreier's
-lemma and memoised under the prefix (b_0,) of its base b. By the same rule
-it serves every non-empty prefix that b starts with, as any chain with base
-b serves, though it is not the chain a build for that prefix would make:
-its level generators are those the search found. ``chain()``, the prefix
-(), is still built by Schreier-Sims, so what ``random_element`` draws does
-not depend on the search chain; only a trivial group, whose one chain is
-the empty one, has it memoised under (). ``order()`` reads the first
-memoised chain, when there is one. Point and edge stabilizers are memoised
-on G in the same way as chains, keyed by the point or by the ordered pair.
+the one Schreier-Sims builds on its search's base b from the generators in
+the order the search found them, memoised under the prefix (b_0,). By the
+same rule it serves every non-empty prefix that b starts with, as any chain
+with base b serves, though it is the chain a build for the whole of b
+makes, not always the one a build for a shorter prefix would make.
+``chain()``, the prefix (), still gets its own build, so what
+``random_element`` draws does not depend on the search chain; only a
+trivial group, whose one chain is the empty one, has it memoised under ().
+``order()`` reads the first memoised chain, when there is one. Point and
+edge stabilizers are memoised on G in the same way as chains, keyed by the
+point or by the ordered pair.
 """
 
 from __future__ import annotations
@@ -73,23 +74,6 @@ class _ChainLevel:
         self.transversal: dict[int, Perm] = {point: ident}
         self.transversal_inv: dict[int, Perm] = {point: ident}
 
-    def extend(self, gens: Sequence[Perm], gens_inv: Sequence[Perm]) -> None:
-        """Add generators, given with their inverses, and walk the orbit on:
-        every point reached so far under each new generator, then every newly
-        reached point under all the level's generators. u_q = u_p * s is
-        recorded as the walk first reaches q from p along s."""
-        trans, trans_inv = self.transversal, self.transversal_inv
-        work = deque((p, s, s_inv) for p in list(trans) for s, s_inv in zip(gens, gens_inv))
-        self.gens += gens
-        self.gens_inv += gens_inv
-        while work:
-            p, s, s_inv = work.popleft()
-            q = s.images[p]
-            if q not in trans:
-                trans[q] = trans[p] * s
-                trans_inv[q] = s_inv * trans_inv[p]
-                work.extend((q, t, t_inv) for t, t_inv in zip(self.gens, self.gens_inv))
-
 
 class StabilizerChain:
     """Base points with transversals; supports order, sifting, sampling.
@@ -105,8 +89,11 @@ class StabilizerChain:
         self.degree = G.degree
         self.levels: list[_ChainLevel] = []
         self._base_prefix = list(base_prefix)
-        size = {x: len(orb) for orb in G.point_orbits() for x in orb}
-        self._precedence = sorted(range(self.degree), key=lambda x: (-size[x], x))
+        if G.generators:
+            size = {x: len(orb) for orb in G.point_orbits() for x in orb}
+            self._precedence = sorted(range(self.degree), key=lambda x: (-size[x], x))
+        else:  # every orbit is one point: label order
+            self._precedence = range(self.degree)
         for g in G.generators:
             self.add_generator(g)
 
@@ -159,7 +146,7 @@ class StabilizerChain:
         residue, _ = self.sift(g)
         if residue.is_identity():
             return
-        self._insert(g, 0)
+        self._insert(g, g.inverse(), 0)
 
     def _next_base_point(self, moved_by: Perm, idx: int) -> int:
         if idx < len(self._base_prefix):
@@ -169,43 +156,45 @@ class StabilizerChain:
                 return p
         raise AssertionError("identity residue reached base point selection")
 
-    def _insert(self, g: Perm, start: int) -> None:
-        """Add g (known to fix base points of levels < start) to the chain."""
+    def _insert(self, g: Perm, g_inv: Perm, start: int) -> None:
+        """Add g, given with its inverse and known to fix the base points of
+        levels < start, to the chain."""
         j = start
         while True:
             if j == len(self.levels):
                 self.levels.append(_ChainLevel(self._next_base_point(g, j), self.degree))
             lvl = self.levels[j]
-            self._process_new_generator(j, g)
+            self._process_new_generator(j, g, g_inv)
             if g.images[lvl.point] != lvl.point:
                 return
             j += 1
 
-    def _process_new_generator(self, j: int, g: Perm) -> None:
-        """Append g at level j; extend its orbit; sift the new Schreier pairs."""
+    def _process_new_generator(self, j: int, g: Perm, g_inv: Perm) -> None:
+        """Append g at level j; extend its orbit; sift the new Schreier pairs.
+        u_b is the identity at the base point b, so u_b * s is s and a
+        Schreier generator that ends at b is u_p * s itself."""
         lvl = self.levels[j]
         if g in lvl.gens:  # already processed here via a Schreier residue
             return
-        g_inv = g.inverse()
         lvl.gens.append(g)
         lvl.gens_inv.append(g_inv)
-        pairs = deque((p, g, g_inv) for p in sorted(lvl.transversal))
+        b, trans, trans_inv = lvl.point, lvl.transversal, lvl.transversal_inv
+        pairs = deque((p, g, g_inv) for p in sorted(trans))
         while pairs:
             p, s, s_inv = pairs.popleft()
             q = s.images[p]
-            u_p = lvl.transversal[p]
-            if q not in lvl.transversal:
-                lvl.transversal[q] = u_p * s
+            u_p_s = s if p == b else trans[p] * s
+            if q not in trans:
+                trans[q] = u_p_s
                 # (u_p s)^-1 = s^-1 u_p^-1: one product, no inversion loop
-                lvl.transversal_inv[q] = s_inv * lvl.transversal_inv[p]
+                trans_inv[q] = s_inv if p == b else s_inv * trans_inv[p]
                 pairs.extend((q, t, t_inv) for t, t_inv in zip(lvl.gens, lvl.gens_inv))
                 continue
-            u_p_s = u_p * s
-            if u_p_s == lvl.transversal[q]:  # the Schreier generator is the identity
+            if u_p_s == trans[q]:  # the Schreier generator is the identity
                 continue
-            residue, _ = self.sift(u_p_s * lvl.transversal_inv[q], j + 1)
+            residue, _ = self.sift(u_p_s if q == b else u_p_s * trans_inv[q], j + 1)
             if not residue.is_identity():
-                self._insert(residue, j + 1)
+                self._insert(residue, s_inv if residue is s else residue.inverse(), j + 1)
 
     def random_element(self, rng: random.Random) -> Perm:
         out = Perm.identity(self.degree)
@@ -284,9 +273,6 @@ class PermGroup:
             orbits, _ = orbit_partition(self, range(self.degree), Perm.__call__)
             self._orbits = tuple(tuple(sorted(orb)) for orb in orbits)
         return self._orbits
-
-    def is_transitive(self) -> bool:
-        return len(self.point_orbits()) <= 1 or self.degree == 0
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
@@ -467,8 +453,8 @@ def _prefix_chain(G: PermGroup, prefix: Sequence[int]) -> StabilizerChain:
     P's or Q's where the prefixes reach and the same residue's first moved
     point after that, so the chain is the one P would build. The Aut
     search's chain, memoised under (b_0,), is served by the same rule: its
-    base agrees with P, so it is a chain for P, with the search's level
-    generators. The empty prefix, ``chain()``'s, is not served by it,
+    base agrees with P, so it is a chain for P, the one Schreier-Sims
+    builds on the search's whole base. The empty prefix, ``chain()``'s, is not served by it,
     except in a trivial group, whose one chain, the empty one, is memoised
     under ()."""
     prefix = tuple(prefix)

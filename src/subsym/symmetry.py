@@ -50,12 +50,6 @@ class PropertyKind:
         if self.name in ("s-arc", "s-distance") and (self.s is None or self.s < 1):
             raise ValueError("parameterised kinds need s >= 1")
 
-    def label(self) -> str:
-        scope = "locally" if self.local else "globally"
-        if self.name.startswith("s-"):  # "distance" carries s = diam but is unparameterised
-            return f"{scope} {self.s}-{self.name[2:]} transitive"
-        return f"{scope} {self.name} transitive"
-
 
 @dataclass(frozen=True)
 class Witness:

@@ -6,13 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsym import autgrp
 from subsym.autgrp import (
     BudgetExceededError,
     _MappingSearch,
     _Partition,
     _refine,
-    _verified,
     _vertex_invariants,
     automorphism_group,
     find_isomorphism,
@@ -34,7 +32,6 @@ from subsym.groups import (
     PermGroup,
     StabilizerChain,
     equal_groups,
-    is_graph_automorphism,
     stabilizer_edge,
     stabilizer_point,
 )
@@ -134,15 +131,16 @@ def test_symmetric_group_needs_one_search_per_level(g, n, monkeypatch):
        st.booleans())
 def test_search_chain_is_verified_and_serves_stabilizers(n, seed, subdivided):
     # the chain the search returns, memoised on the group under (b_0,),
-    # against chains built from scratch for the same generators
+    # against chains built from scratch for the same generators: it is the
+    # chain Schreier-Sims builds on the search's base
     g = random_connected_graph(random.Random(seed), n)
     if subdivided:
         g = subdivide(g).graph
     G = automorphism_group(g)
     [(prefix, base, chain)] = G._chains
-    assert _verified(chain, G.generators)
     assert base == tuple(chain.base()) and prefix == base[:1]
     fresh = PermGroup(g.n, G.generators)
+    assert _levels(chain) == _levels(StabilizerChain(fresh, base))
     assert chain.order() == G.order() == StabilizerChain(fresh).order()
     u = base[0] if base else 0
     v = base[1] if len(base) > 1 else (u + 1) % g.n
@@ -160,46 +158,41 @@ def _levels(chain):
             for lvl in chain.levels]
 
 
-def _add_non_automorphism(chain, g):
-    x = Perm.from_cycles(g.n, [(0, 1)])
-    assert not is_graph_automorphism(g, x)
-    chain.levels[0].gens.append(x)
-    chain.levels[0].gens_inv.append(x.inverse())
+def _faulty_leaf(call, fault):
+    """A ``_MappingSearch._verify_leaf`` whose ``call``-th mapping found
+    (counting from 1) is damaged by ``fault``."""
+    verify = _MappingSearch._verify_leaf
+    found = [0]
+
+    def leaf(self, s, t):
+        mapping = verify(self, s, t)
+        if mapping is not None:
+            found[0] += 1
+            if found[0] == call:
+                fault(mapping)
+        return mapping
+    return leaf
 
 
-def _drop_generators(level):
-    def mutate(chain, g):
-        del chain.levels[level].gens[:], chain.levels[level].gens_inv[:]
-    return mutate
+def _swap(i, j):
+    def fault(mapping):
+        mapping[i], mapping[j] = mapping[j], mapping[i]
+    return fault
 
 
-@pytest.mark.parametrize("mutate", [
-    _add_non_automorphism, _drop_generators(1), _drop_generators(-1),
-], ids=["non-automorphism-at-level-0", "drop-level-1", "drop-last-level"])
+@pytest.mark.parametrize("call, fault, error", [
+    # two images of the second generator swapped: a non-automorphism that
+    # fixes the base points above its level, so Schreier-Sims takes it in
+    # and the levels grow past what the search resolved
+    (2, _swap(-1, -2), "automorphism search order != chain order"),
+    # the images of 0 and 1 swapped in the third mapping: it moves b_0
+    (3, _swap(0, 1), "moves a base point above it"),
+], ids=["non-automorphism", "moves-a-base-point"])
 @pytest.mark.parametrize("g", [make_hoffman_singleton(), make_petersen()], ids=["HoSi", "Petersen"])
-def test_a_broken_search_chain_fails_verification(g, mutate, monkeypatch):
-    build = autgrp._search_chain
-
-    def broken(degree, levels):
-        chain = build(degree, levels)
-        mutate(chain, g)
-        return chain
-
-    monkeypatch.setattr(autgrp, "_search_chain", broken)
-    with pytest.raises(AssertionError, match="automorphism search order != chain order"):
+def test_a_broken_search_chain_fails_verification(g, call, fault, error, monkeypatch):
+    monkeypatch.setattr(_MappingSearch, "_verify_leaf", _faulty_leaf(call, fault))
+    with pytest.raises(AssertionError, match=error):
         automorphism_group(g)
-
-
-@pytest.mark.parametrize("g", [make_hoffman_singleton(), make_petersen()], ids=["HoSi", "Petersen"])
-def test_verification_sifts_the_schreier_generators(g):
-    # Aut(g)'s chain with a non-automorphism x added to level 0, checked as
-    # a chain for the generators and x: level 0's orbit is every vertex, so
-    # it stays closed, and only x's Schreier generators, which do not sift
-    # through the levels below, show that the order is wrong
-    G = automorphism_group(g)
-    chain = G._chains[0][2]
-    _add_non_automorphism(chain, g)
-    assert not _verified(chain, list(G.generators) + chain.levels[0].gens[-1:])
 
 
 def _relabel(g, rng):

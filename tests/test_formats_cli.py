@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subsym import cli, formats, groups, symmetry
+from subsym import cli, formats, symmetry
 from subsym.cli import main
 from subsym.formats import (
     FormatError,
@@ -156,6 +156,12 @@ class TestGeneratorFiles:
         assert all(is_graph_automorphism(p, g) for g in G.generators)
 
 
+def _degrees_built(chain_builds):
+    """The degrees of the chains built for lifted groups and for the rest."""
+    lifted = [G.degree for G, _ in chain_builds if G._lift is not None]
+    return lifted, [G.degree for G, _ in chain_builds if G._lift is None]
+
+
 class TestCli:
     def test_build_and_transform_round_trip(self, tmp_path, capsys):
         g_path = str(tmp_path / "p.g")
@@ -226,7 +232,7 @@ class TestCli:
         main(["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", "1..2"])
         assert "cached automorphism" not in capsys.readouterr().out
 
-    def test_analyze_warm_aut_cache_keeps_the_lift(self, tmp_path, capsys, monkeypatch):
+    def test_analyze_warm_aut_cache_keeps_the_lift(self, tmp_path, capsys, chain_builds):
         # a second run reads the cache; it lifts the cached generators again,
         # so its stabilizers are built on HoSi's 50 points, not on all 225
         base, g_path = str(tmp_path / "hosi.g"), str(tmp_path / "shosi.g")
@@ -236,32 +242,18 @@ class TestCli:
         capsys.readouterr()
         assert main(args) == 0
         cold = capsys.readouterr().out.splitlines()
-        built = []
-        real = groups.StabilizerChain.__init__
-
-        def counting(self, G, base_prefix=()):
-            built.append(G.degree)
-            real(self, G, base_prefix)
-
-        monkeypatch.setattr(groups.StabilizerChain, "__init__", counting)
+        chain_builds.clear()
         assert main(args) == 0
         warm = capsys.readouterr().out.splitlines()
+        built = [G.degree for G, _ in chain_builds]
         # only the cold run says where its group came from and where it went
         assert [ln for ln in cold if not ln.startswith(("# automorphism group", "cached"))] == warm
         assert sum(ln.endswith(": true") for ln in warm) == 6
         assert built and set(built) == {50}
 
-    def test_no_flow_builds_a_chain_for_a_lifted_group(self, tmp_path, capsys, monkeypatch):
+    def test_no_flow_builds_a_chain_for_a_lifted_group(self, tmp_path, capsys, chain_builds):
         # a lifted group takes its order and stabilizers from its base group,
         # so analyze on S(Petersen) builds chains on Petersen's 10 points only
-        lifted, plain = [], []
-        real = groups.StabilizerChain.__init__
-
-        def recording(self, G, base_prefix=()):
-            (lifted if G._lift is not None else plain).append(G.degree)
-            real(self, G, base_prefix)
-
-        monkeypatch.setattr(groups.StabilizerChain, "__init__", recording)
         base, g_path = str(tmp_path / "p.g"), str(tmp_path / "sp.g")
         main(["build", "petersen", "--out", base])
         main(["transform", "subdivide", "--in", base, "--out", g_path])
@@ -276,8 +268,10 @@ class TestCli:
                 assert main(args) == 0
                 assert note in capsys.readouterr().out
                 note = "# effective-config"
+        lifted, plain = _degrees_built(chain_builds)
         assert lifted == [] and set(plain) == {10}
         run_corpus(CorpusConfig())
+        lifted, plain = _degrees_built(chain_builds)
         assert lifted == [] and len(set(plain)) > 1
 
     @pytest.mark.parametrize("g, message", [

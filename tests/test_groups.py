@@ -180,7 +180,7 @@ class TestOrbitsAndStabilizers:
         assert stabilizer_edge(G, (0, 1)) is stabilizer_edge(G, (0, 1))
         assert stabilizer_edge(G, (1, 0)) is not stabilizer_edge(G, (0, 1))
 
-    def test_point_orbits_are_cached_and_shared(self, monkeypatch):
+    def test_point_orbits_are_cached_and_shared(self, chain_builds):
         sg = subdivide(make_petersen())
         G = induced_subdivision_action(automorphism_group(make_petersen()), sg)
         orbits = G.point_orbits()
@@ -190,20 +190,17 @@ class TestOrbitsAndStabilizers:
         # vertex 0 and of the edge (0, 7). The Aut search's chain, based at
         # [0, 7, ...], serves both, so no chain is built, and none on all
         # 25 points
-        built = []
-        real = groups_module.StabilizerChain.__init__
+        chain_builds.clear()  # the search's own chain
 
-        def counting(self, H, base_prefix=()):
-            built.append((H.degree, list(base_prefix)))
-            real(self, H, base_prefix)
+        def built():
+            return [(H.degree, list(prefix)) for H, prefix in chain_builds]
 
-        monkeypatch.setattr(groups_module.StabilizerChain, "__init__", counting)
         stabilizers = [stabilizer_point(G, orb[0]) for orb in orbits]
-        assert built == []
+        assert built() == []
         assert [Gv.order() for Gv in stabilizers] == [12, 8]
         # the setwise edge stabilizer has no chain yet: its order builds one,
         # on the 10 base points
-        assert built == [(10, [])]
+        assert built() == [(10, [])]
         assert all(stabilizer_point(G, orb[0]) is Gv for orb, Gv in zip(orbits, stabilizers))
         assert G.point_orbits() is orbits
 
@@ -625,21 +622,12 @@ class TestConcurrency:
         G0, G50, chain = results[0]
         assert (G0.order(), G50.order(), chain.order()) == (5040, 1440, 252000)
 
-    def test_concurrent_memoised_chains_are_built_once(self, monkeypatch):
+    def test_concurrent_memoised_chains_are_built_once(self, chain_builds):
         import sys
         import threading
 
         G = pgammal_2_8()
         G = PermGroup(G.degree, G.generators)  # nothing memoised yet
-        built = []
-        real = groups_module.StabilizerChain.__init__
-
-        def counting(self, H, base_prefix=()):
-            real(self, H, base_prefix)
-            if H is G:
-                built.append(tuple(base_prefix))
-
-        monkeypatch.setattr(groups_module.StabilizerChain, "__init__", counting)
         calls = [
             ("point", 0), ("point", 4), ("edge", (0, 1)), ("edge", (4, 2)), ("edge", (1, 0)),
             ("k", 2), ("k", 3), ("k", 4), ("chain", None),
@@ -676,6 +664,7 @@ class TestConcurrency:
         first = results[0]
         assert all(r[key] is first[key] for r in results for key in first)
         assert [first["k", k] for k in (2, 3, 4)] == [True, True, False]
+        built = [prefix for H, prefix in chain_builds if H is G]
         assert len(built) == len(set(built))  # each prefix chain built once
         assert first["chain", None].order() == 1512
 
@@ -789,20 +778,14 @@ class TestPinnedChainBytes:
         assert D.order() == 60
         assert _chain_digest(D) == "2da3d3c7812227634bcacee8374cb62d147b27daaa23075ee828f308bf5c5286"
 
-    def test_stabilizer_edge_levels(self, groups, monkeypatch):
-        built = []
-
-        class Capture(groups_module.StabilizerChain):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(groups_module, "StabilizerChain", Capture)
+    def test_stabilizer_edge_levels(self, groups, chain_builds):
         # a fresh group with the fixture's generators: the class-scoped one
         # may already hold this edge stabilizer
         G = groups["fixture"]
-        Ge = stabilizer_edge(PermGroup(G.degree, G.generators), (0, 50))
-        assert len(built) == 1 and Ge.order() == 720
-        assert _levels_digest(built[0]) == "ed7d0b29d257078957eb308ea73e6508d6adb80406394693b90575ecd3b88075"
+        H = PermGroup(G.degree, G.generators)
+        Ge = stabilizer_edge(H, (0, 50))
+        assert len(chain_builds) == 1 and Ge.order() == 720
+        [(_, _, built)] = H._chains
+        assert _levels_digest(built) == "ed7d0b29d257078957eb308ea73e6508d6adb80406394693b90575ecd3b88075"
         gens = json.dumps([list(g.images) for g in Ge.generators]).encode()
         assert hashlib.sha256(gens).hexdigest() == "29e998fcaeb3311831b8e7d8f696deab5320713b9dbf7b8654917a4b41537c94"

@@ -53,20 +53,6 @@ from subsym.theorems import (
 from _oracles import brute_bipartite_conditions, brute_closure
 
 
-@pytest.fixture
-def chain_builds(monkeypatch):
-    """Every StabilizerChain built while the test runs."""
-    built = []
-
-    class Capture(groups_module.StabilizerChain):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append(self)
-
-    monkeypatch.setattr(groups_module, "StabilizerChain", Capture)
-    return built
-
-
 class TestLocalArcEquivalence:
     def test_petersen_true_side(self):
         p = make_petersen()
