@@ -428,8 +428,8 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     fix the base points above it, and the chain's order must equal the
     product of the level orbit sizes as each level was resolved; a failure
     is a bug and raises AssertionError. The group is returned with the chain
-    memoised on it under the prefix (b_0,); ``chain()`` still builds the
-    group's own (see ``groups``).
+    memoised on it under the prefix (b_0,), so its ``chain()``, ``in`` and
+    ``order()`` read that chain and build none (see ``groups``).
     ``node_budget`` (None or an int >= 0) bounds the search nodes.
     """
     _check_budget(node_budget)
@@ -471,8 +471,8 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
         raise AssertionError("automorphism search order != chain order")
     group = PermGroup(g.n, gens)
     # not shared yet, so no lock. The chain's base is the path's without its
-    # trailing one-point levels; a trivial group's is empty, and its one
-    # chain, the empty one, serves every prefix including chain()'s ()
+    # trailing one-point levels; a trivial group's is empty, so its one chain
+    # is entered under () and random_element draws from it too
     base = tuple(chain.base())
     group._chains.append((base[:1], base, chain))
     return group

@@ -158,12 +158,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # a base-graph group against a subdivision file: induce the action
         from .groups import induced_subdivision_action
 
-        sg = subdivision_from_parts(args.graph, g, n_base)
-        if G.degree != sg.n_base:
+        if G.degree != n_base:
             raise GraphError(
-                f"group degree {G.degree} matches neither the graph ({g.n}) "
-                f"nor its base ({sg.n_base})"
+                f"group degree {G.degree} matches neither the graph ({g.n}) nor its base "
+                + ("(no parts line)" if n_base is None else f"({n_base})")
             )
+        sg = subdivision_from_parts(args.graph, g, n_base)
         G = induced_subdivision_action(G, sg)
         print(f"# induced the degree-{sg.n_base} group on the subdivision vertices")
     name, local = PROPERTIES[args.property]

@@ -2,9 +2,9 @@
 
 Edge lists: first line "n m", then one "u v" line per edge with
 0 <= u < v < n. Subdivision graphs add a part-tag line
-"parts: V=0..n-1 E=n..n+m-1", whose form is checked on read. Generator
-files: first line "degree k", then one permutation per line as a
-space-separated image list.
+"parts: V=0..n-1 E=n..n+m-1" after the header, checked on read against
+the header's vertex count n + m. Generator files: first line "degree k",
+then one permutation per line as a space-separated image list.
 Comment lines start with '#' in both formats.
 """
 
@@ -47,21 +47,18 @@ def write_subdivision(path: str, sg: SubdivisionGraph) -> None:
 
 
 def read_graph(path: str) -> Graph:
-    """Parse an edge-list file; the part-tag line, if present, is ignored."""
+    """Parse an edge-list file; a part-tag line is checked but not returned."""
     g, _ = read_graph_with_parts(path)
     return g
 
 
 def read_graph_with_parts(path: str) -> tuple[Graph, Optional[int]]:
     """Parse an edge-list file, also returning the V-part size from a
-    "parts:" line when one is present."""
+    "parts:" line when one follows the header."""
     header = None
     edges = []
     n_base = None
     for lineno, line in _data_lines(path):
-        if line.startswith("parts:"):
-            n_base = _parse_parts_line(path, lineno, line)
-            continue
         fields = line.split()
         if header is None:
             if len(fields) != 2:
@@ -70,6 +67,9 @@ def read_graph_with_parts(path: str) -> tuple[Graph, Optional[int]]:
                 header = (int(fields[0]), int(fields[1]))
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-integer header") from None
+            continue
+        if line.startswith("parts:"):
+            n_base = _parse_parts_line(path, lineno, fields, header[0])
             continue
         if len(fields) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'u v'")
@@ -90,18 +90,19 @@ def read_graph_with_parts(path: str) -> tuple[Graph, Optional[int]]:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _parse_parts_line(path: str, lineno: int, line: str) -> int:
-    # "parts: V=0..n-1 E=n..n+m-1"
-    fields = line.split()
+def _parse_parts_line(path: str, lineno: int, fields: list[str], size: int) -> int:
+    # "parts: V=0..n-1 E=n..n+m-1", where n + m = size, the header's vertex count
     if len(fields) != 3 or not fields[1].startswith("V=") or not fields[2].startswith("E="):
         raise FormatError(f"{path}:{lineno}: malformed parts line")
     try:
         v_lo, v_hi = (int(x) for x in fields[1][2:].split(".."))
-        e_lo, _ = (int(x) for x in fields[2][2:].split(".."))
+        e_lo, e_hi = (int(x) for x in fields[2][2:].split(".."))
     except ValueError:
         raise FormatError(f"{path}:{lineno}: malformed parts line") from None
     if v_lo != 0 or e_lo != v_hi + 1:
         raise FormatError(f"{path}:{lineno}: parts must be V=0..n-1 E=n..n+m-1")
+    if e_hi != size - 1:
+        raise FormatError(f"{path}:{lineno}: parts E range ends at {e_hi}, not at the last vertex {size - 1}")
     return v_hi + 1
 
 
@@ -157,6 +158,8 @@ def read_generators(path: str) -> PermGroup:
                 degree = int(fields[1])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-integer degree") from None
+            if degree < 0:
+                raise FormatError(f"{path}:{lineno}: negative degree {degree}")
             continue
         try:
             images = [int(x) for x in fields]

@@ -21,23 +21,19 @@ an E-point. Those are lifted groups again. Its orbits come from its own
 generators. No library flow asks a lifted group for its chain; one that
 did would get a chain built like any other group's.
 
-A chain is given at construction (a stabilizer's chain tail, or the chain
-``normal_closure`` builds) or built by ``StabilizerChain(G, prefix)`` and
-memoised on G with its base prefix. A request for prefix P reuses a
-memoised chain built with prefix Q and base b when len(Q) <= len(P) and b
-agrees with P on their common length: both builds then choose the same base
-point at every level they create, so the memoised chain is the one P would
-build. ``autgrp.automorphism_group`` also returns its group with a chain:
-the one Schreier-Sims builds on its search's base b from the generators in
-the order the search found them, memoised under the prefix (b_0,). By the
-same rule it serves every non-empty prefix that b starts with, as any chain
-with base b serves, though it is the chain a build for the whole of b
-makes, not always the one a build for a shorter prefix would make.
-``chain()``, the prefix (), still gets its own build, so what
-``random_element`` draws does not depend on the search chain; only a
-trivial group, whose one chain is the empty one, has it memoised under ().
-``order()`` reads the first memoised chain, when there is one. Point and
-edge stabilizers are memoised on G in the same way as chains, keyed by the
+A group keeps its stabilizer chains in one memo of (prefix, base, chain)
+entries. A chain given at construction (a stabilizer's chain tail, or the
+chain ``normal_closure`` builds) is entered under the prefix ();
+``autgrp.automorphism_group`` enters its search chain under its first base
+point, (b_0,); and each chain ``StabilizerChain(G, prefix)`` builds is
+entered under its prefix. A request for prefix P reuses the first entry
+(Q, b, chain) with len(Q) <= len(P) and b agreeing with P on their common
+length, so a chain serves every prefix, no shorter than its own, that its
+base agrees with. ``chain()``, which ``in`` and ``order()`` read, is the
+first entry, built only for a group that holds none. ``random_element``
+alone reads one particular chain, the prefix ()'s (see ``_prefix_chain``),
+so seeded draws do not depend on which other chains the group holds. Point
+and edge stabilizers are memoised on G beside its chains, keyed by the
 point or by the ordered pair.
 """
 
@@ -114,12 +110,6 @@ class StabilizerChain:
 
     def base(self) -> list[int]:
         return [lvl.point for lvl in self.levels]
-
-    def generators_at(self, level: int) -> list[Perm]:
-        """Generators of the level-th stabilizer subgroup."""
-        if level >= len(self.levels):
-            return []
-        return list(self.levels[level].gens)
 
     def sift(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
         """Reduce p through the chain; returns (residue, level it stuck at)."""
@@ -205,10 +195,10 @@ class StabilizerChain:
 
 
 class PermGroup:
-    """A permutation group given by generators, with a lazily built chain."""
+    """A permutation group given by generators, with lazily built chains."""
 
     __slots__ = (
-        "degree", "generators", "_chain", "_chains", "_orbits", "_stabilizers", "_lock",
+        "degree", "generators", "_chains", "_orbits", "_stabilizers", "_lock",
         "_validated_graphs", "_lift", "__weakref__",
     )
 
@@ -229,9 +219,10 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self._chain = _chain  # given at construction: a chain tail or normal_closure's chain
-        # (prefix, base, chain) per chain StabilizerChain(self, prefix) built; see _prefix_chain
-        self._chains: list[tuple[tuple[int, ...], tuple[int, ...], StabilizerChain]] = []
+        # (prefix, base, chain) per memoised chain, a given one under (); see _prefix_chain
+        self._chains: list[tuple[tuple[int, ...], tuple[int, ...], StabilizerChain]] = (
+            [] if _chain is None else [((), tuple(_chain.base()), _chain)]
+        )
         self._orbits: Optional[tuple[tuple[int, ...], ...]] = None  # see point_orbits
         # point v -> G_v, ordered pair (u, v) -> setwise stabilizer of {u, v};
         # see stabilizer_point and stabilizer_edge
@@ -244,13 +235,12 @@ class PermGroup:
         self._lift = _lift
 
     def chain(self) -> StabilizerChain:
-        return self._chain or _prefix_chain(self, ())
+        """The first chain memoised on the group, built only when it holds none."""
+        return self._chains[0][2] if self._chains else _prefix_chain(self, ())
 
     def order(self) -> int:
         if self._lift is not None:  # the lift is faithful
             return self._lift[0].order()
-        if self._chain is None and self._chains:  # any chain of G gives |G|
-            return self._chains[0][2].order()
         return self.chain().order()
 
     def __contains__(self, p: Perm) -> bool:
@@ -258,11 +248,8 @@ class PermGroup:
             return False
         return self.chain().contains(p)
 
-    def identity(self) -> Perm:
-        return Perm.identity(self.degree)
-
     def random_element(self, rng: random.Random) -> Perm:
-        return self.chain().random_element(rng)
+        return _prefix_chain(self, ()).random_element(rng)
 
     def point_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits on 0..degree-1, each sorted, ordered by least element.
@@ -446,17 +433,14 @@ def _check_point(G: PermGroup, v: int) -> None:
 
 
 def _prefix_chain(G: PermGroup, prefix: Sequence[int]) -> StabilizerChain:
-    """The chain ``StabilizerChain(G, prefix)`` builds, memoised on G. A
-    memoised chain built with prefix Q and base b serves prefix P when
-    len(Q) <= len(P) and b agrees with P on their first min(len b, len P)
-    points: at every level either build creates, both take the same point,
-    P's or Q's where the prefixes reach and the same residue's first moved
-    point after that, so the chain is the one P would build. The Aut
-    search's chain, memoised under (b_0,), is served by the same rule: its
-    base agrees with P, so it is a chain for P, the one Schreier-Sims
-    builds on the search's whole base. The empty prefix, ``chain()``'s, is not served by it,
-    except in a trivial group, whose one chain, the empty one, is memoised
-    under ()."""
+    """The first chain memoised on G that serves prefix (see the module
+    docstring), else the one ``StabilizerChain(G, prefix)`` builds, memoised
+    on G under prefix. A chain G built for Q that serves P is the one P
+    would build: at every level either build creates, both take the same
+    point, P's or Q's where the prefixes reach and the same residue's first
+    moved point after that. Only an entry under () serves (): G's given
+    chain, else its build by precedence, never the search chain. So () names
+    one chain whatever else G holds."""
     prefix = tuple(prefix)
     with G._lock:
         for q, base, chain in G._chains:
@@ -498,7 +482,7 @@ def _build_stabilizer(G: PermGroup, v: int) -> PermGroup:
         return PermGroup(G.degree, ())
     return PermGroup(
         G.degree,
-        chain.generators_at(1),
+        chain.levels[1].gens,
         _chain=StabilizerChain._from_levels(G.degree, chain.levels[1:]),
     )
 

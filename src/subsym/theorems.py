@@ -114,6 +114,13 @@ def _outcome(name: str, instance: str, ok: Optional[bool], details: dict, reason
     return CheckOutcome(name, instance, CONFIRMED if ok else REFUTED, details)
 
 
+def _skip_unless_connected(g: Graph, name: str, instance: str) -> Optional[CheckOutcome]:
+    """A skipped outcome unless g is connected on at least 2 vertices."""
+    if g.n < 2 or not g.is_connected():
+        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+    return None
+
+
 def _ceil_half_succ(s: int) -> int:
     # smallest integer >= (s+1)/2
     return (s + 2) // 2
@@ -196,9 +203,8 @@ def check_local_arc_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     that instance is reported as skipped rather than stretched either way.
     """
     prefix = f"g=({g.n},{g.m}) |G|={G.order()}"
-    if not g.is_connected() or g.n < 2:
-        return _outcome(ARC_EQUIVALENCE, f"{prefix} s={s}", None, {},
-                        "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, ARC_EQUIVALENCE, f"{prefix} s={s}"):
+        return skip
     return _equivalence_outcomes(_equivalence_verdicts(g, G, [s], []), [s], [], prefix)[0]
 
 
@@ -207,9 +213,8 @@ def check_local_distance_equivalence(g: Graph, G: PermGroup, s: int) -> CheckOut
     graph is equivalent to ceil((s+1)/2)-arc transitivity of the base graph."""
     prefix = f"g=({g.n},{g.m}) |G|={G.order()}"
     instance = f"{prefix} s={s}"
-    if not g.is_connected() or g.n < 2:
-        return _outcome(DISTANCE_EQUIVALENCE, instance, None, {},
-                        "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, DISTANCE_EQUIVALENCE, instance):
+        return skip
     d = g.diameter()
     if s > 2 * d - 1:
         return _outcome(DISTANCE_EQUIVALENCE, instance, None, {"d": d},
@@ -223,8 +228,8 @@ def check_small_s_equivalences(g: Graph, G: PermGroup) -> CheckOutcome:
     3-distance transitive, and base 2-arc transitive."""
     name = "small-s-equivalences"
     instance = f"g=({g.n},{g.m}) |G|={G.order()}"
-    if not g.is_connected() or g.n < 2:
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, name, instance):
+        return skip
     if g.n == 2:
         return _outcome(name, instance, None, {}, "single-edge graph excluded")
     sg, Gs = _lift(g, G)
@@ -246,15 +251,16 @@ def check_edge_stabilizer_conditions(g: Graph, G: PermGroup) -> CheckOutcome:
     even cycle with the half-dihedral group (two edge orbits)."""
     name = "edge-stabilizer-conditions"
     instance = f"g=({g.n},{g.m}) |G|={G.order()}"
-    if not g.is_connected() or g.n < 2:
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, name, instance):
+        return skip
     sg, Gs = _lift(g, G)
     # orbit stats of each E-vertex representative's stabilizer on its spheres
     profile = local_distance_profile(sg.graph, Gs, 2)
     stats = [st for v, st in profile.items() if not sg.is_v_vertex(v)]
     left_a = all(st[0].orbits <= 1 for st in stats)
-    a_holds = (not left_a) or is_vertex_transitive(g, G)
-    details: dict = {"endpoint_transitive": left_a, "vertex_transitive": is_vertex_transitive(g, G)}
+    vertex_transitive = is_vertex_transitive(g, G)
+    a_holds = (not left_a) or vertex_transitive
+    details: dict = {"endpoint_transitive": left_a, "vertex_transitive": vertex_transitive}
     if g.n == 2:
         return _outcome(name, instance, a_holds, details)
     left_b = left_a and all(st[1].orbits <= 1 for st in stats)
@@ -281,8 +287,8 @@ def check_girth_bound(g: Graph, G: PermGroup, s: int) -> CheckOutcome:
     instance = f"g=({g.n},{g.m}) |G|={G.order()} s={s}"
     if s % 2 != 0 or s < 2:
         return _outcome(name, instance, None, {}, "s must be a positive even integer")
-    if not g.is_connected() or g.n < 2:
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, name, instance):
+        return skip
     d = g.diameter()
     if s > 2 * d - 1:
         return _outcome(name, instance, None, {"d": d}, f"s={s} exceeds 2d-1={2 * d - 1}")
@@ -298,8 +304,8 @@ def check_girth5_three_arc(g: Graph, G: PermGroup) -> CheckOutcome:
     local 4-distance transitivity forces 3-arc transitivity of the base."""
     name = "girth5-three-arc"
     instance = f"g=({g.n},{g.m}) |G|={G.order()}"
-    if not g.is_connected() or g.n < 2:
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, name, instance):
+        return skip
     gr = g.girth()
     if gr is None or gr < 5:
         return _outcome(name, instance, None, {"girth": gr}, "needs girth >= 5")
@@ -320,8 +326,8 @@ def check_distance_formula(g: Graph) -> CheckOutcome:
     edges realise the base diameter on all four cross distances."""
     name = "distance-formula"
     instance = f"g=({g.n},{g.m})"
-    if g.n < 2 or not g.is_connected():
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, name, instance):
+        return skip
     sg = subdivide(g)
     formula = subdivision_distance_matrix(sg)
     bfs = sg.graph.distances_matrix()
@@ -342,8 +348,8 @@ def check_reconstruction(g: Graph) -> CheckOutcome:
     label-free reconstruction recovers the base up to isomorphism."""
     name = "reconstruction"
     instance = f"g=({g.n},{g.m})"
-    if g.n < 2 or not g.is_connected():
-        return _outcome(name, instance, None, {}, "need a connected graph on >= 2 vertices")
+    if skip := _skip_unless_connected(g, name, instance):
+        return skip
     gamma = subdivide(g).graph
     comps = distance_two_graph(gamma)
     lg = line_graph(g)

@@ -147,10 +147,11 @@ def test_search_chain_is_verified_and_serves_stabilizers(n, seed, subdivided):
     assert equal_groups(stabilizer_point(G, u), stabilizer_point(fresh, u))
     assert equal_groups(stabilizer_edge(G, (u, v)), stabilizer_edge(fresh, (u, v)))
     assert len(G._chains) == 1  # both stabilizers were read off the search chain
-    # chain() is still the precedence build, as random_element draws from it:
-    # the same base, transversals in the same order and level generators
-    # (what test_groups' chain digests hash)
-    assert _levels(G.chain()) == _levels(fresh.chain())
+    # chain() is the search chain, and random_element draws from the
+    # precedence build: the draws a fresh group with the same generators makes
+    assert G.chain() is chain
+    rng, fresh_rng = random.Random(seed), random.Random(seed)
+    assert [G.random_element(rng) for _ in range(3)] == [fresh.random_element(fresh_rng) for _ in range(3)]
 
 
 def _levels(chain):

@@ -19,7 +19,7 @@ from subsym.formats import (
     write_subdivision,
 )
 from subsym.graphs import Graph, make_complete, make_cycle, make_petersen, random_connected_graph
-from subsym.groups import dihedral_group, pgammal_2_8
+from subsym.groups import dihedral_group, pgammal_2_8, symmetric_group
 from subsym.theorems import CorpusConfig, run_corpus
 from subsym.transforms import subdivide
 
@@ -102,6 +102,9 @@ class TestGraphFiles:
             ("2 1\n1 0\n", ":2: edge (1, 0) out of order/range"),
             ("3 2\n0 1\n", "promises 2 edges"),
             ("", "empty file"),
+            # S(K_2), whose parts line must be V=0..1 E=2..2
+            ("3 2\nparts: V=0..1 E=2..99\n0 2\n1 2\n", ":2: parts E range ends at 99, not at the last vertex 2"),
+            ("3 2\nparts: V=0..1 E=2..1\n0 2\n1 2\n", ":2: parts E range ends at 1, not at the last vertex 2"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, fragment):
@@ -110,6 +113,12 @@ class TestGraphFiles:
         with pytest.raises(FormatError) as exc:
             read_graph(str(path))
         assert fragment in str(exc.value)
+
+    def test_parts_of_an_edgeless_base_graph(self, tmp_path):
+        path = str(tmp_path / "s1.txt")
+        write_subdivision(path, subdivide(Graph(1, [])))
+        assert "parts: V=0..0 E=1..0" in Path(path).read_text()
+        assert read_subdivision(path).graph == Graph(1, [])
 
 
 class TestGeneratorFiles:
@@ -126,6 +135,13 @@ class TestGeneratorFiles:
         with pytest.raises(FormatError) as exc:
             read_generators(str(path))
         assert "expected 3 images" in str(exc.value)
+
+    def test_negative_degree(self, tmp_path):
+        path = tmp_path / "bad.gens"
+        path.write_text("# comment\ndegree -3\n")
+        with pytest.raises(FormatError) as exc:
+            read_generators(str(path))
+        assert "bad.gens:2: negative degree -3" in str(exc.value)
 
     def test_fixture_orders(self):
         expected = {
@@ -368,6 +384,31 @@ class TestCli:
             "--property", "arc", "--s", "1",
         ])
         assert rc == 2
+        assert "group degree 5 matches neither the graph (6) nor its base (no parts line)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,fragment", [
+        ("parts", "sk4.g:2: parts E range ends at 999, not at the last vertex 9"),
+        ("degree", "group degree 5 matches neither the graph (10) nor its base (no parts line)"),
+        ("negative", "bad.gens:1: negative degree -3"),
+    ])
+    def test_analyze_bad_input_exits_2(self, tmp_path, capsys, case, fragment):
+        gens = str(tmp_path / "bad.gens")
+        if case == "parts":  # S(K_4) with a bad E range, and S_4 on K_4's vertices
+            g_path = str(tmp_path / "sk4.g")
+            write_subdivision(g_path, subdivide(make_complete(4)))
+            Path(g_path).write_text(Path(g_path).read_text().replace("E=4..9", "E=4..999"))
+            write_generators(gens, symmetric_group(4))
+        else:
+            g_path = str(tmp_path / "p.g")
+            write_graph(g_path, make_petersen())
+            if case == "degree":
+                gens = os.path.join(FIXTURES, "symmetric_5.gens")
+            else:
+                Path(gens).write_text("degree -3\n")
+        rc = main(["analyze", "--graph", g_path, "--group", gens, "--property", "local-distance",
+                   "--s", "1..2"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
     def test_verify_report_reproducible(self, tmp_path):
         cfg = tmp_path / "corpus.cfg"

@@ -491,15 +491,45 @@ class TestChainMemo:
         assert groups_module._prefix_chain(G, (0, 1, 2)) is shorter
         assert groups_module._prefix_chain(G, (0, 2, 1)) is longer
 
-    def test_given_chains_are_not_memoised_lifted_chains_are(self):
-        Gv = stabilizer_point(symmetric_group(5), 0)  # a chain tail passed in through _chain=
-        assert Gv.chain().order() == 24 and Gv._chains == []
+    def test_given_and_lifted_chains_are_memoised(self, chain_builds):
+        G = symmetric_group(5)
+        Gv = stabilizer_point(G, 0)  # a chain tail passed in through _chain=
+        [(_, _, built)] = G._chains
+        [(prefix, base, tail)] = Gv._chains
+        assert prefix == () and tail.levels == built.levels[1:]
+        chain_builds.clear()
+        assert Gv.chain() is tail and Gv.chain().order() == 24
+        # the tail serves a stabilizer of G_v at its own first base point
+        assert groups_module._prefix_chain(Gv, base[:1]) is tail and chain_builds == []
         # a lifted group's chain is built on its own points, like any other group's
         sg = subdivide(make_petersen())
         lifted = induced_subdivision_action(automorphism_group(make_petersen()), sg)
         chain = lifted.chain()
         assert chain.degree == 25 and chain.order() == 120
         assert [c for _, _, c in lifted._chains] == [chain] and lifted.chain() is chain
+
+    def test_aut_group_reads_its_search_chain(self, chain_builds):
+        G = automorphism_group(make_petersen())
+        [(_, _, search_chain)] = G._chains
+        chain_builds.clear()
+        assert G.chain() is search_chain and G.generators[0] in G and G.order() == 120
+        assert chain_builds == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: automorphism_group(make_petersen()),
+        lambda: automorphism_group(subdivide(make_complete(4)).graph),
+        lambda: symmetric_group(6),
+        lambda: wreath_s2(3),
+    ], ids=["aut-petersen", "aut-subdivided-k4", "symmetric-6", "wreath-3"])
+    def test_random_element_ignores_the_chains_a_group_holds(self, make):
+        G = make()
+        for v in (2, 1, 0):  # memoise point and edge stabilizer chains first
+            stabilizer_point(G, v)
+            stabilizer_edge(G, (v, v + 1))
+        assert G._chains
+        fresh = PermGroup(G.degree, G.generators)
+        rng, fresh_rng = random.Random(11), random.Random(11)
+        assert [G.random_element(rng) for _ in range(8)] == [fresh.random_element(fresh_rng) for _ in range(8)]
 
 
 class TestSubgroups:
