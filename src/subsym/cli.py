@@ -9,7 +9,6 @@ out of report files for that reason).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import os
 import sys
@@ -148,11 +147,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lo, hi = _parse_s_range(args.s)
     # the parts line serves a base-graph group below, so parse the file once
     g, n_base = read_graph_with_parts(args.graph)
-    # check s against the diameter before the aut search writes its cache
-    if args.property in ("distance", "local-distance"):
-        d = g.diameter()
-        if hi > d:
-            raise GraphError(f"s range {lo}..{hi} exceeds diameter {d}")
+    # reject an empty or disconnected graph (diameter() does), and s beyond
+    # the diameter, before the aut search writes its cache
+    d = g.diameter()
+    if args.property in ("distance", "local-distance") and hi > d:
+        raise GraphError(f"s range {lo}..{hi} exceeds diameter {d}")
     G = _load_group(args.group, args.graph, g)
     if G.degree != g.n:
         # a base-graph group against a subdivision file: induce the action
@@ -176,15 +175,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_value(key: str, value) -> str:
-    """value as a corpus config file spells it."""
-    if key.endswith("_range"):
-        return "{}..{}".format(*value)
-    if isinstance(value, tuple):
-        return ",".join(map(str, value))
-    return str(value)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = CorpusConfig.from_file(args.config) if args.config else CorpusConfig()
     if args.seed is not None:
@@ -194,9 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.budget is not None:
         cfg.budget_seconds = args.budget
         cfg.check(lambda *keys: "--budget")  # the file's values are checked already
-    print("# effective-config: command=verify " + " ".join(
-        f"{f.name}={_config_value(f.name, getattr(cfg, f.name))}" for f in dataclasses.fields(cfg)
-    ))
+    print(f"# effective-config: command=verify {cfg}")
     outcomes = run_corpus(cfg)
     counts = summarize(outcomes)
     for oc in outcomes:

@@ -7,24 +7,26 @@ at w are the g-images of those at v, so the verdicts coincide. Transitivity
 on a set is decided by an orbit partition, which also yields the per-level
 orbit counts and a concrete witness pair on failure.
 
-All eight predicates go through ``transitivity_reports``: it validates the
-inputs once, builds one local profile (the per-level orbit statistics of each
-representative's stabilizer) up to the largest s asked for, and reads the
-report for every s off that profile. The global forms are read off the same
-profile by the orbit-stabilizer correspondence: the G-orbits on level-i
-objects (i-arcs, or ordered pairs at distance i) are in bijection with the
-pairs (representative v, G_v-orbit on the level-i objects at v).
+``_KINDS`` is the one table of the four kind names: whether a kind's level
+sets are arcs or distance spheres, and whether it takes s values.
 
-A caller that needs only the verdicts asks ``transitivity_verdicts``. Reports
-and verdicts share one level walk, ``_rep_levels``, per representative: the
-profile runs every walk to the end, while the verdicts step the walks level
-by level and stop at the first level that fails.
+All eight predicates go through ``transitivity_reports``: it validates the
+inputs once, walks the levels once with ``_levels`` (the orbit statistics
+of each representative's stabilizer on its level-i set) up to the largest s
+asked for, and reads the report for every s off them. The global forms are
+read off the same levels by the orbit-stabilizer correspondence: the
+G-orbits on level-i objects (i-arcs, or ordered pairs at distance i) are in
+bijection with the pairs (representative v, G_v-orbit on the level-i
+objects at v).
+
+``transitivity_verdicts`` reads the same walk for a caller that needs only
+the verdicts, and stops at the first level that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from .graphs import Graph, GraphError, SArc, _arc_levels, _has_arc
 from .groups import (
@@ -36,19 +38,40 @@ from .groups import (
 from .perms import Perm
 
 
+class _Kind(NamedTuple):
+    arcs: bool  # the level-i sets are i-arcs, else distance-i spheres
+    parameterised: bool  # takes s values; else one fixed level (1, or diam g)
+
+
+_KINDS = {
+    "arc": _Kind(arcs=True, parameterised=False),
+    "s-arc": _Kind(arcs=True, parameterised=True),
+    "s-distance": _Kind(arcs=False, parameterised=True),
+    "distance": _Kind(arcs=False, parameterised=False),
+}
+
+
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise ValueError(f"unknown property kind {name!r}")
+    return _KINDS[name]
+
+
 @dataclass(frozen=True)
 class PropertyKind:
     """One of arc / s-arc / s-distance / distance transitivity, global or local."""
 
-    name: str  # "arc" | "s-arc" | "s-distance" | "distance"
+    name: str  # a key of _KINDS
     local: bool
     s: Optional[int] = None
 
     def __post_init__(self):
-        if self.name not in ("arc", "s-arc", "s-distance", "distance"):
-            raise ValueError(f"unknown property kind {self.name!r}")
-        if self.name in ("s-arc", "s-distance") and (self.s is None or self.s < 1):
+        if _kind(self.name).parameterised and (self.s is None or self.s < 1):
             raise ValueError("parameterised kinds need s >= 1")
+
+    @property
+    def arcs(self) -> bool:
+        return _KINDS[self.name].arcs
 
 
 @dataclass(frozen=True)
@@ -99,22 +122,12 @@ class LevelStat:
     leaders: tuple  # least element of the first one or two orbits, in domain order
 
 
-# A profile maps each vertex-orbit representative v to the statistics of G_v
-# on its level-1..s_max sets.
-Profile = dict[int, list[LevelStat]]
-
-
 def _check_inputs(g: Graph, G: PermGroup) -> None:
     if g.n == 0:
         raise GraphError("transitivity predicates need a graph with at least one vertex")
     validate_automorphisms(g, G)  # checks the group degree first
     if not g.is_connected():
         raise GraphError("transitivity predicates need a connected graph")
-
-
-def vertex_orbit_reps(g: Graph, G: PermGroup) -> list[int]:
-    """The least vertex of each G-orbit."""
-    return [orb[0] for orb in G.point_orbits()]
 
 
 def is_vertex_transitive(g: Graph, G: PermGroup) -> bool:
@@ -127,7 +140,7 @@ def _partition_stats(group: PermGroup, domain: list, apply) -> LevelStat:
     return LevelStat(len(orbits), tuple(orb[0] for orb in orbits[:2]))
 
 
-# -- profiles ---------------------------------------------------------------
+# -- the level walk -----------------------------------------------------------
 
 
 def _rep_levels(g: Graph, G: PermGroup, v: int, arcs: bool, s_max: int) -> Iterator[LevelStat]:
@@ -150,25 +163,21 @@ def _rep_levels(g: Graph, G: PermGroup, v: int, arcs: bool, s_max: int) -> Itera
     yield from (LevelStat(len(ls), tuple(ls[:2])) for ls in leaders[1:])
 
 
-def local_arc_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
-    """Per orbit-representative vertex v: orbit statistics of G_v on the
-    i-arcs starting at v, i = 1..s_max."""
-    _check_inputs(g, G)
-    return {v: list(_rep_levels(g, G, v, True, s_max)) for v in vertex_orbit_reps(g, G)}
-
-
-def local_distance_profile(g: Graph, G: PermGroup, s_max: int) -> Profile:
-    """Per orbit-representative vertex v: orbit statistics of G_v on the
-    distance-i spheres around v, i = 1..s_max."""
-    _check_inputs(g, G)
-    return {v: list(_rep_levels(g, G, v, False, s_max)) for v in vertex_orbit_reps(g, G)}
+def _levels(g: Graph, G: PermGroup, reps: list[int], arcs: bool, s_max: int) -> Iterator[Iterator[LevelStat]]:
+    """Levels 1..s_max, each the representatives' LevelStats in reps order.
+    Both are lazy, so a caller that stops early builds only the stabilizers
+    and level sets it read; one that stops within a level stops the walk."""
+    walks = [_rep_levels(g, G, v, arcs, s_max) for v in reps]
+    for _ in range(s_max):
+        yield map(next, walks)
 
 
 # -- predicate assembly -------------------------------------------------------
 
 
-def report_from_profile(kind: PropertyKind, profile: Profile, s: int) -> TransitivityReport:
-    """Assemble the level-s report from a profile computed to s_max >= s.
+def _report(kind: PropertyKind, reps: list[int], table: list[list[LevelStat]], s: int) -> TransitivityReport:
+    """The level-s report off table[i - 1], the representatives' stats on
+    level i, walked to at least s.
 
     Local: orbit_counts holds the worst count over the representatives; the
     witness is the lowest failing level at the first representative that
@@ -179,24 +188,20 @@ def report_from_profile(kind: PropertyKind, profile: Profile, s: int) -> Transit
     v is the pair (v, w)); the witness is the first two at the lowest failing
     level."""
     combine = max if kind.local else sum
-    orbit_counts = {
-        i: combine(stats[i - 1].orbits for stats in profile.values())
-        for i in range(1, s + 1)
-    }
+    orbit_counts = {i: combine(st.orbits for st in table[i - 1]) for i in range(1, s + 1)}
     if kind.local:
-        for v, stats in profile.items():
-            for i, st in enumerate(stats[:s], 1):
+        for v, stats in zip(reps, zip(*table[:s])):
+            for i, st in enumerate(stats, 1):
                 if st.orbits > 1:
                     witness = Witness(level=i, vertex=v, first=st.leaders[0], second=st.leaders[1])
                     return TransitivityReport(kind, False, witness, orbit_counts)
     else:
         for i in range(1, s + 1):
             if orbit_counts[i] > 1:
-                pairs = kind.name.endswith("distance")
                 first, second = [
-                    (v, w) if pairs else w
-                    for v, stats in profile.items()
-                    for w in stats[i - 1].leaders
+                    w if kind.arcs else (v, w)
+                    for v, st in zip(reps, table[i - 1])
+                    for w in st.leaders
                 ][:2]
                 witness = Witness(level=i, first=first, second=second)
                 return TransitivityReport(kind, False, witness, orbit_counts)
@@ -210,21 +215,19 @@ def report_from_profile(kind: PropertyKind, profile: Profile, s: int) -> Transit
 def _kinds(g: Graph, name: str, local: bool, s_values: Optional[Iterable[int]]) -> list[PropertyKind]:
     """The kinds to evaluate, one per s in s_values, after checking name and
     the s values against it (s >= 1, and s <= diam g for s-distance)."""
-    if (s_values is None) != (name in ("arc", "distance")):
+    arcs, parameterised = _kind(name)
+    if (s_values is None) == parameterised:
         raise ValueError(f"{name!r} needs s values exactly when it is parameterised")
-    if name.endswith("distance"):
-        d = g.diameter()
-    if name == "arc":
-        return [PropertyKind("arc", local)]
-    if name == "distance":
-        if d < 1:
+    d = None if arcs else g.diameter()
+    if not parameterised:
+        if d == 0:
             raise GraphError("distance transitivity needs at least two vertices")
-        return [PropertyKind("distance", local, s=d)]
+        return [PropertyKind(name, local, s=d)]
     s_values = list(s_values)
     for s in s_values:
-        if name == "s-arc" and s < 1:
+        if arcs and s < 1:
             raise GraphError("s must be >= 1")
-        if name == "s-distance" and not (1 <= s <= d):
+        if not arcs and not (1 <= s <= d):
             raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
     return [PropertyKind(name, local, s=s) for s in s_values]
 
@@ -236,20 +239,20 @@ def transitivity_reports(
     local: bool,
     s_values: Optional[Iterable[int]] = None,
 ) -> list[TransitivityReport]:
-    """One report per s in s_values, all read off one profile of (g, G).
+    """One report per s in s_values, all read off one level walk of (g, G).
 
     name is "s-arc" or "s-distance" with the s values to report, or the
     unparameterised "arc" (level 1) or "distance" (level diam g) with
-    s_values omitted. The inputs are validated once and the profile is built
-    once, up to the largest level asked for."""
+    s_values omitted. The inputs are validated once and the levels are
+    walked once, up to the largest level asked for."""
     kinds = _kinds(g, name, local, s_values)
     if not kinds:
         return []
-    levels = [1 if k.s is None else k.s for k in kinds]
-    # looked up at call time, so a wrapper set on the module attribute sees the call
-    build = local_arc_profile if name.endswith("arc") else local_distance_profile
-    profile = build(g, G, max(levels))
-    return [report_from_profile(k, profile, level) for k, level in zip(kinds, levels)]
+    _check_inputs(g, G)
+    reps = [orb[0] for orb in G.point_orbits()]
+    levels = _levels(g, G, reps, _KINDS[name].arcs, max(k.s or 1 for k in kinds))
+    table = [list(stats) for stats in levels]
+    return [_report(k, reps, table, k.s or 1) for k in kinds]
 
 
 def transitivity_verdicts(
@@ -259,26 +262,24 @@ def transitivity_verdicts(
     transitivity_reports gives for "s-arc" or "s-distance", with the same
     input checks.
 
-    By report_from_profile's rule, verdict(s) holds iff the combined orbit
-    count (max over the representatives when local, sum when global) is at
-    most 1 on levels 1..s and nonzero on level s. So the levels are walked
-    across the representatives, and the walk stops at the first level whose
-    count exceeds 1: that level fails every s from there on. A group that
-    fails early builds the stabilizers and level sets read up to there only."""
-    kinds = _kinds(g, name, local, s_values)
-    if name in ("arc", "distance"):
+    By _report's rule, verdict(s) holds iff the combined orbit count (max
+    over the representatives when local, sum when global) is at most 1 on
+    levels 1..s and nonzero on level s. So the walk stops at the first level
+    whose count exceeds 1: that level fails every s from there on. A group
+    that fails early builds the stabilizers and level sets read up to there
+    only."""
+    if not _kind(name).parameterised:
         raise ValueError(f"{name!r} is not parameterised; its report gives its verdict")
+    kinds = _kinds(g, name, local, s_values)
     if not kinds:
         return {}
     _check_inputs(g, G)
-    s_max = max(k.s for k in kinds)
-    walks = [_rep_levels(g, G, v, name == "s-arc", s_max) for v in vertex_orbit_reps(g, G)]
+    reps = [orb[0] for orb in G.point_orbits()]
     held: list[int] = []  # the combined orbit count of each level that held
-    while len(held) < s_max:
+    for stats in _levels(g, G, reps, _KINDS[name].arcs, max(k.s for k in kinds)):
         count = 0
-        for walk in walks:
-            orbits = next(walk).orbits
-            count = max(count, orbits) if local else count + orbits
+        for st in stats:
+            count = max(count, st.orbits) if local else count + st.orbits
             if count > 1:
                 break
         if count > 1:
@@ -342,7 +343,7 @@ def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[i
     pair at distance level, or (local distance) a vertex at distance level from
     vertex. Local arcs start at vertex. Membership is checked directly: the
     arc rule of SArc.validate, or one entry of the cached distance matrix."""
-    if kind.name.endswith("arc"):
+    if kind.arcs:
         return (
             isinstance(x, tuple) and len(x) == level + 1 and all(_is_vertex(g, y) for y in x)
             and vertex in (None, x[0]) and _is_arc(g, x)
@@ -366,7 +367,7 @@ def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
     if not (isinstance(w.level, int) and 1 <= w.level <= (kind.s or 1)):
         return False
     if w.note == "empty":
-        if kind.name.endswith("arc"):
+        if kind.arcs:
             return w.vertex is None and not _has_arc(g, w.level)
         return w.vertex is None and not (g.distances_matrix() == w.level).any()
     if not (_is_vertex(g, w.vertex) if kind.local else w.vertex is None):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Callable, Iterator, Optional, TypeVar
 
@@ -56,11 +56,7 @@ from .groups import (
     wreath_s2,
 )
 from .perms import Perm
-from .symmetry import (
-    is_vertex_transitive,
-    local_distance_profile,
-    transitivity_verdicts,
-)
+from .symmetry import _rep_levels, is_vertex_transitive, transitivity_verdicts
 from .transforms import (
     SubdivisionGraph,
     delta_of,
@@ -143,7 +139,7 @@ def _equivalence_verdicts(g: Graph, G: PermGroup, arc_s, distance_s) -> tuple[di
     """Both sides of the local arc equivalence for each s in arc_s and of the
     local distance equivalence for each s in distance_s, for G acting on the
     base graph g: (subdivision verdicts per equivalence and s, base
-    verdicts per t). Each side reads all its verdicts off one profile: the
+    verdicts per t). Each side reads all its verdicts off one level walk: the
     subdivision side off (S(g), the action G induces on it), the base side
     off (g, G) at t = ceil((s+1)/2). They depend on G's elements only, not on
     its generators."""
@@ -255,8 +251,8 @@ def check_edge_stabilizer_conditions(g: Graph, G: PermGroup) -> CheckOutcome:
         return skip
     sg, Gs = _lift(g, G)
     # orbit stats of each E-vertex representative's stabilizer on its spheres
-    profile = local_distance_profile(sg.graph, Gs, 2)
-    stats = [st for v, st in profile.items() if not sg.is_v_vertex(v)]
+    reps = [orb[0] for orb in Gs.point_orbits() if not sg.is_v_vertex(orb[0])]
+    stats = [list(_rep_levels(sg.graph, Gs, v, False, 2)) for v in reps]
     left_a = all(st[0].orbits <= 1 for st in stats)
     vertex_transitive = is_vertex_transitive(g, G)
     a_holds = (not left_a) or vertex_transitive
@@ -876,6 +872,19 @@ class CorpusConfig:
                 spelled[key] = value
         cfg.check(lambda *keys: f"{path}:{max(last_line.get(k, 0) for k in keys)}", spelled)
         return cfg
+
+    def __str__(self) -> str:
+        """Every key as ``key=value``, space-separated, each value spelled as
+        from_file reads it back (a budget of None aside)."""
+        parts = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_range"):
+                value = "{}..{}".format(*value)
+            elif isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            parts.append(f"{f.name}={value}")
+        return " ".join(parts)
 
 
 def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:

@@ -139,11 +139,16 @@ def brute_distance_pairs(g, i):
     return sorted((a, b) for a in range(g.n) for b, d in brute_distances(g, a).items() if d == i)
 
 
-def brute_level_orbits(g, elements, name, i):
+def brute_level_orbits(g, elements, name, i, vertex=None):
     """Orbits of the explicit group elements (image tuples, as from
     brute_closure) on the i-arcs ("s-arc") or the ordered distance-i pairs
-    ("s-distance"): each orbit sorted, the orbits listed by least element."""
+    ("s-distance"): each orbit sorted, the orbits listed by least element.
+    With vertex, the orbits of the elements fixing it on the arcs and pairs
+    that start there."""
     domain = brute_arcs(g, i) if name == "s-arc" else brute_distance_pairs(g, i)
+    if vertex is not None:
+        elements = [e for e in elements if e[vertex] == vertex]
+        domain = [x for x in domain if x[0] == vertex]
     orbits, seen = [], set()
     for x in sorted(domain):
         if x not in seen:

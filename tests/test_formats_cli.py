@@ -513,7 +513,19 @@ class TestCli:
         rc = main(["analyze", "--graph", str(g_path), "--group", "aut", "--property", prop, "--s", "1"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: empty graph has no diameter\n"
+        assert os.listdir(tmp_path) == ["empty.g"]  # rejected before any aut search or cache write
+
+    @pytest.mark.parametrize("prop", sorted(cli.PROPERTIES))
+    def test_analyze_disconnected_graph(self, tmp_path, capsys, prop):
+        g_path = tmp_path / "dis.g"
+        g_path.write_text("4 2\n0 1\n2 3\n")
+        rc = main(["analyze", "--graph", str(g_path), "--group", "aut", "--property", prop, "--s", "1..2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: diameter undefined for disconnected graph\n"
+        assert "cached" not in captured.out
+        assert os.listdir(tmp_path) == ["dis.g"]  # rejected before any aut search or cache write
 
     def test_analyze_range_builds_one_profile(self, tmp_path, capsys, monkeypatch):
         sg_path = str(tmp_path / "sp.g")

@@ -4,7 +4,6 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsym import symmetry
 from subsym.autgrp import automorphism_group
 from subsym.graphs import (
     GraphError,
@@ -232,23 +231,6 @@ def test_local_kinds_share_point_stabilizers(chain_builds):
     assert built == []
 
 
-@pytest.mark.parametrize("name, profile", [("s-arc", "local_arc_profile"), ("s-distance", "local_distance_profile")])
-def test_profile_function_looked_up_at_call_time(monkeypatch, name, profile):
-    # a wrapper set on the module attribute (as a tracer does) sees every build
-    calls = []
-    original = getattr(symmetry, profile)
-
-    def wrapped(*args):
-        calls.append(args[2])
-        return original(*args)
-
-    monkeypatch.setattr(symmetry, profile, wrapped)
-    p = make_petersen()
-    reports = transitivity_reports(p, automorphism_group(p), name, True, [1, 2])
-    assert [r.verdict for r in reports] == [True, True]
-    assert calls == [2]
-
-
 class TestStructuralInvariants:
     def test_monotone_in_s(self):
         for g, G in corpus_pairs(count=6):
@@ -454,6 +436,14 @@ class TestOneEvaluationPath:
         with pytest.raises(ValueError):
             transitivity_reports(g, G, "s-arc", False)
 
+    @pytest.mark.parametrize("evaluate", [transitivity_reports, transitivity_verdicts])
+    @pytest.mark.parametrize("s_values", [[], [1], None])
+    def test_unknown_kind_rejected(self, evaluate, s_values):
+        # the name is checked before the s values, so no s values is no escape
+        p = make_petersen()
+        with pytest.raises(ValueError, match="unknown property kind 'foo'"):
+            evaluate(p, automorphism_group(p), "foo", True, s_values)
+
 
 class TestVerdictPath:
     """transitivity_verdicts walks the levels across the representatives and
@@ -537,6 +527,46 @@ class TestGlobalReportsAgainstElementwiseOrbits:
                 assert (rep.verdict, rep.orbit_counts, rep.witness) == (witness is None, counts, witness)
 
 
+class TestLocalReportsAgainstElementwiseOrbits:
+    """A local report's witness is the first failing representative, at its
+    lowest failing level, with the least elements of its first two orbits;
+    the reference partitions the level-i objects at each representative
+    under every element that fixes it."""
+
+    S_MAX_ARC = 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(["aut", "subgroup"]), st.booleans())
+    def test_local_reports_match_brute_orbits(self, seed, which, subdivided):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(2, 4 if subdivided else 6))
+        G = automorphism_group(g)
+        if which == "subgroup":
+            subs = [H for H in random_subgroups(G, 3, rng.randrange(2**30)) if len(H.point_orbits()) > 1]
+            G = subs[0] if subs else stabilizer_point(G, 0)
+        if subdivided:
+            sg = subdivide(g)
+            g, G = sg.graph, induced_subdivision_action(G, sg)
+        elements = brute_closure(G.generators, g.n)
+        reps = sorted({min(e[v] for e in elements) for v in range(g.n)})
+        for name, s_max in (("s-arc", self.S_MAX_ARC), ("s-distance", g.diameter())):
+            # at[v][i - 1]: the orbits of G_v on the level-i objects at v
+            at = {v: [brute_level_orbits(g, elements, name, i, v) for i in range(1, s_max + 1)] for v in reps}
+            reports = transitivity_reports(g, G, name, True, range(1, s_max + 1))
+            for s, rep in enumerate(reports, 1):
+                counts = {i: max(len(at[v][i - 1]) for v in reps) for i in range(1, s + 1)}
+                failing = next(((v, i) for v in reps for i in range(1, s + 1) if len(at[v][i - 1]) > 1), None)
+                if failing is not None:
+                    v, i = failing
+                    first, second = (orb[0] if name == "s-arc" else orb[0][1] for orb in at[v][i - 1][:2])
+                    witness = Witness(level=i, vertex=v, first=first, second=second)
+                elif counts[s] == 0:
+                    witness = Witness(level=s, note="empty")
+                else:
+                    witness = None
+                assert (rep.verdict, rep.orbit_counts, rep.witness) == (witness is None, counts, witness)
+
+
 def test_arc_levels_come_in_enumeration_order(monkeypatch):
     # orbit order, and so every arc witness, follows the order of the domain
     from subsym import symmetry
@@ -555,9 +585,10 @@ def test_arc_levels_come_in_enumeration_order(monkeypatch):
     graphs += [random_connected_graph(rng, rng.randint(3, 7)) for _ in range(4)]
     for g in graphs:
         domains.clear()
-        symmetry.local_arc_profile(g, trivial_group(g.n), 4)
+        transitivity_reports(g, trivial_group(g.n), "s-arc", True, [4])
+        # the walk steps the representatives (every vertex) level by level
         assert domains == [
-            [a.vertices for a in s_arcs_from(g, v, i)] for v in range(g.n) for i in range(1, 5)
+            [a.vertices for a in s_arcs_from(g, v, i)] for i in range(1, 5) for v in range(g.n)
         ]
 
 
