@@ -83,6 +83,7 @@ from .groups import (
     validate_automorphisms,
 )
 from .perms import Perm
+from .transforms import subdivision_parts
 
 
 class BudgetExceededError(GraphError):
@@ -484,62 +485,32 @@ def _orbit(chain: StabilizerChain, depth: int, point: int):
     return chain.levels[depth].transversal if depth < len(chain.levels) else (point,)
 
 
-def subdivision_parts(g: Graph) -> Optional[tuple[Graph, SubdivisionLift]]:
-    """(Sigma, lift) when g is a subdivision S(Sigma) whose two parts valency
-    tells apart, else None.
-
-    E is the set of valency-2 vertices and V the rest. When every edge has
-    exactly one end in E, no two E-vertices share their pair of neighbours
-    and g has an edge, g is S(Sigma) for Sigma on V with one edge per
-    E-vertex, and Sigma has no valency-2 vertex. Every automorphism of g then
-    keeps V and E, so Aut(g) is Aut(Sigma) acting on vertices and edges (the
-    reconstruction result for subdivisions). Sigma is relabelled in the
-    sorted order of V, and the lift places its vertices and edges on g's own
-    labels.
-    """
-    if g.m == 0:
-        return None
-    in_e = [len(a) == 2 for a in g.adjacency]
-    if any(in_e[u] == in_e[v] for u, v in g.edge_list):
-        return None
-    vs = [v for v in range(g.n) if not in_e[v]]
-    index = {v: i for i, v in enumerate(vs)}
-    mid: dict[tuple[int, int], int] = {}  # Sigma's edge -> its E-vertex
-    for x in range(g.n):
-        if in_e[x]:
-            a, b = g.adjacency[x]  # sorted, and index keeps the order
-            e = (index[a], index[b])
-            if e in mid:
-                return None
-            mid[e] = x
-    return Graph(len(vs), list(mid)), SubdivisionLift(vs, mid)
-
-
 def subdivision_automorphism_group(g: Graph) -> Optional[tuple[PermGroup, Graph]]:
-    """Aut(g) lifted from the base graph, when ``subdivision_parts``
-    recognises g as S(Sigma), else None. Returns that group on g's own labels
-    (a lifted group, see ``groups``) and Sigma. V and E are Aut-invariant and
-    an E-vertex is fixed by its pair, so the lift is faithful and the group
-    takes Aut(Sigma)'s order; ``TestLiftedGroups`` in ``tests/test_groups.py``
-    compares that order with a chain built from the lifted generators."""
+    """Aut(g) lifted from the base graph, when ``transforms.subdivision_parts``
+    recognises g as S(Sigma) for a connected Sigma that is not a cycle, else
+    None. Returns that group on g's own labels (a lifted group, see
+    ``groups``) and Sigma. V and E are Aut-invariant and an E-vertex is fixed
+    by its pair, so the lift is faithful and the group takes Aut(Sigma)'s
+    order; ``TestLiftedGroups`` in ``tests/test_groups.py`` compares that
+    order with a chain built from the lifted generators."""
     parts = subdivision_parts(g)
     if parts is None:
         return None
-    base, lift = parts
-    aut = automorphism_group(base)
-    group = lift.group(aut)
+    base, vs, mid = parts
+    group = SubdivisionLift(vs, mid).group(automorphism_group(base))
     validate_automorphisms(g, group)
     return group, base
 
 
 def relift_subdivision_group(g: Graph, G: PermGroup) -> PermGroup:
-    """G as a lifted group when ``subdivision_parts`` recognises g as
-    S(Sigma) and G's generators are the lifts of their restrictions to V,
+    """G as a lifted group when ``transforms.subdivision_parts`` recognises g
+    as S(Sigma) and G's generators are the lifts of their restrictions to V,
     so that the two groups have the same generators; G itself otherwise."""
     parts = subdivision_parts(g)
     if parts is None or G.degree != g.n:
         return G
-    base, lift = parts
+    base, vs, mid = parts
+    lift = SubdivisionLift(vs, mid)
     restricted = []
     for p in G.generators:
         images = [lift.base_of[p.images[x]] for x in lift.vertex_at]

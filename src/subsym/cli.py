@@ -121,8 +121,8 @@ def _load_group(source: str, graph_path: str, g):
         digest = hashlib.sha256(f.read()).hexdigest()[:8]
     cache = f"{graph_path}.aut-{digest}.gens"
     if os.path.exists(cache):
-        # a recognised S(Sigma) gets its lifted group back, with its cheap
-        # stabilizers, when the cached generators are lifts
+        # an S(Sigma) that transforms.subdivision_parts recognises gets its
+        # lifted group back, with cheap stabilizers, when the cached gens are lifts
         return relift_subdivision_group(g, read_generators(cache))
     lifted = subdivision_automorphism_group(g)
     if lifted is None:

@@ -1,7 +1,7 @@
 """Interchange file formats.
 
 Edge lists: first line "n m", then one "u v" line per edge with
-0 <= u < v < n. Subdivision graphs add a part-tag line
+0 <= u < v < n. Subdivision graphs add one part-tag line
 "parts: V=0..n-1 E=n..n+m-1" after the header, checked on read against
 the header's vertex count n + m. Generator files: first line "degree k",
 then one permutation per line as a space-separated image list.
@@ -69,6 +69,8 @@ def read_graph_with_parts(path: str) -> tuple[Graph, Optional[int]]:
                 raise FormatError(f"{path}:{lineno}: non-integer header") from None
             continue
         if line.startswith("parts:"):
+            if n_base is not None:
+                raise FormatError(f"{path}:{lineno}: second parts line")
             n_base = _parse_parts_line(path, lineno, fields, header[0])
             continue
         if len(fields) != 2:

@@ -356,7 +356,7 @@ def check_reconstruction(g: Graph) -> CheckOutcome:
         matched = (is_isomorphic(c0, g) and is_isomorphic(c1, lg)) or (
             is_isomorphic(c1, g) and is_isomorphic(c0, lg)
         )
-    recon = reconstruct_from_ambient(gamma, comps)
+    recon = reconstruct_from_ambient(gamma)
     round_trip = is_isomorphic(recon, g)
     ok = two and matched and round_trip
     return _outcome(

@@ -154,15 +154,42 @@ def split_components(g: Graph) -> list[Component]:
     ]
 
 
-def reconstruct_from_ambient(gamma: Graph, comps: Optional[list[Component]] = None) -> Graph:
-    """Label-free reconstruction from the ambient subdivision graph.
+def subdivision_parts(g: Graph) -> Optional[tuple[Graph, list[int], dict[tuple[int, int], int]]]:
+    """(Sigma, vs, mid) when g is S(Sigma) for a connected Sigma with an edge
+    that is not a cycle, else None. No labels are read.
 
-    The original graph is the unique component of the distance-2 graph that
-    contains vertices of ambient valency other than 2; if every valency is 2
-    the ambient graph is a cycle and the canonical half-length cycle is
-    returned. ``comps`` is ``distance_two_graph(gamma)`` when the caller has
-    it already.
+    V and E are the parity classes of the distance from vertex 0, the one
+    bipartition of a connected bipartite g. E is the only class whose
+    vertices all have valency 2, and no two E-vertices share their pair of
+    neighbours. So no automorphism of g swaps V and E, and Aut(g) is
+    Aut(Sigma) acting on vertices and edges. Sigma is the graph on V in
+    ascending order ``vs``; ``mid`` maps its edge (u, v), u < v, to the
+    E-vertex between them.
     """
+    if g.m == 0 or not g.is_connected():
+        return None
+    side = (g.distances_matrix()[0] & 1).tolist()
+    v_sides = {side[x] for x, nbrs in enumerate(g.adjacency) if len(nbrs) != 2}
+    if len(v_sides) != 1 or any(side[u] == side[v] for u, v in g.edge_list):
+        return None  # a cycle, no class of valency-2 vertices only, or not bipartite
+    (v_side,) = v_sides
+    vs = [x for x in range(g.n) if side[x] == v_side]
+    index = {v: i for i, v in enumerate(vs)}
+    mid: dict[tuple[int, int], int] = {}
+    for x in range(g.n):
+        if side[x] != v_side:
+            a, b = g.adjacency[x]  # sorted, and index keeps the order
+            mid[index[a], index[b]] = x
+    if len(vs) + len(mid) != g.n:
+        return None  # two E-vertices share their pair of neighbours
+    return Graph._trusted(len(vs), sorted(mid)), vs, mid
+
+
+def reconstruct_from_ambient(gamma: Graph) -> Graph:
+    """Label-free reconstruction: a Sigma with S(Sigma) isomorphic to gamma.
+    An all-valency-2 gamma is a cycle C_2k and gives the canonical C_k; any
+    other gives ``subdivision_parts``' Sigma, or MalformedSubdivisionError
+    when gamma is not a subdivision."""
     if gamma.n < 3:
         raise MalformedSubdivisionError("ambient graph too small to be a subdivision")
     if not gamma.is_connected():
@@ -178,16 +205,10 @@ def reconstruct_from_ambient(gamma: Graph, comps: Optional[list[Component]] = No
                 "all-valency-2 cycle shorter than 6 would halve to fewer than 3 vertices"
             )
         return make_cycle(gamma.n // 2)
-    if comps is None:
-        comps = distance_two_graph(gamma)
-    candidates = [
-        c for c in comps if any(gamma.degree(v) != 2 for v in c.vertices)
-    ]
-    if len(candidates) != 1:
-        raise MalformedSubdivisionError(
-            "ambient graph does not reconstruct to a unique component"
-        )
-    return candidates[0].graph
+    parts = subdivision_parts(gamma)
+    if parts is None:
+        raise MalformedSubdivisionError("ambient graph is not the subdivision of a graph")
+    return parts[0]
 
 
 def subdivision_distance(sg: SubdivisionGraph, a: int, b: int) -> int:

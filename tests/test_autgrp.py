@@ -228,8 +228,9 @@ class TestSubdivisionShortcut:
         applied = 0
         for base in self._structural_corpus():
             sub = subdivide(base).graph
-            # S(base) is recognised exactly when base has an edge and no valency-2 vertex
-            recognisable = base.m > 0 and all(base.degree(v) != 2 for v in range(base.n))
+            # S(base) is recognised exactly when base has an edge and, being
+            # connected, is not a cycle: not every valency is 2
+            recognisable = base.m > 0 and any(base.degree(v) != 2 for v in range(base.n))
             for g in (sub, _relabel(sub, rng)):
                 lifted = subdivision_automorphism_group(g)
                 assert (lifted is not None) == recognisable, base
@@ -239,7 +240,7 @@ class TestSubdivisionShortcut:
                 assert is_isomorphic(sigma, base)
                 assert _same_group(G, automorphism_group(g)), base
                 applied += 1
-        assert applied >= 100
+        assert applied >= 400
 
     def test_hoffman_singleton(self):
         g = _relabel(subdivide(make_hoffman_singleton()).graph, random.Random(5))
@@ -250,13 +251,19 @@ class TestSubdivisionShortcut:
     @pytest.mark.parametrize("g", [
         subdivide(make_cycle(7)).graph,  # every valency is 2
         make_complete_bipartite(2, 4),  # four valency-2 vertices on one pair
-        subdivide(Graph(3, [(0, 1), (1, 2)])).graph,  # the path's middle has valency 2
         make_petersen(),  # no valency-2 vertex
         Graph(5, []),
         Graph(0, []),
-    ], ids=["S(C_7)", "K_2,4", "S(P_3)", "Petersen", "edgeless", "empty"])
+    ], ids=["S(C_7)", "K_2,4", "Petersen", "edgeless", "empty"])
     def test_declines(self, g):
         assert subdivision_automorphism_group(g) is None
+
+    def test_path_with_a_valency_two_vertex(self):
+        # S(P_3): the path's middle vertex has valency 2 like the E-vertices
+        g = _relabel(subdivide(Graph(3, [(0, 1), (1, 2)])).graph, random.Random(7))
+        G, sigma = subdivision_automorphism_group(g)
+        assert is_isomorphic(sigma, Graph(3, [(0, 1), (1, 2)]))
+        assert _same_group(G, automorphism_group(g))
 
     def test_relift_restores_the_lift(self):
         # the generators a cache file holds, from the shortcut or from the

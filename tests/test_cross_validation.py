@@ -28,7 +28,12 @@ from subsym.symmetry import (
     is_locally_s_arc_transitive,
     is_locally_s_distance_transitive,
 )
-from subsym.transforms import split_components, subdivide
+from subsym.transforms import (
+    MalformedSubdivisionError,
+    reconstruct_from_ambient,
+    split_components,
+    subdivide,
+)
 from subsym.groups import induced_subdivision_action
 
 from _oracles import brute_arcs, brute_closure, brute_distances
@@ -282,6 +287,33 @@ class TestAgainstNetworkx:
             assert not is_isomorphic(g, h)
             pairs += 1
         assert pairs >= 20
+
+    def test_reconstruction_is_sound_and_complete(self):
+        # sound: every graph it returns is a preimage; complete: it returns
+        # one for every subdivision of a connected graph with an edge
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2718)
+        bases = [make_complete(n) for n in range(2, 7)]
+        bases += [make_complete_bipartite(a, b) for a in range(1, 4) for b in range(a, 5)]
+        bases += [make_cycle(n) for n in range(3, 9)]
+        bases += [Graph(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 7)]
+        bases.append(make_petersen())
+        bases += [random_connected_graph(rng, rng.randint(2, 10)) for _ in range(120)]
+        returned = raised = 0
+        for base in bases:
+            for h, is_subdivision in ((base, False), (subdivide(base).graph, True)):
+                images = list(range(h.n))
+                rng.shuffle(images)
+                for x in (h, Graph(h.n, [(images[u], images[v]) for u, v in h.edge_list])):
+                    try:
+                        sigma = reconstruct_from_ambient(x)
+                    except MalformedSubdivisionError:
+                        assert not is_subdivision, base.edge_list
+                        raised += 1
+                        continue
+                    assert nx.is_isomorphic(to_nx(nx, subdivide(sigma).graph), to_nx(nx, x)), x.edge_list
+                    returned += 1
+        assert returned > len(bases) * 2 and raised > len(bases)
 
     def test_aut_orders_match_vf2_counts(self):
         nx = pytest.importorskip("networkx")

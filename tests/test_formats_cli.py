@@ -18,7 +18,14 @@ from subsym.formats import (
     write_graph,
     write_subdivision,
 )
-from subsym.graphs import Graph, make_complete, make_cycle, make_petersen, random_connected_graph
+from subsym.graphs import (
+    Graph,
+    make_complete,
+    make_complete_bipartite,
+    make_cycle,
+    make_petersen,
+    random_connected_graph,
+)
 from subsym.groups import dihedral_group, pgammal_2_8, symmetric_group
 from subsym.theorems import CorpusConfig, run_corpus
 from subsym.transforms import subdivide
@@ -105,6 +112,7 @@ class TestGraphFiles:
             # S(K_2), whose parts line must be V=0..1 E=2..2
             ("3 2\nparts: V=0..1 E=2..99\n0 2\n1 2\n", ":2: parts E range ends at 99, not at the last vertex 2"),
             ("3 2\nparts: V=0..1 E=2..1\n0 2\n1 2\n", ":2: parts E range ends at 1, not at the last vertex 2"),
+            ("3 2\nparts: V=0..1 E=2..2\nparts: V=0..0 E=1..2\n0 2\n1 2\n", ":3: second parts line"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, fragment):
@@ -303,14 +311,18 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert glob.glob(str(tmp_path / "*.gens")) == []
 
-    def test_reconstruct_rejects_four_cycle(self, tmp_path, capsys):
-        g_path = str(tmp_path / "c4.g")
-        main(["build", "cycle", "4", "--out", g_path])
-        capsys.readouterr()
+    @pytest.mark.parametrize("g,message", [
+        (make_cycle(4), "C_4 is not the subdivision of a simple graph"),
+        (make_complete_bipartite(2, 3), "ambient graph is not the subdivision of a graph"),
+    ], ids=["C_4", "K_2,3"])
+    def test_reconstruct_rejects_four_cycle(self, tmp_path, capsys, g, message):
+        g_path = str(tmp_path / "g.g")
+        write_graph(g_path, g)
         rc = main(["transform", "reconstruct", "--in", g_path, "--out", str(tmp_path / "back.g")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "C_4 is not the subdivision of a simple graph" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
         assert "n >= 3" not in err
         assert not (tmp_path / "back.g").exists()
 
@@ -352,9 +364,15 @@ class TestCli:
         (cache,) = glob.glob(str(tmp_path / "*.gens"))
         assert read_generators(cache).order() == 324
 
-    @pytest.mark.parametrize("base", [make_petersen(), make_complete(4)], ids=["Petersen", "K_4"])
+    @pytest.mark.parametrize("base", [
+        make_petersen(),
+        make_complete(4),
+        make_complete_bipartite(2, 3),
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),
+    ], ids=["Petersen", "K_4", "K_2,3", "P_4"])
     def test_analyze_aut_shortcut_keeps_reports(self, tmp_path, capsys, monkeypatch, base):
-        # a plain edge list, relabelled: recognised by valencies, not by labels
+        # a plain edge list, relabelled: recognised by its distance parity
+        # classes and valencies, not by labels
         sub = subdivide(base).graph
         images = list(range(sub.n))
         random.Random(3).shuffle(images)
