@@ -51,9 +51,8 @@ cells holding one of those neighbours (Paige and Tarjan 1987). A split
 cell's fragments are written in place in count order, take fresh ids and
 join the splitter queue in that order. The splitter queue and the fragment
 order are those of a scan over every cell: base points and generators
-depend on them, and through the generators so do the ``--group aut``
-cache, the subgroups that ``random_subgroups`` draws for the corpus, and
-``tests/golden_verify.jsonl``.
+depend on them, and through the generators so do the subgroups that
+``random_subgroups`` draws for the corpus and ``tests/golden_verify.jsonl``.
 
 A search child individualises x -> y in one cell C of its parent's refined
 partition. That partition is equitable, and every cell of the child lies
@@ -78,7 +77,6 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     SubdivisionLift,
-    is_graph_automorphism,
     orbit_partition,
     validate_automorphisms,
 )
@@ -500,25 +498,3 @@ def subdivision_automorphism_group(g: Graph) -> Optional[tuple[PermGroup, Graph]
     group = SubdivisionLift(vs, mid).group(automorphism_group(base))
     validate_automorphisms(g, group)
     return group, base
-
-
-def relift_subdivision_group(g: Graph, G: PermGroup) -> PermGroup:
-    """G as a lifted group when ``transforms.subdivision_parts`` recognises g
-    as S(Sigma) and G's generators are the lifts of their restrictions to V,
-    so that the two groups have the same generators; G itself otherwise."""
-    parts = subdivision_parts(g)
-    if parts is None or G.degree != g.n:
-        return G
-    base, vs, mid = parts
-    lift = SubdivisionLift(vs, mid)
-    restricted = []
-    for p in G.generators:
-        images = [lift.base_of[p.images[x]] for x in lift.vertex_at]
-        if not all(isinstance(i, int) for i in images):
-            return G  # p moves a V-point into E
-        q = Perm(images)
-        if not is_graph_automorphism(base, q):
-            return G
-        restricted.append(q)
-    lifted = lift.group(PermGroup(base.n, restricted))
-    return lifted if lifted.generators == G.generators else G

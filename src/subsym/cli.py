@@ -9,18 +9,16 @@ out of report files for that reason).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
-from .autgrp import automorphism_group, relift_subdivision_group, subdivision_automorphism_group
+from .autgrp import automorphism_group, subdivision_automorphism_group
 from .formats import (
     FormatError,
     read_generators,
     read_graph,
     read_graph_with_parts,
     subdivision_from_parts,
-    write_generators,
     write_graph,
     write_json_lines,
     write_subdivision,
@@ -114,31 +112,14 @@ def cmd_transform(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_group(source: str, graph_path: str, g):
+def _load_group(source: str, g):
     if source != "aut":
         return read_generators(source)
-    with open(graph_path, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()[:8]
-    cache = f"{graph_path}.aut-{digest}.gens"
-    if os.path.exists(cache):
-        # an S(Sigma) that transforms.subdivision_parts recognises gets its
-        # lifted group back, with cheap stabilizers, when the cached gens are lifts
-        return relift_subdivision_group(g, read_generators(cache))
     lifted = subdivision_automorphism_group(g)
     if lifted is None:
-        G = automorphism_group(g)
-    else:
-        G, base = lifted
-        print(f"# automorphism group from the base graph on {base.n} vertices, order {G.order()}")
-    # write beside the cache and rename, so a crash never leaves a truncated cache
-    tmp = f"{cache}.{os.getpid()}.tmp"
-    try:
-        write_generators(tmp, G, comment=f"automorphism generators, order {G.order()}")
-        os.replace(tmp, cache)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-    print(f"cached automorphism generators in {cache}")
+        return automorphism_group(g)
+    G, base = lifted
+    print(f"# automorphism group from the base graph on {base.n} vertices, order {G.order()}")
     return G
 
 
@@ -148,11 +129,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # the parts line serves a base-graph group below, so parse the file once
     g, n_base = read_graph_with_parts(args.graph)
     # reject an empty or disconnected graph (diameter() does), and s beyond
-    # the diameter, before the aut search writes its cache
+    # the diameter, before the aut search
     d = g.diameter()
     if args.property in ("distance", "local-distance") and hi > d:
         raise GraphError(f"s range {lo}..{hi} exceeds diameter {d}")
-    G = _load_group(args.group, args.graph, g)
+    G = _load_group(args.group, g)
     if G.degree != g.n:
         # a base-graph group against a subdivision file: induce the action
         from .groups import induced_subdivision_action

@@ -15,7 +15,6 @@ from subsym.autgrp import (
     automorphism_group,
     find_isomorphism,
     is_isomorphic,
-    relift_subdivision_group,
     subdivision_automorphism_group,
 )
 from subsym.graphs import (
@@ -35,7 +34,6 @@ from subsym.groups import (
     stabilizer_edge,
     stabilizer_point,
 )
-from subsym.perms import Perm
 from subsym.transforms import subdivide
 
 from _oracles import (
@@ -264,31 +262,6 @@ class TestSubdivisionShortcut:
         G, sigma = subdivision_automorphism_group(g)
         assert is_isomorphic(sigma, Graph(3, [(0, 1), (1, 2)]))
         assert _same_group(G, automorphism_group(g))
-
-    def test_relift_restores_the_lift(self):
-        # the generators a cache file holds, from the shortcut or from the
-        # full search, come back as a lifted group with the same generators
-        g = _relabel(subdivide(make_petersen()).graph, random.Random(6))
-        for G in (subdivision_automorphism_group(g)[0], automorphism_group(g)):
-            plain = PermGroup(g.n, G.generators)
-            lifted = relift_subdivision_group(g, plain)
-            assert lifted._lift is not None and plain._lift is None
-            assert lifted.generators == plain.generators and lifted.order() == 120
-
-    def test_relift_keeps_groups_that_are_not_lifts(self):
-        g = subdivide(make_petersen()).graph  # V = 0..9, E = 10..24
-        for gens in (
-            [Perm.from_cycles(g.n, [(10, 11)])],  # moves two E-points alone
-            [Perm.from_cycles(g.n, [(0, 10)])],  # moves a V-point into E
-            [Perm.from_cycles(g.n, [(0, 1)])],  # not an automorphism of Petersen
-        ):
-            G = PermGroup(g.n, gens)
-            assert relift_subdivision_group(g, G) is G
-        G = PermGroup(g.n - 1, ())
-        assert relift_subdivision_group(g, G) is G  # the wrong degree
-        p = make_petersen()
-        G = automorphism_group(p)
-        assert relift_subdivision_group(p, G) is G  # not a subdivision
 
 
 class TestIsomorphism:
@@ -551,13 +524,13 @@ def _pinned_pairs():
 class TestPinnedBytes:
     """The refinement keeps the splitter and fragment order of the full-scan
     bitmask refinement (``_oracles.bitmask_refine``), so base points,
-    generators, isomorphism maps, the ``--group aut`` cache and the subgroups
-    ``random_subgroups`` draws from the chain depend only on the search
-    order. The isomorphism digest dates from the full-scan engine and still
-    passes there. The generator digest is that of the search that walks one
-    refined path and resolves its levels deepest first; replaying the t side
-    against the first path's trace, in place of refining both sides in
-    lockstep, left both digests and the node counts unchanged."""
+    generators, isomorphism maps and the subgroups ``random_subgroups``
+    draws from the chain depend only on the search order. The isomorphism
+    digest dates from the full-scan engine and still passes there. The
+    generator digest is that of the search that walks one refined path and
+    resolves its levels deepest first; replaying the t side against the
+    first path's trace, in place of refining both sides in lockstep, left
+    both digests and the node counts unchanged."""
 
     def test_generator_bytes(self):
         images = [[list(p.images) for p in automorphism_group(g).generators] for g in _pinned_graphs()]

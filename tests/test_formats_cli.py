@@ -1,5 +1,4 @@
 import dataclasses
-import glob
 import json
 import os
 import random
@@ -23,6 +22,7 @@ from subsym.graphs import (
     make_complete,
     make_complete_bipartite,
     make_cycle,
+    make_hoffman_singleton,
     make_petersen,
     random_connected_graph,
 )
@@ -244,36 +244,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "s=1: true" in out and "s=3: true" in out
 
-    def test_analyze_aut_cache(self, tmp_path, capsys):
-        g_path = str(tmp_path / "p.g")
-        main(["build", "petersen", "--out", g_path])
-        rc = main(["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", "1..2"])
-        assert rc == 0
-        caches = [f for f in os.listdir(tmp_path) if ".aut-" in f]
-        assert len(caches) == 1
-        # second run must reuse the cache
-        capsys.readouterr()
-        main(["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", "1..2"])
-        assert "cached automorphism" not in capsys.readouterr().out
-
-    def test_analyze_warm_aut_cache_keeps_the_lift(self, tmp_path, capsys, chain_builds):
-        # a second run reads the cache; it lifts the cached generators again,
-        # so its stabilizers are built on HoSi's 50 points, not on all 225
-        base, g_path = str(tmp_path / "hosi.g"), str(tmp_path / "shosi.g")
-        main(["build", "hoffman-singleton", "--out", base])
-        main(["transform", "subdivide", "--in", base, "--out", g_path])
-        args = ["analyze", "--graph", g_path, "--group", "aut", "--property", "local-distance", "--s", "1..6"]
-        capsys.readouterr()
-        assert main(args) == 0
-        cold = capsys.readouterr().out.splitlines()
-        chain_builds.clear()
-        assert main(args) == 0
-        warm = capsys.readouterr().out.splitlines()
-        built = [G.degree for G, _ in chain_builds]
-        # only the cold run says where its group came from and where it went
-        assert [ln for ln in cold if not ln.startswith(("# automorphism group", "cached"))] == warm
-        assert sum(ln.endswith(": true") for ln in warm) == 6
-        assert built and set(built) == {50}
+    @pytest.mark.parametrize("make, s_max, points", [
+        (make_petersen, 2, 10),
+        (lambda: subdivide(make_hoffman_singleton()).graph, 6, 50),
+    ], ids=["Petersen", "S(HoSi)"])
+    def test_analyze_aut_reruns_alike_and_writes_only_its_report(self, tmp_path, capsys, chain_builds,
+                                                                 make, s_max, points):
+        # --group aut computes the group on every run; S(HoSi) takes it from
+        # HoSi, so its chains are built on HoSi's 50 points, not on all 225
+        g_path, out = tmp_path / "g.g", tmp_path / "rep.jsonl"
+        write_graph(str(g_path), make())
+        args = ["analyze", "--graph", str(g_path), "--group", "aut", "--property", "local-distance",
+                "--s", f"1..{s_max}", "--out", str(out)]
+        runs = []
+        for _ in range(2):
+            chain_builds.clear()
+            assert main(args) == 0
+            stdout = capsys.readouterr().out
+            assert stdout.count(": true\n") == s_max
+            assert {G.degree for G, _ in chain_builds} == {points}
+            runs.append((stdout, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert sorted(os.listdir(tmp_path)) == ["g.g", "rep.jsonl"]
 
     def test_no_flow_builds_a_chain_for_a_lifted_group(self, tmp_path, capsys, chain_builds):
         # a lifted group takes its order and stabilizers from its base group,
@@ -283,15 +275,13 @@ class TestCli:
         main(["transform", "subdivide", "--in", base, "--out", g_path])
         fixture = os.path.join(FIXTURES, "petersen_aut.gens")
         capsys.readouterr()
-        # the first aut run is cold and writes the cache, every later one reads it
+        # every aut run takes the group from Petersen; the fixture's group is induced
         for group, note in (("aut", "# automorphism group from the base graph"),
-                            ("aut", "# effective-config"),
                             (fixture, "# induced the degree-10 group")):
             for prop in sorted(cli.PROPERTIES):
                 args = ["analyze", "--graph", g_path, "--group", group, "--property", prop, "--s", "1..3"]
                 assert main(args) == 0
                 assert note in capsys.readouterr().out
-                note = "# effective-config"
         lifted, plain = _degrees_built(chain_builds)
         assert lifted == [] and set(plain) == {10}
         run_corpus(CorpusConfig())
@@ -302,14 +292,20 @@ class TestCli:
         (make_complete(2), "s range 1..3 exceeds diameter 1"),
         (Graph(4, [(0, 1), (2, 3)]), "diameter undefined for disconnected graph"),
     ], ids=["K_2", "disconnected"])
-    def test_analyze_checks_s_before_the_aut_search(self, tmp_path, capsys, g, message):
+    def test_analyze_checks_s_before_the_aut_search(self, tmp_path, capsys, monkeypatch, g, message):
         g_path = str(tmp_path / "g.g")
         write_graph(g_path, g)
+
+        def searched(g):
+            pytest.fail("the aut search ran before the s range was checked")
+
+        monkeypatch.setattr(cli, "automorphism_group", searched)
+        monkeypatch.setattr(cli, "subdivision_automorphism_group", searched)
         rc = main(["analyze", "--graph", g_path, "--group", "aut", "--property", "local-distance",
                    "--s", "1..3"])
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert glob.glob(str(tmp_path / "*.gens")) == []
+        assert os.listdir(tmp_path) == ["g.g"]
 
     @pytest.mark.parametrize("g,message", [
         (make_cycle(4), "C_4 is not the subdivision of a simple graph"),
@@ -361,8 +357,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "# automorphism group from the base graph on 162 vertices, order 324\n" in out
-        (cache,) = glob.glob(str(tmp_path / "*.gens"))
-        assert read_generators(cache).order() == 324
+        assert os.listdir(tmp_path) == ["sprism.g"]
 
     @pytest.mark.parametrize("base", [
         make_petersen(),
@@ -384,8 +379,6 @@ class TestCli:
         for shortcut in (True, False):
             if not shortcut:
                 monkeypatch.setattr(cli, "subdivision_automorphism_group", lambda g: None)
-            for f in glob.glob(str(tmp_path / "*.gens")):
-                os.remove(f)
             out = str(tmp_path / f"r-{shortcut}.jsonl")
             assert main(args + ["--out", out]) == 0
             stdout = capsys.readouterr().out
@@ -522,7 +515,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --s") and err.count("\n") == 1
-        assert os.listdir(tmp_path) == ["p.g"]  # rejected before any aut search or cache write
+        assert os.listdir(tmp_path) == ["p.g"]  # rejected before any aut search
 
     @pytest.mark.parametrize("prop", sorted(cli.PROPERTIES))
     def test_analyze_graph_without_vertices(self, tmp_path, capsys, prop):
@@ -532,7 +525,7 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "error: empty graph has no diameter\n"
-        assert os.listdir(tmp_path) == ["empty.g"]  # rejected before any aut search or cache write
+        assert os.listdir(tmp_path) == ["empty.g"]  # rejected before any aut search
 
     @pytest.mark.parametrize("prop", sorted(cli.PROPERTIES))
     def test_analyze_disconnected_graph(self, tmp_path, capsys, prop):
@@ -542,8 +535,7 @@ class TestCli:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.err == "error: diameter undefined for disconnected graph\n"
-        assert "cached" not in captured.out
-        assert os.listdir(tmp_path) == ["dis.g"]  # rejected before any aut search or cache write
+        assert os.listdir(tmp_path) == ["dis.g"]  # rejected before any aut search
 
     def test_analyze_range_builds_one_profile(self, tmp_path, capsys, monkeypatch):
         sg_path = str(tmp_path / "sp.g")
@@ -587,23 +579,3 @@ class TestCli:
         assert rc == 0
         assert "induced the degree-10 group" in capsys.readouterr().out
         assert calls == [sg_path]
-
-    def test_analyze_aut_cache_write_is_atomic(self, tmp_path, capsys, monkeypatch):
-        g_path = str(tmp_path / "p.g")
-        main(["build", "petersen", "--out", g_path])
-
-        def write_then_fail(path, G, comment=None):
-            with open(path, "w") as fh:
-                fh.write(f"degree {G.degree}\n")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli, "write_generators", write_then_fail)
-        args = ["analyze", "--graph", g_path, "--group", "aut", "--property", "distance", "--s", "1..2"]
-        assert main(args) == 2
-        assert os.listdir(tmp_path) == ["p.g"]
-        monkeypatch.undo()
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "cached automorphism" in capsys.readouterr().out
-        (cache,) = glob.glob(str(tmp_path / "*.gens"))
-        assert read_generators(cache).order() == 120

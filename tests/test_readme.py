@@ -1,11 +1,13 @@
-"""The README's library example runs and prints what the README shows, and
-its copy of the classification table is the one in subsym.theorems.ROWS."""
+"""The README's library example runs and prints what the README shows, its
+CLI block runs, and its copy of the classification table is the one in
+subsym.theorems.ROWS."""
 
 import contextlib
 import io
 import os
 import re
 
+from subsym import cli
 from subsym.theorems import ROWS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -43,3 +45,17 @@ def test_classification_table_matches_rows():
     with open(README, encoding="utf-8") as fh:
         readme = fh.read()
     assert f"\n\n{render_rows()}\n" in readme
+
+
+def test_cli_block_runs(tmp_path, monkeypatch):
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## CLI", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) == 9 and all(argv[0] == "subsym" for argv in commands)
+    fixtures = os.path.join(os.path.dirname(README), "fixtures") + os.sep
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [arg.replace("fixtures/", fixtures, 1) for arg in argv[1:]]
+        assert cli.main(argv) == 0, " ".join(argv)
