@@ -5,13 +5,13 @@ Edge lists: first line "n m", then one "u v" line per edge with
 "parts: V=0..n-1 E=n..n+m-1" after the header, checked on read against
 the header's vertex count n + m. Generator files: first line "degree k",
 then one permutation per line as a space-separated image list.
-Comment lines start with '#' in both formats.
+Comment lines start with '#' in both formats, and both are UTF-8 text.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import Graph, GraphError
 from .groups import PermGroup
@@ -23,13 +23,18 @@ class FormatError(GraphError):
     pass
 
 
-def _data_lines(path: str):
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of the text file at path
+    that is neither blank nor a '#' comment; a byte sequence that is not
+    UTF-8 raises FormatError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_graph(path: str, g: Graph, parts: Optional[str] = None) -> None:
@@ -139,10 +144,8 @@ def subdivision_from_parts(path: str, g: Graph, n_base: Optional[int]) -> Subdiv
     return sg
 
 
-def write_generators(path: str, G: PermGroup, comment: Optional[str] = None) -> None:
+def write_generators(path: str, G: PermGroup) -> None:
     with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         fh.write(f"degree {G.degree}\n")
         for p in G.generators:
             fh.write(" ".join(map(str, p.images)) + "\n")

@@ -133,9 +133,14 @@ class TestGeneratorFiles:
     def test_round_trip(self, tmp_path):
         G = dihedral_group(7)
         path = tmp_path / "g.gens"
-        write_generators(str(path), G, comment="test")
+        write_generators(str(path), G)
         H = read_generators(str(path))
         assert H.degree == 7 and H.order() == 14
+
+    def test_comment_lines_ignored(self, tmp_path):
+        path = tmp_path / "g.gens"
+        path.write_text("# the dihedral group D_4\ndegree 4\n# rotation\n1 2 3 0\n\n  # reflection\n0 3 2 1\n")
+        assert read_generators(str(path)).order() == 8
 
     def test_bad_image_count(self, tmp_path):
         path = tmp_path / "bad.gens"
@@ -420,6 +425,21 @@ class TestCli:
                    "--s", "1..2"])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--graph", "BAD", "--group", "aut", "--property", "arc", "--s", "1"],
+        ["analyze", "--graph", "GOOD", "--group", "BAD", "--property", "arc", "--s", "1"],
+        ["transform", "subdivide", "--in", "BAD", "--out", "OUT"],
+        ["verify", "--config", "BAD"],
+    ], ids=["graph", "group", "transform", "config"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, args):
+        bad, good, out = (str(tmp_path / name) for name in ("bad.txt", "p.g", "out.g"))
+        Path(bad).write_bytes(b"# caf\xe9\n3 2\n0 1\n1 2\n")  # a Latin-1 comment
+        write_graph(good, make_petersen())
+        rc = main([{"BAD": bad, "GOOD": good, "OUT": out}.get(a, a) for a in args])
+        err = capsys.readouterr().err
+        assert rc == 2 and err == f"error: {bad}: not UTF-8 text (invalid continuation byte)\n"
+        assert not os.path.exists(out)
 
     def test_verify_report_reproducible(self, tmp_path):
         cfg = tmp_path / "corpus.cfg"

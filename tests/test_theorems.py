@@ -273,10 +273,13 @@ class TestBipartiteConditions:
             check_bipartite_conditions(2, PermGroup(4, [Perm.from_cycles(4, [(1, 2)])]))
 
     def test_one_check_per_orbit(self, chain_builds):
-        # wreath_s2(4) is transitive on vertices and on edges: one G_u1 and
-        # one edge stabilizer, against 4 and 16 at every u1 and every edge
-        assert check_bipartite_conditions(4, wreath_s2(4)).status == CONFIRMED
-        assert len(chain_builds) == 4
+        # wreath_s2(4) is transitive on vertices and on edges: one G_0 and one
+        # edge stabilizer, against 4 and 16 at every u1 and every edge. The
+        # one chain built is G's own, based at 0 then 4; G_0 and the
+        # stabilizer of the edge (0, 4) are both read off it
+        G = wreath_s2(4)
+        assert check_bipartite_conditions(4, G).status == CONFIRMED
+        assert chain_builds == [(G, ())]
 
     def test_conditions_match_every_vertex_and_edge(self):
         diagonal = PermGroup(6, [  # S_3 acting on both sides at once, and the side swap
@@ -296,28 +299,66 @@ class TestBipartiteConditions:
         assert {(True, True, True), (True, True, False), (True, False, False), (False, False, False)} <= seen
 
 
+def _brute_dihedral_classes(n):
+    """The conjugacy classes of subgroups of the dihedral group on n points,
+    each a frozenset of subgroups given as frozensets of image tuples, and
+    the group's elements: every subgroup of D_n is generated by <= 2
+    elements, so closing each pair of elements finds all of them."""
+    elements = brute_closure(dihedral_group(n).generators, n)
+    subgroups = {frozenset(brute_closure([Perm(a), Perm(b)], n)) for a in elements for b in elements}
+
+    def conjugate(sub, g):
+        inv = tuple(sorted(range(n), key=g.__getitem__))
+        return frozenset(tuple(g[x[inv[i]]] for i in range(n)) for x in sub)
+
+    return {frozenset(conjugate(sub, g) for g in elements) for sub in subgroups}, frozenset(elements)
+
+
 class TestLargeSCycles:
     def test_even_and_odd(self):
         oc16 = check_large_s_cycles(16)
         assert oc16.status == CONFIRMED and oc16.details["positives"] == {16: True}
+        assert len(oc16.details["negatives"]) == 13
         oc17 = check_large_s_cycles(17)
         assert oc17.status == CONFIRMED and oc17.details["positives"] == {17: True, 16: True}
-        assert len(oc17.details["negatives"]) == 5
+        assert len(oc17.details["negatives"]) == 3
 
     def test_equal_subgroups_evaluated_once(self, monkeypatch):
-        # on C_19 four of the five sampled proper subgroups are the rotation
-        # group under different generators
+        # D_19 has three proper classes, the trivial group, a reflection and
+        # the rotations; each is lifted and evaluated once, after D_19 itself
         induce = theorems.induced_subdivision_action
         lifted = []
         monkeypatch.setattr(theorems, "induced_subdivision_action", lambda G, sg: lifted.append(G) or induce(G, sg))
         oc = check_large_s_cycles(19)
-        assert [G.order() for G in lifted] == [38, 1, 19]
+        assert [G.order() for G in lifted] == [38, 1, 2, 19]
         assert oc.status == CONFIRMED
-        orders = [1, 19, 19, 19, 19]
         assert oc.details == {
             "positives": {19: True, 18: True},
-            "negatives": {f"sub{i}(|H|={o})": {19: False, 18: False} for i, o in enumerate(orders)},
+            "negatives": {label: {19: False, 18: False} for label in ("C_1", "D_1", "C_19")},
         }
+
+    def test_one_subgroup_per_proper_class(self):
+        for n in range(3, 21):
+            classes, full = _brute_dihedral_classes(n)
+            proper = {cls for cls in classes if full not in cls}
+            found = [
+                next(cls for cls in classes if frozenset(brute_closure(H.generators, n)) in cls)
+                for H in theorems._proper_dihedral_classes(n).values()
+            ]
+            assert len(found) == len(set(found)) and set(found) == proper, n
+
+    def test_class_counts(self):
+        counts = {n: len(theorems._proper_dihedral_classes(n)) for n in range(16, 20)}
+        assert counts == {16: 13, 17: 3, 18: 14, 19: 3}
+
+    def test_records_do_not_depend_on_the_seed(self):
+        def records(seed):
+            outcomes = run_corpus(CorpusConfig(seed=seed, sections=("large-cycles",)))
+            for oc in outcomes:
+                del oc.details["elapsed_s"]
+            return [oc.to_json_dict() for oc in outcomes]
+
+        assert records(1729) == records(4099)
 
 
 class TestRunCorpus:
