@@ -31,18 +31,19 @@ on its cell: the symmetric group S_n takes n - 1 searches, not
 n(n - 1)/2.
 
 The second pass also builds the group's stabilizer chain, and the group
-comes back with it. Each generator goes, as it is found, into the
-library's incremental Schreier-Sims (``StabilizerChain``; Seress 2003,
-ch. 4) on the path's vertices b_0, b_1, ... as base, so the chain is a
-base and strong generating set by construction (McKay and Piperno 2014).
-Level i's transversal is b_i's orbit under the generators found so far,
-and it prunes level i. Two checks catch a search bug with AssertionError:
-a generator found at depth d must fix b_0..b_{d-1}, and the product of
-each level's orbit size when that level was resolved must equal the
-chain's order at the end, which fails when a level grew after it was
-resolved. The chain is memoised on the group under the prefix (b_0,),
-where it serves the point stabilizer of b_0, the edge stabilizer of
-(b_0, b_1) and every other prefix its base starts with.
+comes back with it, with no Schreier-Sims sift. Level i's transversal is
+b_i's orbit under every generator found at depth >= i, walked by
+``_ChainLevel.extend`` in Schreier-Sims' own order, and it prunes level i.
+Level i tries every candidate image of b_i, so those generators already
+generate the stabilizer of b_0..b_{i-1} and are a strong generating set
+for the path's base (McKay and Piperno 2014; Seress 2003, ch. 4): the
+chain is the one ``StabilizerChain`` builds from the same generators on
+that base, level for level. Three checks catch a search bug with
+AssertionError: a generator found at depth d must fix b_0..b_{d-1}, and
+every generator must preserve g's edges and sift to the identity through
+the finished chain. The chain is memoised on the group under the prefix
+(b_0,), where it serves the point stabilizer of b_0, the edge stabilizer
+of (b_0, b_1) and every other prefix its base starts with.
 
 Partitions are nauty-style arrays (``_Partition``): ``lab`` lists the
 vertices cell by cell, and each vertex carries its cell id. A splitter
@@ -77,7 +78,8 @@ from .groups import (
     PermGroup,
     StabilizerChain,
     SubdivisionLift,
-    orbit_partition,
+    _ChainLevel,
+    is_graph_automorphism,
     validate_automorphisms,
 )
 from .perms import Perm
@@ -421,19 +423,21 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     The levels are then resolved deepest first: each candidate image w of
     b is either in b's orbit under the generators found so far, excluded
     with its orbit by an earlier failed search, or searched for explicitly
-    from the level's partition. Every generator found goes into a
-    Schreier-Sims chain based on the path, whose transversals are those
-    orbits (see the module docstring). A generator found at depth d must
-    fix the base points above it, and the chain's order must equal the
-    product of the level orbit sizes as each level was resolved; a failure
-    is a bug and raises AssertionError. The group is returned with the chain
-    memoised on it under the prefix (b_0,), so its ``chain()``, ``in`` and
-    ``order()`` read that chain and build none (see ``groups``).
-    ``node_budget`` (None or an int >= 0) bounds the search nodes.
+    from the level's partition. Those orbits are the chain's transversals,
+    built by orbit walks with no Schreier-Sims sift (see the module
+    docstring). A generator found at depth d must fix the base points above
+    it, preserve g's edges and sift to the identity through the finished
+    chain; a failure is a bug and raises AssertionError. The group is
+    returned with the chain memoised on it under the prefix (b_0,), so its
+    ``chain()``, ``in`` and ``order()`` read that chain and build none (see
+    ``groups``). ``node_budget`` (None or an int >= 0) bounds the search
+    nodes.
     """
     _check_budget(node_budget)
     if g.n > 400:
-        raise BudgetExceededError("automorphism search is budgeted for n <= 400")
+        raise BudgetExceededError(
+            f"automorphism search is budgeted for n <= 400; this graph has n = {g.n}"
+        )
     if g.n == 0:
         return PermGroup(0, ())
     search = _MappingSearch(g, g, node_budget)
@@ -442,45 +446,55 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
 
     # second pass, deepest level first: the generators found so far fix the
     # base points above this level, so their orbits prune its candidates
-    chain = StabilizerChain(PermGroup(g.n), base)
     gens: list[Perm] = []
-    order = 1
+    gens_inv: list[Perm] = []
+    levels: list[_ChainLevel] = []
     for depth in reversed(range(len(base))):
         level = path[depth]
+        lvl = _ChainLevel(level.x, g.n)
+        # the deeper generators all fix b_depth: its orbit starts as {b_depth}
+        lvl.gens += gens
+        lvl.gens_inv += gens_inv
         excluded: set[int] = set()
         for w in sorted(level.part.members(level.target)):
-            if w in _orbit(chain, depth, level.x) or w in excluded:
+            if w in lvl.transversal or w in excluded:
                 continue
             mapping = search._dfs(*level.part.child(level.target, w), depth + 1)
             if mapping is None:
-                excluded.update(orbit_partition(PermGroup(g.n, gens), [w], Perm.__call__)[1])
+                orbit = frontier = {w}
+                while frontier:
+                    frontier = {s.images[x] for x in frontier for s in lvl.gens} - orbit
+                    orbit |= frontier
+                excluded |= orbit
                 continue
             if any(mapping[b] != b for b in base[:depth]):
                 raise AssertionError(
                     f"automorphism search generator at depth {depth} moves a base point above it"
                 )
             gens.append(Perm(mapping))
-            chain.add_generator(gens[-1])
-        order *= len(_orbit(chain, depth, level.x))
+            gens_inv.append(gens[-1].inverse())
+            # once the level is resolved, the generators found at depth >=
+            # depth generate the stabilizer of b_0..b_{depth-1} (see the module
+            # docstring), so its Schreier pairs need no sift
+            deque(lvl.extend(gens[-1], gens_inv[-1]), maxlen=0)
+        levels.append(lvl)
 
-    # the search-side order is an independent count: a level that grew after
-    # it was resolved reached a point a failed search had excluded, or left
-    # its cell, and that is a bug
-    if chain.order() != order:
-        raise AssertionError("automorphism search order != chain order")
+    # the chain's base is the path's without its trailing one-point levels;
+    # a trivial group's is empty
+    levels.reverse()
+    while levels and len(levels[-1].transversal) == 1:
+        levels.pop()
+    chain = StabilizerChain._from_levels(g.n, levels)
+    if not all(is_graph_automorphism(g, p) for p in gens):
+        raise AssertionError("automorphism search generator does not preserve the graph's edges")
+    if not all(chain.contains(p) for p in gens):
+        raise AssertionError("automorphism search generator does not sift through its chain")
     group = PermGroup(g.n, gens)
-    # not shared yet, so no lock. The chain's base is the path's without its
-    # trailing one-point levels; a trivial group's is empty, so its one chain
-    # is entered under () and random_element draws from it too
+    # not shared yet, so no lock; a trivial group's one chain is entered
+    # under (), so random_element draws from it too
     base = tuple(chain.base())
     group._chains.append((base[:1], base, chain))
     return group
-
-
-def _orbit(chain: StabilizerChain, depth: int, point: int):
-    """Level ``depth``'s transversal: the orbit of its base point ``point``,
-    which is ``point`` alone while the level does not exist yet."""
-    return chain.levels[depth].transversal if depth < len(chain.levels) else (point,)
 
 
 def subdivision_automorphism_group(g: Graph) -> Optional[tuple[PermGroup, Graph]]:

@@ -6,11 +6,14 @@ apply)``, where apply(p, x) is the image of x under p: ``Perm.__call__`` on
 points, ``Perm.apply_tuple`` on tuples such as arcs, and ``pair_image`` on
 unordered pairs such as edges.
 
-The stabilizer chain is built by a deterministic incremental Schreier-Sims:
-each added strong generator extends its level's orbit and only the newly
-created (point, generator) Schreier pairs are sifted. Base points are chosen
-greedily from the largest orbits, which keeps transversals shallow for the
-highly transitive groups this library works with.
+Every stabilizer chain but the Aut search's is built by a deterministic
+incremental Schreier-Sims: each added strong generator extends its level's
+orbit (``_ChainLevel.extend``) and only the newly created (point,
+generator) Schreier pairs are sifted. Base points are chosen greedily from
+the largest orbits, which keeps transversals shallow for the highly
+transitive groups this library works with. ``autgrp.automorphism_group``
+walks the same orbits on its search's base and sifts nothing, since its
+generators are a strong generating set by construction.
 
 A group that a subdivision S(Sigma) gets from a group B on Sigma (B acting on
 V and, through its edges, on E) is a lifted group: it keeps B and the map
@@ -42,7 +45,6 @@ from __future__ import annotations
 import random
 import threading
 import weakref
-from collections import deque
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .graphs import Graph, GraphError
@@ -69,6 +71,38 @@ class _ChainLevel:
         self.gens_inv: list[Perm] = []  # their inverses, in the same order
         self.transversal: dict[int, Perm] = {point: ident}
         self.transversal_inv: dict[int, Perm] = {point: ident}
+
+    def extend(self, g: Perm, g_inv: Perm):
+        """Append the strong generator g, given with its inverse, and extend
+        b's orbit under it. Yields, in the order they are met, the Schreier
+        pairs (p, s, s_inv, q): an orbit point p and a generator s, with its
+        inverse, whose image q = p^s was already in the orbit. The pairs
+        met are the old points, sorted, under g, then each new point, in
+        the order it was reached, under every generator. u_b is the
+        identity, so a new point q reached from b takes u_q = s."""
+        self.gens.append(g)
+        self.gens_inv.append(g_inv)
+        b, trans, trans_inv = self.point, self.transversal, self.transversal_inv
+        new: list[int] = []
+        for p in sorted(trans):
+            q = g.images[p]
+            if q in trans:
+                yield p, g, g_inv, q
+            else:
+                trans[q] = g if p == b else trans[p] * g
+                # (u_p g)^-1 = g^-1 u_p^-1: one product, no inversion loop
+                trans_inv[q] = g_inv if p == b else g_inv * trans_inv[p]
+                new.append(q)
+        for p in new:  # the list grows while it is read: a FIFO queue
+            u_p, u_p_inv = trans[p], trans_inv[p]
+            for s, s_inv in zip(self.gens, self.gens_inv):
+                q = s.images[p]
+                if q in trans:
+                    yield p, s, s_inv, q
+                else:
+                    trans[q] = u_p * s
+                    trans_inv[q] = s_inv * u_p_inv
+                    new.append(q)
 
 
 class StabilizerChain:
@@ -160,26 +194,16 @@ class StabilizerChain:
             j += 1
 
     def _process_new_generator(self, j: int, g: Perm, g_inv: Perm) -> None:
-        """Append g at level j; extend its orbit; sift the new Schreier pairs.
-        u_b is the identity at the base point b, so u_b * s is s and a
-        Schreier generator that ends at b is u_p * s itself."""
+        """Append g at level j, extend its orbit, and sift the Schreier
+        generators u_p s u_q^-1 of the pairs ``_ChainLevel.extend`` meets.
+        u_b is the identity at the base point b, so a Schreier generator that
+        ends at b is u_p * s itself."""
         lvl = self.levels[j]
         if g in lvl.gens:  # already processed here via a Schreier residue
             return
-        lvl.gens.append(g)
-        lvl.gens_inv.append(g_inv)
         b, trans, trans_inv = lvl.point, lvl.transversal, lvl.transversal_inv
-        pairs = deque((p, g, g_inv) for p in sorted(trans))
-        while pairs:
-            p, s, s_inv = pairs.popleft()
-            q = s.images[p]
+        for p, s, s_inv, q in lvl.extend(g, g_inv):
             u_p_s = s if p == b else trans[p] * s
-            if q not in trans:
-                trans[q] = u_p_s
-                # (u_p s)^-1 = s^-1 u_p^-1: one product, no inversion loop
-                trans_inv[q] = s_inv if p == b else s_inv * trans_inv[p]
-                pairs.extend((q, t, t_inv) for t, t_inv in zip(lvl.gens, lvl.gens_inv))
-                continue
             if u_p_s == trans[q]:  # the Schreier generator is the identity
                 continue
             residue, _ = self.sift(u_p_s if q == b else u_p_s * trans_inv[q], j + 1)

@@ -157,6 +157,55 @@ def _levels(chain):
             for lvl in chain.levels]
 
 
+def _disjoint_edges(k):
+    return Graph(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("Schreier-Sims ran inside the automorphism search")
+
+
+def _search_chain_is_schreier_sims(g, monkeypatch):
+    """Aut(g) with Schreier-Sims disabled while the search runs; its chain
+    must equal, level by level, the one Schreier-Sims builds afterwards from
+    the same generators on the same base. Returns the group."""
+    with monkeypatch.context() as m:
+        m.setattr(StabilizerChain, "__init__", _refuse)
+        m.setattr(StabilizerChain, "add_generator", _refuse)
+        G = automorphism_group(g)
+    [(_, base, chain)] = G._chains
+    assert _levels(chain) == _levels(StabilizerChain(PermGroup(g.n, G.generators), base))
+    return G
+
+
+@pytest.mark.parametrize("g, order", [
+    (make_complete_bipartite(1, 40), math.factorial(40)),
+    (_disjoint_edges(20), 2**20 * math.factorial(20)),
+    (make_complete(12), math.factorial(12)),
+    (subdivide(make_complete(6)).graph, 720),
+], ids=["K_1,40", "20K_2", "K_12", "S(K_6)"])
+def test_long_bases_need_no_schreier_sims(g, order, monkeypatch):
+    # bases of 39, 20, 11 and 5 points, where Schreier-Sims would sift
+    # every (orbit point, generator) pair of every level
+    G = _search_chain_is_schreier_sims(g, monkeypatch)
+    assert G.order() == order
+
+
+def test_search_chain_sweep_matches_schreier_sims(monkeypatch):
+    # 1,040 graphs, about half of them with a nontrivial group
+    rng = random.Random(33)
+    for n in range(2, 15):
+        for _ in range(40):
+            g = random_connected_graph(rng, n)
+            _search_chain_is_schreier_sims(g, monkeypatch)
+            _search_chain_is_schreier_sims(subdivide(g).graph, monkeypatch)
+
+
+def test_size_cap_names_the_graph():
+    with pytest.raises(BudgetExceededError, match=r"n <= 400; this graph has n = 402$"):
+        automorphism_group(make_complete_bipartite(1, 401))
+
+
 def _faulty_leaf(call, fault):
     """A ``_MappingSearch._verify_leaf`` whose ``call``-th mapping found
     (counting from 1) is damaged by ``fault``."""
@@ -181,9 +230,10 @@ def _swap(i, j):
 
 @pytest.mark.parametrize("call, fault, error", [
     # two images of the second generator swapped: a non-automorphism that
-    # fixes the base points above its level, so Schreier-Sims takes it in
-    # and the levels grow past what the search resolved
-    (2, _swap(-1, -2), "automorphism search order != chain order"),
+    # fixes the base points above its level, so its level's orbit walk takes
+    # it in and only the final check of every generator against g's edges
+    # can catch it
+    (2, _swap(-1, -2), "does not preserve the graph's edges"),
     # the images of 0 and 1 swapped in the third mapping: it moves b_0
     (3, _swap(0, 1), "moves a base point above it"),
 ], ids=["non-automorphism", "moves-a-base-point"])

@@ -249,14 +249,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "s=1: true" in out and "s=3: true" in out
 
-    @pytest.mark.parametrize("make, s_max, points", [
-        (make_petersen, 2, 10),
-        (lambda: subdivide(make_hoffman_singleton()).graph, 6, 50),
+    @pytest.mark.parametrize("make, s_max", [
+        (make_petersen, 2),
+        (lambda: subdivide(make_hoffman_singleton()).graph, 6),
     ], ids=["Petersen", "S(HoSi)"])
     def test_analyze_aut_reruns_alike_and_writes_only_its_report(self, tmp_path, capsys, chain_builds,
-                                                                 make, s_max, points):
-        # --group aut computes the group on every run; S(HoSi) takes it from
-        # HoSi, so its chains are built on HoSi's 50 points, not on all 225
+                                                                 make, s_max):
+        # --group aut computes the group on every run (S(HoSi) takes it from
+        # HoSi) and builds no chain: the search returns its own, and the
+        # local-distance walk reads its stabilizers off that chain
         g_path, out = tmp_path / "g.g", tmp_path / "rep.jsonl"
         write_graph(str(g_path), make())
         args = ["analyze", "--graph", str(g_path), "--group", "aut", "--property", "local-distance",
@@ -267,7 +268,7 @@ class TestCli:
             assert main(args) == 0
             stdout = capsys.readouterr().out
             assert stdout.count(": true\n") == s_max
-            assert {G.degree for G, _ in chain_builds} == {points}
+            assert chain_builds == []
             runs.append((stdout, out.read_bytes()))
         assert runs[0] == runs[1]
         assert sorted(os.listdir(tmp_path)) == ["g.g", "rep.jsonl"]
@@ -311,6 +312,15 @@ class TestCli:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["g.g"]
+
+    def test_analyze_aut_size_cap_names_the_graph(self, tmp_path, capsys):
+        g_path = str(tmp_path / "g.g")
+        write_graph(g_path, make_complete_bipartite(1, 401))
+        rc = main(["analyze", "--graph", g_path, "--group", "aut", "--property", "local-distance",
+                   "--s", "1..2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: automorphism search is budgeted for n <= 400; this graph has n = 402\n"
 
     @pytest.mark.parametrize("g,message", [
         (make_cycle(4), "C_4 is not the subdivision of a simple graph"),
