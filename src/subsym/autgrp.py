@@ -490,6 +490,7 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
     if not all(chain.contains(p) for p in gens):
         raise AssertionError("automorphism search generator does not sift through its chain")
     group = PermGroup(g.n, gens)
+    group._validated_graphs.add(g)  # the edge check above is validate_automorphisms' own
     # not shared yet, so no lock; a trivial group's one chain is entered
     # under (), so random_element draws from it too
     base = tuple(chain.base())

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -253,28 +252,6 @@ def _distance_closure(adjacency: Sequence[Sequence[int]]) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True, slots=True)
-class SArc:
-    """An s-arc: a walk (v_0,...,v_s) with no immediate backtracking."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.vertices) - 1
-
-    def validate(self, g: Graph) -> None:
-        vs = self.vertices
-        if len(vs) < 2:
-            raise GraphError("an s-arc needs at least two vertices")
-        for a, b in zip(vs, vs[1:]):
-            if not g.has_edge(a, b):
-                raise GraphError(f"({a}, {b}) is not an edge")
-        for j in range(1, len(vs) - 1):
-            if vs[j - 1] == vs[j + 1]:
-                raise GraphError(f"immediate backtrack at position {j}")
-
-
 # -- named constructions ----------------------------------------------------
 
 
@@ -360,10 +337,12 @@ def distance_sphere(g: Graph, v: int, i: int) -> frozenset[int]:
 
 
 # -- s-arc enumeration ------------------------------------------------------
+# An s-arc is a vertex tuple (v_0, ..., v_s) with each v_j adjacent to v_{j+1}
+# and no immediate backtracking (v_{j-1} != v_{j+1}).
 
 
 def _arc_levels(g: Graph, starts: Iterable[int], s_max: int) -> Iterator[list[tuple[int, ...]]]:
-    """The i-arcs from the start vertices as raw tuples, one list per level
+    """The i-arcs from the start vertices, one list per level
     i = 1..s_max. Each level extends the one before, so with sorted starts
     every level is in lexicographic order."""
     arcs = [(v,) for v in starts]
@@ -390,20 +369,21 @@ def _has_arc(g: Graph, s: int) -> bool:
     return bool(ends)
 
 
-def s_arcs_from(g: Graph, v: int, s: int) -> list[SArc]:
-    """All s-arcs with initial vertex v, in deterministic lexicographic order."""
+def s_arcs_from(g: Graph, v: int, s: int) -> list[tuple[int, ...]]:
+    """All s-arcs with initial vertex v, as vertex tuples (v_0, ..., v_s), in
+    lexicographic order."""
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
     if s < 1:
         raise GraphError("arc length must be >= 1")
-    return [SArc(t) for t in _arc_tuples(g, [v], s)]
+    return _arc_tuples(g, [v], s)
 
 
-def enumerate_s_arcs(g: Graph, s: int) -> list[SArc]:
+def enumerate_s_arcs(g: Graph, s: int) -> list[tuple[int, ...]]:
     """All s-arcs of g: union of s_arcs_from over all start vertices."""
     if s < 1:
         raise GraphError("arc length must be >= 1")
-    return [SArc(t) for t in _arc_tuples(g, range(g.n), s)]
+    return _arc_tuples(g, range(g.n), s)
 
 
 # -- random graphs (seeded corpus generation) -------------------------------

@@ -7,28 +7,30 @@ at w are the g-images of those at v, so the verdicts coincide. Transitivity
 on a set is decided by an orbit partition, which also yields the per-level
 orbit counts and a concrete witness pair on failure.
 
-``_KINDS`` is the one table of the four kind names: whether a kind's level
-sets are arcs or distance spheres, and whether it takes s values.
+``_KINDS`` is the one table of the two kind names, s-arc and s-distance:
+whether a kind's level sets are arcs or distance spheres. Arc transitivity
+is s-arc transitivity at s = 1, and distance transitivity is s-distance
+transitivity at s = diam g.
 
-All eight predicates go through ``transitivity_reports``: it validates the
-inputs once, walks the levels once with ``_levels`` (the orbit statistics
-of each representative's stabilizer on its level-i set) up to the largest s
-asked for, and reads the report for every s off them. The global forms are
-read off the same levels by the orbit-stabilizer correspondence: the
-G-orbits on level-i objects (i-arcs, or ordered pairs at distance i) are in
-bijection with the pairs (representative v, G_v-orbit on the level-i
-objects at v).
+All eight predicates go through ``transitivity_reports``: ``_walk`` checks
+the inputs once and walks the levels once with ``_levels`` (the orbit
+statistics of each representative's stabilizer on its level-i set) up to
+the largest s asked for, and the report for every s is read off them. The
+global forms are read off the same levels by the orbit-stabilizer
+correspondence: the G-orbits on level-i objects (i-arcs, or ordered pairs
+at distance i) are in bijection with the pairs (representative v, G_v-orbit
+on the level-i objects at v).
 
-``transitivity_verdicts`` reads the same walk for a caller that needs only
-the verdicts, and stops at the first level that fails.
+``transitivity_verdicts`` reads the same ``_walk`` for a caller that needs
+only the verdicts, and stops at the first level that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, Optional
 
-from .graphs import Graph, GraphError, SArc, _arc_levels, _has_arc
+from .graphs import Graph, GraphError, _arc_levels, _has_arc
 from .groups import (
     PermGroup,
     orbit_partition,
@@ -38,20 +40,11 @@ from .groups import (
 from .perms import Perm
 
 
-class _Kind(NamedTuple):
-    arcs: bool  # the level-i sets are i-arcs, else distance-i spheres
-    parameterised: bool  # takes s values; else one fixed level (1, or diam g)
+# kind name -> whether its level-i sets are i-arcs, else distance-i spheres
+_KINDS = {"s-arc": True, "s-distance": False}
 
 
-_KINDS = {
-    "arc": _Kind(arcs=True, parameterised=False),
-    "s-arc": _Kind(arcs=True, parameterised=True),
-    "s-distance": _Kind(arcs=False, parameterised=True),
-    "distance": _Kind(arcs=False, parameterised=False),
-}
-
-
-def _kind(name: str) -> _Kind:
+def _arcs(name: str) -> bool:
     if name not in _KINDS:
         raise ValueError(f"unknown property kind {name!r}")
     return _KINDS[name]
@@ -59,19 +52,20 @@ def _kind(name: str) -> _Kind:
 
 @dataclass(frozen=True)
 class PropertyKind:
-    """One of arc / s-arc / s-distance / distance transitivity, global or local."""
+    """s-arc or s-distance transitivity at one s >= 1, global or local."""
 
     name: str  # a key of _KINDS
     local: bool
-    s: Optional[int] = None
+    s: int
 
     def __post_init__(self):
-        if _kind(self.name).parameterised and (self.s is None or self.s < 1):
-            raise ValueError("parameterised kinds need s >= 1")
+        _arcs(self.name)  # rejects an unknown name
+        if self.s < 1:
+            raise ValueError("a property kind needs s >= 1")
 
     @property
     def arcs(self) -> bool:
-        return _KINDS[self.name].arcs
+        return _KINDS[self.name]
 
 
 @dataclass(frozen=True)
@@ -175,9 +169,9 @@ def _levels(g: Graph, G: PermGroup, reps: list[int], arcs: bool, s_max: int) -> 
 # -- predicate assembly -------------------------------------------------------
 
 
-def _report(kind: PropertyKind, reps: list[int], table: list[list[LevelStat]], s: int) -> TransitivityReport:
-    """The level-s report off table[i - 1], the representatives' stats on
-    level i, walked to at least s.
+def _report(kind: PropertyKind, reps: list[int], table: list[list[LevelStat]]) -> TransitivityReport:
+    """The report at s = kind.s off table[i - 1], the representatives' stats
+    on level i, walked to at least s.
 
     Local: orbit_counts holds the worst count over the representatives; the
     witness is the lowest failing level at the first representative that
@@ -187,6 +181,7 @@ def _report(kind: PropertyKind, reps: list[int], table: list[list[LevelStat]], s
     representatives' leaders in representative order (a distance leader w at
     v is the pair (v, w)); the witness is the first two at the lowest failing
     level."""
+    s = kind.s
     combine = max if kind.local else sum
     orbit_counts = {i: combine(st.orbits for st in table[i - 1]) for i in range(1, s + 1)}
     if kind.local:
@@ -212,55 +207,47 @@ def _report(kind: PropertyKind, reps: list[int], table: list[list[LevelStat]], s
     return TransitivityReport(kind, True, None, orbit_counts)
 
 
-def _kinds(g: Graph, name: str, local: bool, s_values: Optional[Iterable[int]]) -> list[PropertyKind]:
-    """The kinds to evaluate, one per s in s_values, after checking name and
-    the s values against it (s >= 1, and s <= diam g for s-distance)."""
-    arcs, parameterised = _kind(name)
-    if (s_values is None) == parameterised:
-        raise ValueError(f"{name!r} needs s values exactly when it is parameterised")
+def _walk(
+    g: Graph, G: PermGroup, name: str, local: bool, s_values: Iterable[int]
+) -> tuple[list[PropertyKind], list[int], Iterator[Iterator[LevelStat]]]:
+    """The kinds to evaluate, one per s in s_values, the vertex-orbit
+    representatives and the lazy level walk up to the largest s: the one set
+    of input checks that reports and verdicts share. The name is checked
+    first, then the s values (s >= 1, and s <= diam g for s-distance), then,
+    unless there are none, the graph and the group."""
+    arcs = _arcs(name)
     d = None if arcs else g.diameter()
-    if not parameterised:
-        if d == 0:
-            raise GraphError("distance transitivity needs at least two vertices")
-        return [PropertyKind(name, local, s=d)]
-    s_values = list(s_values)
+    kinds = []
     for s in s_values:
         if arcs and s < 1:
             raise GraphError("s must be >= 1")
         if not arcs and not (1 <= s <= d):
             raise GraphError(f"s must satisfy 1 <= s <= diam = {d}")
-    return [PropertyKind(name, local, s=s) for s in s_values]
+        kinds.append(PropertyKind(name, local, s))
+    if not kinds:
+        return [], [], iter(())
+    _check_inputs(g, G)
+    reps = [orb[0] for orb in G.point_orbits()]
+    return kinds, reps, _levels(g, G, reps, arcs, max(k.s for k in kinds))
 
 
 def transitivity_reports(
-    g: Graph,
-    G: PermGroup,
-    name: str,
-    local: bool,
-    s_values: Optional[Iterable[int]] = None,
+    g: Graph, G: PermGroup, name: str, local: bool, s_values: Iterable[int]
 ) -> list[TransitivityReport]:
     """One report per s in s_values, all read off one level walk of (g, G).
 
-    name is "s-arc" or "s-distance" with the s values to report, or the
-    unparameterised "arc" (level 1) or "distance" (level diam g) with
-    s_values omitted. The inputs are validated once and the levels are
-    walked once, up to the largest level asked for."""
-    kinds = _kinds(g, name, local, s_values)
-    if not kinds:
-        return []
-    _check_inputs(g, G)
-    reps = [orb[0] for orb in G.point_orbits()]
-    levels = _levels(g, G, reps, _KINDS[name].arcs, max(k.s or 1 for k in kinds))
+    name is "s-arc" or "s-distance". The inputs are validated once and the
+    levels are walked once, up to the largest level asked for."""
+    kinds, reps, levels = _walk(g, G, name, local, s_values)
     table = [list(stats) for stats in levels]
-    return [_report(k, reps, table, k.s or 1) for k in kinds]
+    return [_report(k, reps, table) for k in kinds]
 
 
 def transitivity_verdicts(
     g: Graph, G: PermGroup, name: str, local: bool, s_values: Iterable[int]
 ) -> dict[int, bool]:
     """The verdict per s in s_values, in the order given, of the reports
-    transitivity_reports gives for "s-arc" or "s-distance", with the same
-    input checks.
+    transitivity_reports gives, with the same input checks.
 
     By _report's rule, verdict(s) holds iff the combined orbit count (max
     over the representatives when local, sum when global) is at most 1 on
@@ -268,15 +255,9 @@ def transitivity_verdicts(
     whose count exceeds 1: that level fails every s from there on. A group
     that fails early builds the stabilizers and level sets read up to there
     only."""
-    if not _kind(name).parameterised:
-        raise ValueError(f"{name!r} is not parameterised; its report gives its verdict")
-    kinds = _kinds(g, name, local, s_values)
-    if not kinds:
-        return {}
-    _check_inputs(g, G)
-    reps = [orb[0] for orb in G.point_orbits()]
+    kinds, _, levels = _walk(g, G, name, local, s_values)
     held: list[int] = []  # the combined orbit count of each level that held
-    for stats in _levels(g, G, reps, _KINDS[name].arcs, max(k.s for k in kinds)):
+    for stats in levels:
         count = 0
         for st in stats:
             count = max(count, st.orbits) if local else count + st.orbits
@@ -294,7 +275,7 @@ def is_s_arc_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
 
 
 def is_arc_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    return transitivity_reports(g, G, "arc", False)[0]
+    return is_s_arc_transitive(g, G, 1)
 
 
 def is_locally_s_arc_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
@@ -304,7 +285,7 @@ def is_locally_s_arc_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityR
 
 
 def is_locally_arc_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    return transitivity_reports(g, G, "arc", True)[0]
+    return is_locally_s_arc_transitive(g, G, 1)
 
 
 def is_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
@@ -313,7 +294,7 @@ def is_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityRepo
 
 
 def is_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    return transitivity_reports(g, G, "distance", False)[0]
+    return is_s_distance_transitive(g, G, g.diameter())
 
 
 def is_locally_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> TransitivityReport:
@@ -323,26 +304,23 @@ def is_locally_s_distance_transitive(g: Graph, G: PermGroup, s: int) -> Transiti
 
 
 def is_locally_distance_transitive(g: Graph, G: PermGroup) -> TransitivityReport:
-    return transitivity_reports(g, G, "distance", True)[0]
+    return is_locally_s_distance_transitive(g, G, g.diameter())
 
 
 def _is_vertex(g: Graph, x) -> bool:
     return isinstance(x, int) and 0 <= x < g.n
 
 
-def _is_arc(g: Graph, x) -> bool:
-    try:
-        SArc(x).validate(g)
-    except GraphError:
-        return False
-    return True
+def _is_arc(g: Graph, x: tuple) -> bool:
+    """Consecutive vertices adjacent, and no immediate backtrack."""
+    return all(g.has_edge(a, b) for a, b in zip(x, x[1:])) and all(a != c for a, c in zip(x, x[2:]))
 
 
 def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[int], x) -> bool:
     """Whether x is in the level's class for the kind: a level-arc, an ordered
     pair at distance level, or (local distance) a vertex at distance level from
     vertex. Local arcs start at vertex. Membership is checked directly: the
-    arc rule of SArc.validate, or one entry of the cached distance matrix."""
+    arc rule of _is_arc, or one entry of the cached distance matrix."""
     if kind.arcs:
         return (
             isinstance(x, tuple) and len(x) == level + 1 and all(_is_vertex(g, y) for y in x)
@@ -357,14 +335,14 @@ def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[i
 
 
 def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
-    """Check a failure witness: a level the report covers (1..s, or 1 for
-    the unparameterised arc kind), both objects in the level's class for the
-    report's kind, and an orbit recomputation confirming they lie in distinct
-    orbits; a note "empty" only when the level's set is empty."""
+    """Check a failure witness: a level the report covers (1..s), both
+    objects in the level's class for the report's kind, and an orbit
+    recomputation confirming they lie in distinct orbits; a note "empty"
+    only when the level's set is empty."""
     if report.verdict or report.witness is None:
         return False
     w, kind = report.witness, report.kind
-    if not (isinstance(w.level, int) and 1 <= w.level <= (kind.s or 1)):
+    if not (isinstance(w.level, int) and 1 <= w.level <= kind.s):
         return False
     if w.note == "empty":
         if kind.arcs:

@@ -206,6 +206,27 @@ def test_size_cap_names_the_graph():
         automorphism_group(make_complete_bipartite(1, 401))
 
 
+def test_analyze_aut_checks_each_generator_once(tmp_path, monkeypatch):
+    # the search's edge check enters g as validated, so the transitivity
+    # predicates do not check the generators against g again
+    from subsym import autgrp, cli, groups
+    from subsym.formats import write_graph
+
+    checked = []
+    check = groups.is_graph_automorphism
+
+    def counting(g, p):
+        checked.append(p)
+        return check(g, p)
+
+    monkeypatch.setattr(autgrp, "is_graph_automorphism", counting)
+    monkeypatch.setattr(groups, "is_graph_automorphism", counting)
+    path = str(tmp_path / "petersen.txt")
+    write_graph(path, make_petersen())
+    assert cli.main(["analyze", "--graph", path, "--group", "aut", "--property", "arc", "--s", "1..2"]) == 0
+    assert len(checked) == len(automorphism_group(make_petersen()).generators) == 4
+
+
 def _faulty_leaf(call, fault):
     """A ``_MappingSearch._verify_leaf`` whose ``call``-th mapping found
     (counting from 1) is damaged by ``fault``."""

@@ -121,7 +121,7 @@ class TestOrbitsAndStabilizers:
         assert sorted(orbit_partition(d10, [0], Perm.__call__)[0][0]) == [0, 1, 2, 3, 4]
         p = make_petersen()
         G = automorphism_group(p)
-        two_arcs = [a.vertices for a in enumerate_s_arcs(p, 2)]
+        two_arcs = enumerate_s_arcs(p, 2)
         assert len(two_arcs) == 60
         assert len(orbit_partition(G, [two_arcs[0]], Perm.apply_tuple)[0][0]) == 60
 

@@ -1,6 +1,6 @@
 """The README's library example runs and prints what the README shows, its
-CLI block runs, and its copy of the classification table is the one in
-subsym.theorems.ROWS."""
+CLI block runs, its copy of the classification table is the one in
+subsym.theorems.ROWS, and the report kinds it lists are subsym.symmetry's."""
 
 import contextlib
 import io
@@ -8,6 +8,7 @@ import os
 import re
 
 from subsym import cli
+from subsym.symmetry import _KINDS
 from subsym.theorems import ROWS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -45,6 +46,13 @@ def test_classification_table_matches_rows():
     with open(README, encoding="utf-8") as fh:
         readme = fh.read()
     assert f"\n\n{render_rows()}\n" in readme
+
+
+def test_report_kinds_match_the_kind_table():
+    with open(README, encoding="utf-8") as fh:
+        paragraph = fh.read().split("**Reports**", 1)[1].split("\n\n", 1)[0]
+    listed = re.search(r"`kind` \(([^)]*)\)", paragraph).group(1)
+    assert [name.strip(" `") for name in listed.split("|")] == list(_KINDS)
 
 
 def test_cli_block_runs(tmp_path, monkeypatch):

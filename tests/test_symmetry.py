@@ -150,13 +150,14 @@ class TestDistanceTransitivity:
             is_locally_s_distance_transitive(make_complete(4), symmetric_group(4), 2)
 
     def test_single_vertex_rejected(self):
+        # K_1 has diameter 0, so the level s = diam is out of range
         from subsym.graphs import Graph
 
         k1 = Graph(1, [])
-        with pytest.raises(GraphError):
-            is_distance_transitive(k1, trivial_group(1))
-        with pytest.raises(GraphError):
-            is_locally_distance_transitive(k1, trivial_group(1))
+        for predicate in (is_distance_transitive, is_locally_distance_transitive):
+            with pytest.raises(GraphError) as err:
+                predicate(k1, trivial_group(1))
+            assert str(err.value) == "s must satisfy 1 <= s <= diam = 0"
 
 
 class TestLocalDistanceTransitivity:
@@ -334,9 +335,9 @@ class TestVerifyWitness:
             assert not verify_witness(p, T, report)
         beyond = TransitivityReport(kind, False, Witness(level=2, vertex=0, first=1, second=2))
         assert not verify_witness(p, T, beyond)  # a real level-2 split, but s = 1
-        arc = TransitivityReport(PropertyKind("arc", False), False, Witness(level=2, first=(0, 7, 3), second=(0, 8, 2)))
+        arc = TransitivityReport(PropertyKind("s-arc", False, 1), False, Witness(level=2, first=(0, 7, 3), second=(0, 8, 2)))
         assert not verify_witness(p, T, arc)
-        assert verify_witness(p, T, TransitivityReport(PropertyKind("arc", False), False, Witness(level=1, first=(0, 7), second=(0, 8))))
+        assert verify_witness(p, T, TransitivityReport(PropertyKind("s-arc", False, 1), False, Witness(level=1, first=(0, 7), second=(0, 8))))
 
     def test_empty_arc_level_decided_without_enumerating_arcs(self):
         from subsym.graphs import Graph
@@ -407,23 +408,18 @@ class TestOneEvaluationPath:
                     assert rep.to_json_dict() == predicate(g, G, s).to_json_dict(), (name, local, s)
 
     def test_unparameterised_predicates_match_their_level(self):
-        def without_kind(rep):
-            out = rep.to_json_dict()
-            del out["kind"], out["s"]
-            return out
-
+        # arc transitivity is the s-arc report at s = 1, distance
+        # transitivity the s-distance report at s = diam, kind included
         for g, G in _sampled_pairs():
             d = g.diameter()
             for local, arc, dist in (
                 (False, is_arc_transitive, is_distance_transitive),
                 (True, is_locally_arc_transitive, is_locally_distance_transitive),
             ):
-                arc_rep, dist_rep = arc(g, G), dist(g, G)
-                assert arc_rep.kind.s is None and dist_rep.kind.s == d
                 ranged = transitivity_reports(g, G, "s-arc", local, [1])[0]
-                assert without_kind(arc_rep) == without_kind(ranged)
+                assert arc(g, G).to_json_dict() == ranged.to_json_dict()
                 ranged = transitivity_reports(g, G, "s-distance", local, range(1, d + 1))[-1]
-                assert without_kind(dist_rep) == without_kind(ranged)
+                assert dist(g, G).to_json_dict() == ranged.to_json_dict()
 
     def test_bad_s_values_rejected(self):
         g, G = make_petersen(), automorphism_group(make_petersen())
@@ -431,10 +427,10 @@ class TestOneEvaluationPath:
             transitivity_reports(g, G, "s-distance", True, [1, 2, 3])
         with pytest.raises(GraphError):
             transitivity_reports(g, G, "s-arc", False, [2, 0])
-        with pytest.raises(ValueError):
-            transitivity_reports(g, G, "arc", False, [1])
-        with pytest.raises(ValueError):
-            transitivity_reports(g, G, "s-arc", False)
+        for evaluate in (transitivity_reports, transitivity_verdicts):
+            for name in ("arc", "distance"):
+                with pytest.raises(ValueError, match=f"unknown property kind '{name}'"):
+                    evaluate(g, G, name, False, [1])
 
     @pytest.mark.parametrize("evaluate", [transitivity_reports, transitivity_verdicts])
     @pytest.mark.parametrize("s_values", [[], [1], None])
@@ -486,10 +482,13 @@ class TestVerdictPath:
         assert sorted(reported._stabilizers) == [0, 1, 2, 3, 4]
 
     def test_unparameterised_kinds_rejected(self):
+        # arc and distance transitivity are s-arc at s = 1 and s-distance at
+        # s = diam, not kinds of their own
         g, G = make_cycle(5), dihedral_group(5)
-        for name, s_values in (("arc", None), ("distance", None), ("arc", [1])):
-            with pytest.raises(ValueError):
-                transitivity_verdicts(g, G, name, True, s_values)
+        for evaluate in (transitivity_reports, transitivity_verdicts):
+            for name, s_values in (("arc", [1]), ("distance", [2]), ("arc", [])):
+                with pytest.raises(ValueError, match=f"unknown property kind '{name}'"):
+                    evaluate(g, G, name, True, s_values)
 
 
 class TestGlobalReportsAgainstElementwiseOrbits:
@@ -588,7 +587,7 @@ def test_arc_levels_come_in_enumeration_order(monkeypatch):
         transitivity_reports(g, trivial_group(g.n), "s-arc", True, [4])
         # the walk steps the representatives (every vertex) level by level
         assert domains == [
-            [a.vertices for a in s_arcs_from(g, v, i)] for i in range(1, 5) for v in range(g.n)
+            s_arcs_from(g, v, i) for i in range(1, 5) for v in range(g.n)
         ]
 
 

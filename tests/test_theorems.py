@@ -354,8 +354,6 @@ class TestLargeSCycles:
     def test_records_do_not_depend_on_the_seed(self):
         def records(seed):
             outcomes = run_corpus(CorpusConfig(seed=seed, sections=("large-cycles",)))
-            for oc in outcomes:
-                del oc.details["elapsed_s"]
             return [oc.to_json_dict() for oc in outcomes]
 
         assert records(1729) == records(4099)
@@ -402,11 +400,11 @@ class TestRunCorpus:
         assert all(o.details == {"reason": "budget exhausted", "budget_seconds": 0.0} for o in outcomes)
 
     def test_budget_exhausted_mid_run(self, monkeypatch):
-        # a clock that advances one second per reading: the start, then three
-        # readings per check run (budget test, start, end) and one per skip
+        # a clock that advances one second per reading: the start, then one
+        # reading per check, its budget test
         ticks = itertools.count()
         monkeypatch.setattr(theorems.time, "monotonic", lambda: float(next(ticks)))
-        cfg = CorpusConfig(sections=("random",), random_graphs=3, subgroup_samples=2, s_max=3, budget_seconds=7)
+        cfg = CorpusConfig(sections=("random",), random_graphs=3, subgroup_samples=2, s_max=3, budget_seconds=3)
         outcomes = run_corpus(cfg)
         # graph 0 runs its three checks (2 outcomes + 3 groups x 3 s x 2 equivalences),
         # graphs 1 and 2 skip theirs, the equivalences as one record per graph
@@ -416,17 +414,26 @@ class TestRunCorpus:
             (name, f"random#{i}") for i in (1, 2)
             for name in ("distance-formula", "reconstruction", "equivalence-sweep")
         ]
-        assert all(o.details == {"reason": "budget exhausted", "budget_seconds": 7} for o in skipped)
+        assert all(o.details == {"reason": "budget exhausted", "budget_seconds": 3} for o in skipped)
+
+    @pytest.mark.parametrize("budget", [0.0, 3])
+    def test_budget_skips_name_instances_of_the_full_run(self, monkeypatch, budget):
+        # each graph's subgroup seed is drawn whether its sweep runs or not,
+        # so a skip names a graph the unbudgeted run builds under that name
+        # (its sweep outcomes lead their instance with the graph's)
+        full = {o.instance.split(" ")[0] for o in run_corpus(CorpusConfig(sections=("random",)))}
+        ticks = itertools.count()
+        monkeypatch.setattr(theorems.time, "monotonic", lambda: float(next(ticks)))
+        outcomes = run_corpus(CorpusConfig(sections=("random",), budget_seconds=budget))
+        skipped = [o.instance for o in outcomes if o.status == SKIPPED]
+        assert skipped and set(skipped) <= full
 
     def test_sections_are_independent(self):
-        def stripped(outcomes):
-            records = [o.to_json_dict() for o in outcomes]
-            for rec in records:
-                rec["details"].pop("elapsed_s", None)
-            return records
+        def records(outcomes):
+            return [o.to_json_dict() for o in outcomes]
 
-        full = stripped(run_corpus(CorpusConfig()))
-        parts = [stripped(run_corpus(CorpusConfig(sections=(name,)))) for name in theorems.ALL_SECTIONS]
+        full = records(run_corpus(CorpusConfig()))
+        parts = [records(run_corpus(CorpusConfig(sections=(name,)))) for name in theorems.ALL_SECTIONS]
         assert all(parts) and sum(parts, []) == full
 
     def test_edge_stabilizers_per_default_run(self, monkeypatch):
