@@ -7,8 +7,8 @@ target graph g2 (the t side); for automorphisms both are g.
 The s side of every search node lies on one individualisation path, g1's
 *first path*: refine the invariant partition, then at each level
 individualise the least vertex x of the first smallest non-singleton cell
-and refine again, until the partition is discrete. The search refines that
-path once, lazily as it first goes deeper, and keeps per level the
+and refine again, until the partition is discrete. Every search records
+that path once, whole, before it refines any t side, and keeps per level the
 partition, its target cell, x and the *trace* of the refinement that made
 it: for each splitter, the cells it touched in position order, each with
 its sorted (count, size) groups, or with its count if a singleton. A
@@ -99,10 +99,7 @@ def _check_budget(node_budget) -> None:
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
     """Per-vertex isomorphism invariant: valency plus distance distribution,
-    the sorted (distance, count) pairs of the vertex's row (-1 = unreached).
-    Computed once per graph and cached on it; callers must not mutate it."""
-    if g._invariants is not None:
-        return g._invariants
+    the sorted (distance, count) pairs of the vertex's row (-1 = unreached)."""
     n = g.n
     dist = g.distances_matrix()
     # one column per distance -1 (unreached), 0, ..., max; shift row v into
@@ -110,11 +107,10 @@ def _vertex_invariants(g: Graph) -> list[tuple]:
     width = int(dist.max()) + 2 if n else 0
     shifted = dist + (np.arange(n, dtype=np.int64)[:, None] * width + 1)
     rows = np.bincount(shifted.ravel(), minlength=n * width).reshape(n, width).tolist()
-    g._invariants = [
+    return [
         (g.degree(v), tuple((d - 1, c) for d, c in enumerate(row) if c))
         for v, row in enumerate(rows)
     ]
-    return g._invariants
 
 
 def _invariant_cells(g: Graph) -> dict[tuple, list[int]]:
@@ -312,60 +308,37 @@ class _Level:
 
 
 class _MappingSearch:
-    """Searches for isomorphisms g1 -> g2 along g1's first path; ``nodes``
-    counts the t-side partitions refined, which ``node_budget`` bounds."""
+    """Searches for isomorphisms g1 -> g2 along g1's first path, which the
+    constructor records whole: ``path`` holds its levels, from the refined
+    invariant partition down to a discrete one. ``nodes`` counts the t-side
+    partitions refined, which ``node_budget`` bounds."""
 
     def __init__(self, g1: Graph, g2: Graph, node_budget: Optional[int] = None):
         self.g1 = g1
         self.g2 = g2
         self.nodes = 0
         self.budget = node_budget
-        self.path: list[_Level] = []  # g1's first path, as far as the search went
-
-    def initial_partitions(self) -> Optional[tuple[_Partition, _Partition]]:
-        """The invariant partitions of g1 and g2, cells in the same order, or
-        None when their invariants differ."""
-        if self.g1.n != self.g2.n or self.g1.m != self.g2.m:
-            return None
-        by1 = _invariant_cells(self.g1)
-        by2 = by1 if self.g2 is self.g1 else _invariant_cells(self.g2)
-        keys = sorted(by1)
-        if keys != sorted(by2) or any(len(by1[key]) != len(by2[key]) for key in keys):
-            return None
-        return (_Partition.from_cells([by1[key] for key in keys]),
-                _Partition.from_cells([by2[key] for key in keys]))
+        by = _invariant_cells(g1)
+        self.root_sizes = {key: len(cell) for key, cell in by.items()}
+        part = _Partition.from_cells([by[key] for key in sorted(by)])
+        queue = list(range(len(by)))
+        self.path: list[_Level] = []
+        while True:
+            trace: list = []
+            _refine(g1.adjacency, part, queue, trace, False)
+            level = _Level(part, trace)
+            self.path.append(level)
+            if level.target is None:
+                break
+            part, queue = part.child(level.target, level.x)
 
     def find(self) -> Optional[list[int]]:
         """A mapping (list over g1 vertices) that is an isomorphism, or None."""
-        parts = self.initial_partitions()
-        if parts is None:
+        by = _invariant_cells(self.g2)
+        if {key: len(cell) for key, cell in by.items()} != self.root_sizes:
             return None
-        s, t = parts
-        queue = list(range(len(s.start)))
-        self._record(s, queue)
-        return self._dfs(t, queue, 0)
-
-    def first_path(self) -> list[_Level]:
-        """g1's whole first path, from its invariant partition to a discrete
-        one. g1 and g2 must have equal invariants, as when g2 is g1."""
-        by = _invariant_cells(self.g1)
-        s = _Partition.from_cells([by[key] for key in sorted(by)])
-        self._record(s, list(range(len(s.start))))
-        while self.path[-1].target is not None:
-            self._extend()
-        return self.path
-
-    # -- internals ---------------------------------------------------------
-
-    def _record(self, part: _Partition, queue: list[int]) -> None:
-        trace: list = []
-        _refine(self.g1.adjacency, part, queue, trace, False)
-        self.path.append(_Level(part, trace))
-
-    def _extend(self) -> None:
-        """Refine the first path one level deeper."""
-        last = self.path[-1]
-        self._record(*last.part.child(last.target, last.x))
+        part = _Partition.from_cells([by[key] for key in sorted(by)])
+        return self._dfs(part, list(range(len(by))), 0)
 
     def _dfs(self, part: _Partition, queue: list[int], depth: int) -> Optional[list[int]]:
         """Refine the t side ``part`` from ``queue`` against the trace of the
@@ -373,15 +346,14 @@ class _MappingSearch:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise BudgetExceededError(
-                f"mapping search exceeded {self.budget} nodes"
+                f"mapping search on a graph with n = {self.g1.n}, m = {self.g1.m} "
+                f"exceeded its budget of {self.budget} nodes"
             )
         level = self.path[depth]
         if not _refine(self.g2.adjacency, part, queue, level.trace, True):
             return None
         if level.target is None:
             return self._verify_leaf(level.part, part)
-        if len(self.path) == depth + 1:
-            self._extend()
         for y in sorted(part.members(level.target)):
             res = self._dfs(*part.child(level.target, y), depth + 1)
             if res is not None:
@@ -407,6 +379,8 @@ def find_isomorphism(g1: Graph, g2: Graph, node_budget: Optional[int] = None) ->
     _check_budget(node_budget)
     if g1 == g2:
         return list(range(g1.n))
+    if g1.n != g2.n or g1.m != g2.m:
+        return None
     return _MappingSearch(g1, g2, node_budget).find()
 
 
@@ -438,10 +412,8 @@ def automorphism_group(g: Graph, node_budget: int = 2_000_000) -> PermGroup:
         raise BudgetExceededError(
             f"automorphism search is budgeted for n <= 400; this graph has n = {g.n}"
         )
-    if g.n == 0:
-        return PermGroup(0, ())
     search = _MappingSearch(g, g, node_budget)
-    path = search.first_path()
+    path = search.path
     base = [level.x for level in path[:-1]]
 
     # second pass, deepest level first: the generators found so far fix the

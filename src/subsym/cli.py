@@ -31,6 +31,7 @@ from .graphs import (
     make_hoffman_singleton,
     make_petersen,
 )
+from .groups import induced_subdivision_action
 from .symmetry import transitivity_reports
 from .theorems import REFUTED, CorpusConfig, run_corpus, summarize
 from .transforms import distance_two_graph, line_graph, reconstruct_from_ambient, subdivide
@@ -136,8 +137,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     G = _load_group(args.group, g)
     if G.degree != g.n:
         # a base-graph group against a subdivision file: induce the action
-        from .groups import induced_subdivision_action
-
         if G.degree != n_base:
             raise GraphError(
                 f"group degree {G.degree} matches neither the graph ({g.n}) nor its base "

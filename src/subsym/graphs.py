@@ -46,7 +46,6 @@ class Graph:
         "_diameter",
         "_girth",
         "_edge_index",
-        "_invariants",
         "_subdivision",
         "__weakref__",
     )
@@ -113,7 +112,6 @@ class Graph:
         self._diameter = None  # set by the first call of diameter() that succeeds
         self._girth = _UNKNOWN
         self._edge_index = None
-        self._invariants = None  # autgrp._vertex_invariants, once computed
         self._subdivision = None  # S(g) as built by transforms.subdivide, once built
 
     @property

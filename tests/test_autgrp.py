@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subsym import autgrp
 from subsym.autgrp import (
     BudgetExceededError,
     _MappingSearch,
     _Partition,
+    _invariant_cells,
     _refine,
     _vertex_invariants,
     automorphism_group,
@@ -89,6 +91,12 @@ class TestAutomorphismGroup:
     def test_subdivided_cycle_doubles_aut(self):
         for n in (3, 5, 8):
             assert automorphism_group(subdivide(make_cycle(n)).graph).order() == 4 * n
+
+    def test_empty_graph(self):
+        # no special case: the general path gives the degree-0 trivial group
+        G = automorphism_group(Graph(0, []))
+        assert (G.degree, G.order(), G.generators) == (0, 1, ())
+        assert G.chain().base() == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,6 +343,10 @@ class TestSubdivisionShortcut:
         assert _same_group(G, automorphism_group(g))
 
 
+# the node-budget error on S(K_9) with a budget of 3 nodes
+_BUDGET_ERROR = r"^mapping search on a graph with n = 45, m = 72 exceeded its budget of 3 nodes$"
+
+
 class TestIsomorphism:
     def test_subdivided_triangle_is_six_cycle(self):
         assert is_isomorphic(subdivide(make_complete(3)).graph, make_cycle(6))
@@ -361,8 +373,19 @@ class TestIsomorphism:
 
     def test_budget_error(self):
         g = subdivide(make_complete(9)).graph
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=_BUDGET_ERROR):
             automorphism_group(g, node_budget=3)
+
+    @pytest.mark.parametrize("g1, g2", [
+        (make_cycle(5), make_cycle(6)),
+        (make_cycle(6), make_complete_bipartite(3, 3)),
+    ], ids=["unequal n", "unequal m"])
+    def test_unequal_sizes_build_no_search(self, g1, g2, monkeypatch):
+        def refine(*args):
+            raise AssertionError("a search was built")
+
+        monkeypatch.setattr(autgrp, "_refine", refine)
+        assert find_isomorphism(g1, g2) is None
 
 
 @st.composite
@@ -385,12 +408,12 @@ def refine_cases(draw):
 def _pair_cells(search):
     """The search's invariant partitions as lockstep pair cells, or the unit
     partition when the invariants differ."""
-    parts = search.initial_partitions()
-    if parts is None:
+    by1, by2 = _invariant_cells(search.g1), _invariant_cells(search.g2)
+    keys = sorted(by1)
+    if keys != sorted(by2) or any(len(by1[key]) != len(by2[key]) for key in keys):
         n = search.g1.n
         return [PairCell(list(range(n)), list(range(n)))]
-    s, t = parts
-    return [PairCell(s.members(c), t.members(c)) for c in s.ids()]
+    return [PairCell(by1[key], by2[key]) for key in keys]
 
 
 def _record_and_replay(search, s, t, queue):
@@ -520,14 +543,6 @@ def test_vertex_invariants_match_counted_rows(case):
     assert _vertex_invariants(g) == counted_vertex_invariants(g)
 
 
-def test_vertex_invariants_are_cached_on_the_graph():
-    g = make_petersen()
-    first = _vertex_invariants(g)
-    assert _vertex_invariants(g) is first
-    # an equal graph is a separate object with its own cache
-    assert _vertex_invariants(Graph(g.n, g.edge_list)) == first
-
-
 @settings(max_examples=200, deadline=None)
 @given(random_graph_strategy(max_n=12, min_n=0))
 def test_search_maps_equal_graphs_by_the_identity(g):
@@ -561,9 +576,43 @@ def test_node_budget_accepts_none_and_non_negative_ints():
 
 def test_equal_graphs_need_no_search_nodes():
     g = subdivide(make_complete(9)).graph
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match=_BUDGET_ERROR):
         _MappingSearch(g, g, node_budget=3).find()
     assert find_isomorphism(g, Graph(g.n, g.edge_list), node_budget=3) == list(range(g.n))
+
+
+def _relabelled_pair(rng):
+    g = random_connected_graph(rng, 10)
+    images = list(range(g.n))
+    rng.shuffle(images)
+    return g, Graph(g.n, [(images[u], images[v]) for u, v in g.edge_list])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: automorphism_group(make_petersen()),
+    # seed 29 gives a graph whose first path has four levels
+    lambda: find_isomorphism(*_relabelled_pair(random.Random(29))),
+], ids=["Aut(Petersen)", "relabelled pair"])
+def test_each_search_records_its_first_path_once(run, monkeypatch):
+    # the constructor records g1's whole first path, one refinement per
+    # level, and the search itself only replays traces
+    recorded, searches = [0], []
+    refine, init = autgrp._refine, _MappingSearch.__init__
+
+    def counting(adj, p, queue, trace, replay):
+        recorded[0] += not replay
+        return refine(adj, p, queue, trace, replay)
+
+    def keeping(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        searches.append(self)
+
+    monkeypatch.setattr(autgrp, "_refine", counting)
+    monkeypatch.setattr(_MappingSearch, "__init__", keeping)
+    assert run() is not None
+    [search] = searches
+    assert search.nodes > 0
+    assert recorded[0] == len(search.path) > 1
 
 
 def _sha256(obj) -> str:
