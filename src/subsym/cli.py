@@ -144,7 +144,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             )
         sg = subdivision_from_parts(args.graph, g, n_base)
         G = induced_subdivision_action(G, sg)
-        print(f"# induced the degree-{sg.n_base} group on the subdivision vertices")
+        print(f"# induced the degree-{sg.base.n} group on the subdivision vertices")
     name, local = PROPERTIES[args.property]
     reports = transitivity_reports(g, G, name, local, range(lo, hi + 1))
     for rep in reports:

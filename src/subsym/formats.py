@@ -47,7 +47,7 @@ def write_graph(path: str, g: Graph, parts: Optional[str] = None) -> None:
 
 
 def write_subdivision(path: str, sg: SubdivisionGraph) -> None:
-    n, m = sg.n_base, sg.m_base
+    n, m = sg.base.n, sg.base.m
     write_graph(path, sg.graph, parts=f"parts: V=0..{n - 1} E={n}..{n + m - 1}")
 
 

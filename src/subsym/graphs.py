@@ -45,7 +45,6 @@ class Graph:
         "_apsp",
         "_diameter",
         "_girth",
-        "_edge_index",
         "_subdivision",
         "__weakref__",
     )
@@ -111,7 +110,6 @@ class Graph:
         self._apsp = None
         self._diameter = None  # set by the first call of diameter() that succeeds
         self._girth = _UNKNOWN
-        self._edge_index = None
         self._subdivision = None  # S(g) as built by transforms.subdivide, once built
 
     @property
@@ -201,12 +199,6 @@ class Graph:
             if level.size:
                 lengths.append(2 * int(level.min()))
         return min(lengths, default=None)
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Index of each edge in sorted edge_list order."""
-        if self._edge_index is None:
-            self._edge_index = {e: i for i, e in enumerate(self.edge_list)}
-        return self._edge_index
 
     def is_connected(self) -> bool:
         return self.n == 0 or bool((self.distances_matrix()[0] != UNREACHED).all())

@@ -145,30 +145,26 @@ class StabilizerChain:
     def base(self) -> list[int]:
         return [lvl.point for lvl in self.levels]
 
-    def sift(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
-        """Reduce p through the chain; returns (residue, level it stuck at)."""
-        i = start
+    def sift(self, p: Perm, start: int = 0) -> Perm:
+        """Reduce p through the chain from level ``start``; returns the residue."""
         for lvl in self.levels[start:]:
             beta = p.images[lvl.point]
             if beta != lvl.point:  # at the base point the transversal element is the identity
                 u_inv = lvl.transversal_inv.get(beta)
                 if u_inv is None:
-                    return p, i
+                    return p
                 p = p * u_inv
-            i += 1
-        return p, i
+        return p
 
     def contains(self, p: Perm) -> bool:
-        residue, _ = self.sift(p)
-        return residue.is_identity()
+        return self.sift(p).is_identity()
 
     def add_generator(self, g: Perm) -> None:
         if g.degree != self.degree:
             raise PermError("generator degree mismatch")
         if g.is_identity():
             return
-        residue, _ = self.sift(g)
-        if residue.is_identity():
+        if self.sift(g).is_identity():
             return
         self._insert(g, g.inverse(), 0)
 
@@ -206,7 +202,7 @@ class StabilizerChain:
             u_p_s = s if p == b else trans[p] * s
             if u_p_s == trans[q]:  # the Schreier generator is the identity
                 continue
-            residue, _ = self.sift(u_p_s if q == b else u_p_s * trans_inv[q], j + 1)
+            residue = self.sift(u_p_s if q == b else u_p_s * trans_inv[q], j + 1)
             if not residue.is_identity():
                 self._insert(residue, s_inv if residue is s else residue.inverse(), j + 1)
 
@@ -489,14 +485,17 @@ def _memoised_stabilizer(G: PermGroup, key, build: Callable[[PermGroup, Any], Pe
 def stabilizer_point(G: PermGroup, v: int) -> PermGroup:
     """The point stabilizer G_v. It is built once per (G, v) and memoised on
     G behind the lock that guards G's chain, so every later call returns the
-    same object."""
+    same object. When every generator fixes v, G_v = G and that object is G."""
     _check_point(G, v)
     return _memoised_stabilizer(G, v, _build_stabilizer)
 
 
 def _build_stabilizer(G: PermGroup, v: int) -> PermGroup:
-    """G_v via a chain based at v; on a lifted group, the lift of the base
-    group's stabilizer of the vertex or edge at v."""
+    """G itself when every generator fixes v, so that no chain is built for
+    a point G does not move; else G_v via a chain based at v, or on a lifted
+    group the lift of the base group's stabilizer of the vertex or edge at v."""
+    if all(p.images[v] == v for p in G.generators):
+        return G
     if G._lift is not None:
         base, lift = G._lift
         x = lift.base_of[v]
@@ -547,12 +546,8 @@ def _build_edge_stabilizer(G: PermGroup, e: tuple[int, int]) -> PermGroup:
 def is_graph_automorphism(g: Graph, p: Perm) -> bool:
     if p.degree != g.n:
         return False
-    index = g.edge_index()
-    for u, v in g.edge_list:
-        a, b = p.images[u], p.images[v]
-        if ((a, b) if a < b else (b, a)) not in index:
-            return False
-    return True
+    img = p.images
+    return all(g.has_edge(img[u], img[v]) for u, v in g.edge_list)
 
 
 def validate_automorphisms(g: Graph, G: PermGroup) -> None:
@@ -607,8 +602,8 @@ def induced_subdivision_action(G: PermGroup, sg) -> PermGroup:
     E-vertices move with their underlying edges. Faithful, so orders agree;
     the result is a lifted group (see the module docstring)."""
     validate_automorphisms(sg.base, G)
-    n = sg.n_base
-    lift = SubdivisionLift(range(n), {e: n + i for i, e in enumerate(sg.edge_of)})
+    n = sg.base.n
+    lift = SubdivisionLift(range(n), {e: n + i for i, e in enumerate(sg.base.edge_list)})
     return lift.group(G)
 
 

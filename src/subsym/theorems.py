@@ -252,7 +252,7 @@ def check_edge_stabilizer_conditions(g: Graph, G: PermGroup) -> CheckOutcome:
         return skip
     sg, Gs = _lift(g, G)
     # orbit stats of each E-vertex representative's stabilizer on its spheres
-    reps = [orb[0] for orb in Gs.point_orbits() if not sg.is_v_vertex(orb[0])]
+    reps = [orb[0] for orb in Gs.point_orbits() if orb[0] >= sg.base.n]
     stats = [list(_rep_levels(sg.graph, Gs, v, False, 2)) for v in reps]
     left_a = all(st[0].orbits <= 1 for st in stats)
     vertex_transitive = is_vertex_transitive(g, G)

@@ -30,27 +30,15 @@ class MalformedSubdivisionError(GraphError):
 
 @dataclass(frozen=True, slots=True)
 class SubdivisionGraph:
-    """A subdivision graph with its base graph.
+    """A subdivision graph S(base) with its base graph.
 
-    graph: the ambient graph on n+m vertices; ids below n are V-vertices.
-    edge_of: for each E-vertex (in id order n, n+1, ...), the original edge (u, v).
-    base: the original graph.
+    graph: S(base) on n + m vertices, n and m being base's vertex and edge
+    counts. V-vertex v keeps its id v; base edge i, ``base.edge_list[i]``,
+    is E-vertex n + i. So x is an E-vertex exactly when x >= base.n.
     """
 
     graph: Graph
-    edge_of: tuple[tuple[int, int], ...]
     base: Graph
-
-    @property
-    def n_base(self) -> int:
-        return self.base.n
-
-    @property
-    def m_base(self) -> int:
-        return self.base.m
-
-    def is_v_vertex(self, x: int) -> bool:
-        return x < self.n_base
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +80,7 @@ def subdivide(g: Graph) -> SubdivisionGraph:
             [(u, e) for u, es in enumerate(incident) for e in es],
             tuple(map(tuple, incident)) + g.edge_list,
         )
-    return SubdivisionGraph(graph=g._subdivision, edge_of=g.edge_list, base=g)
+    return SubdivisionGraph(graph=g._subdivision, base=g)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -211,43 +199,22 @@ def reconstruct_from_ambient(gamma: Graph) -> Graph:
     return parts[0]
 
 
-def subdivision_distance(sg: SubdivisionGraph, a: int, b: int) -> int:
-    """Distance in the subdivision graph by the closed three-case formula
-    (2d for V/V, 2*min+1 for V/E, 2*min+2 for E/E), not by BFS; UNREACHED
-    (-1) for vertices in different components."""
-    g = sg.graph
-    if not (0 <= a < g.n and 0 <= b < g.n):
-        raise GraphError("vertex id out of range for subdivision graph")
-    if a == b:
-        return 0
-    dist = sg.base.distances_matrix()
-    n = sg.n_base
-    a_is_v = sg.is_v_vertex(a)
-    b_is_v = sg.is_v_vertex(b)
-    if a_is_v and b_is_v:
-        base, offset = int(dist[a, b]), 0
-    elif a_is_v != b_is_v:
-        if b_is_v:
-            a, b = b, a
-        u, v = sg.edge_of[b - n]
-        base, offset = min(int(dist[a, u]), int(dist[a, v])), 1
-    else:
-        x, u = sg.edge_of[a - n]
-        y, v = sg.edge_of[b - n]
-        base, offset = min(int(dist[x, y]), int(dist[x, v]), int(dist[y, u]), int(dist[u, v])), 2
-    return UNREACHED if base < 0 else 2 * base + offset
-
-
 def subdivision_distance_matrix(sg: SubdivisionGraph) -> np.ndarray:
-    """All subdivision-graph distances by the closed formula, vectorised.
+    """All subdivision-graph distances by the closed formula, not by BFS;
+    UNREACHED (-1) between vertices in different components.
 
-    Same three cases as subdivision_distance. near[x, j], the base distance
-    from vertex x to the nearer end of edge j, is the V/E block; for edge
-    i = (u, v) the E/E entry is min(near[u, j], near[v, j]), so two row
-    gathers of near give that block. Its diagonal is zeroed since the
-    formula's minimum is over two distinct edges. The endpoints of an edge
-    share a component, so each minimum is over base distances that are
-    either all UNREACHED or all reached.
+    With d the base distance, the formula has three cases:
+    - V-vertices x and y: 2 d(x, y);
+    - V-vertex x and the E-vertex of edge (u, v): 2 min(d(x, u), d(x, v)) + 1;
+    - the E-vertices of distinct edges (u, v) and (x, y): 2 min(d(u, x),
+      d(u, y), d(v, x), d(v, y)) + 2.
+
+    near[x, j], the base distance from vertex x to the nearer end of edge j,
+    is the V/E block; for edge i = (u, v) the E/E entry is min(near[u, j],
+    near[v, j]), so two row gathers of near give that block. Its diagonal
+    is zeroed since the formula's minimum is over two distinct edges. The
+    endpoints of an edge share a component, so each minimum is over base
+    distances that are either all UNREACHED or all reached.
 
     Each block is written into the output in place as 2 * base + offset.
     That maps UNREACHED to UNREACHED in the V/E block only; when the base
@@ -255,12 +222,12 @@ def subdivision_distance_matrix(sg: SubdivisionGraph) -> np.ndarray:
     entries 2 * UNREACHED + 2 are reset to UNREACHED.
     """
     d = sg.base.distances_matrix()
-    n, m = sg.n_base, sg.m_base
+    n, m = sg.base.n, sg.base.m
     out = np.empty((n + m, n + m), dtype=np.int32)
     vv, ve, ev, ee = out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:]
     np.multiply(d, 2, out=vv)
     if m:
-        u, v = np.array(sg.edge_of, dtype=np.intp).T
+        u, v = np.array(sg.base.edge_list, dtype=np.intp).T
         near = np.minimum(d[:, u], d[:, v])
         np.multiply(near, 2, out=ve)
         np.add(ve, 1, out=ve)

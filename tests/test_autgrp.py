@@ -36,6 +36,7 @@ from subsym.groups import (
     stabilizer_edge,
     stabilizer_point,
 )
+from subsym.symmetry import transitivity_reports
 from subsym.transforms import subdivide
 
 from _oracles import (
@@ -197,6 +198,22 @@ def test_long_bases_need_no_schreier_sims(g, order, monkeypatch):
     # every (orbit point, generator) pair of every level
     G = _search_chain_is_schreier_sims(g, monkeypatch)
     assert G.order() == order
+
+
+def test_fixed_point_stabilizer_is_the_group(monkeypatch):
+    # every generator fixes the centre of K_1,60, so G_0 is G and needs no
+    # chain; the leaves' stabilizer is read off the search chain, whose base
+    # starts at a leaf, so the local 2-arc walk runs no Schreier-Sims
+    g = make_complete_bipartite(1, 60)
+    G = automorphism_group(g)
+    assert stabilizer_point(G, 0) is G
+    with monkeypatch.context() as m:
+        m.setattr(StabilizerChain, "__init__", _refuse)
+        reports = transitivity_reports(g, G, "s-arc", True, [1, 2])
+    assert [r.to_json_dict() for r in reports] == [
+        {"kind": "s-arc", "local": True, "s": 1, "verdict": True, "orbit_counts": {"1": 1}, "witness": None},
+        {"kind": "s-arc", "local": True, "s": 2, "verdict": True, "orbit_counts": {"1": 1, "2": 1}, "witness": None},
+    ]
 
 
 def test_search_chain_sweep_matches_schreier_sims(monkeypatch):

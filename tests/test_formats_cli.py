@@ -79,7 +79,6 @@ class TestGraphFiles:
         back = read_subdivision(path)
         assert back.graph == sg.graph
         assert back.base == sg.base
-        assert back.edge_of == sg.edge_of
 
     def test_read_subdivision_requires_parts(self, tmp_path):
         path = str(tmp_path / "plain.txt")

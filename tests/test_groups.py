@@ -31,6 +31,7 @@ from subsym.groups import (
     dihedral_group,
     equal_groups,
     induced_subdivision_action,
+    is_graph_automorphism,
     normal_closure,
     orbit_partition,
     pair_image,
@@ -270,6 +271,30 @@ class TestInducedActions:
             validate_automorphisms(path, cyclic_group(3))
         assert "generator 0" in str(exc.value)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=10**9))
+    def test_is_graph_automorphism_matches_edge_images(self, n, seed):
+        # a permutation is an automorphism exactly when it maps the edge set onto itself
+        rng = random.Random(seed)
+        density = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+        edges = set(g.edge_list)
+
+        def maps_edges_onto_edges(p):
+            return {tuple(sorted((p(u), p(v)))) for u, v in g.edge_list} == edges
+
+        for p in automorphism_group(g).generators:
+            assert is_graph_automorphism(g, p) and maps_edges_onto_edges(p)
+        for _ in range(20):
+            images = list(range(n))
+            rng.shuffle(images)
+            p = Perm(images)
+            assert is_graph_automorphism(g, p) == maps_edges_onto_edges(p)
+        for degree in [n + 1] + [n - 1] * (n > 0):
+            images = list(range(degree))
+            rng.shuffle(images)
+            assert not is_graph_automorphism(g, Perm(images))
+
     def test_subdivision_action_faithful(self):
         for g, G in [
             (make_cycle(5), dihedral_group(5)),
@@ -285,8 +310,6 @@ class TestInducedActions:
         g = make_cycle(5)
         sg = subdivide(g)
         Gs = induced_subdivision_action(dihedral_group(5), sg)
-        from subsym.groups import is_graph_automorphism
-
         assert all(is_graph_automorphism(sg.graph, p) for p in Gs.generators)
         big = automorphism_group(sg.graph)
         assert all(p in big for p in Gs.generators)
@@ -317,7 +340,7 @@ class TestInducedActions:
             "random": lambda: random_connected_graph(rng, rng.randint(4, 8)),
         }[name]()
         sg = subdivide(g)
-        index = g.edge_index()
+        index = {e: i for i, e in enumerate(g.edge_list)}
         H = rng.choice(random_subgroups(automorphism_group(g), 3, seed))
         Hs = induced_subdivision_action(H, sg)
         assert Hs.order() == H.order()
@@ -327,7 +350,7 @@ class TestInducedActions:
             restricted = Perm(x.images[:g.n])
             assert restricted in H
             # ... and each E-vertex follows its edge
-            for i, (u, v) in enumerate(sg.edge_of):
+            for i, (u, v) in enumerate(sg.base.edge_list):
                 a, b = restricted(u), restricted(v)
                 assert x.images[g.n + i] == g.n + index[(a, b) if a < b else (b, a)]
 
@@ -342,7 +365,7 @@ class TestInducedActions:
         x = rng.choice(g.edge_list)
         assert pair_image(Perm.identity(10), x) == x
         assert pair_image(a * b, x) == pair_image(b, pair_image(a, x))
-        assert pair_image(a, x) in g.edge_index()
+        assert pair_image(a, x) in g.edge_list
 
 
 def _check_chain_shape(chain) -> None:

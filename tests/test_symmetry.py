@@ -227,7 +227,7 @@ def test_local_kinds_share_point_stabilizers(chain_builds):
     distance = transitivity_reports(sg.graph, G, "s-distance", True, range(1, 5))
     assert [r.verdict for r in arc] == [True] * 5 + [False]
     assert all(r.verdict for r in distance)
-    assert reps == [0, 10] and sg.edge_of[0] == (0, 7)
+    assert reps == [0, 10] and sg.base.edge_list[0] == (0, 7)
     built = [(H.degree, list(prefix)) for H, prefix in chain_builds]
     assert built == []
 

@@ -26,7 +26,6 @@ from subsym.transforms import (
     reconstruct_from_ambient,
     split_components,
     subdivide,
-    subdivision_distance,
     subdivision_distance_matrix,
 )
 
@@ -102,7 +101,6 @@ class TestSubdivide:
         assert all(sg.graph.degree(g.n + i) == 2 for i in range(g.m))
         # S(g) is bipartite with parts V = 0..n-1 and E = n..n+m-1
         assert all(a < g.n <= b for a, b in sg.graph.edge_list)
-        assert [sg.is_v_vertex(x) for x in range(sg.graph.n)] == [True] * g.n + [False] * g.m
 
     def test_girth_doubles(self):
         for g in small_corpus():
@@ -182,7 +180,7 @@ class TestReconstruct:
         for g in small_corpus():
             sg = subdivide(g)
             edges = [tuple(sg.graph.adjacency[x]) for x in range(g.n, sg.graph.n)]
-            assert list(sg.edge_of) == edges and Graph(g.n, edges) == g
+            assert list(sg.base.edge_list) == edges and Graph(g.n, edges) == g
 
     def test_forget_labels_roundtrip(self):
         for g in small_corpus():
@@ -220,20 +218,20 @@ class TestReconstruct:
 
 class TestSubdivisionDistance:
     def test_same_vertex_zero(self):
-        sg = subdivide(make_complete(4))
-        assert subdivision_distance(sg, 0, 0) == 0
-        assert subdivision_distance(sg, 5, 5) == 0
+        mat = subdivision_distance_matrix(subdivide(make_complete(4)))
+        assert mat[0, 0] == 0
+        assert mat[5, 5] == 0
 
     def test_c5_example(self):
-        sg = subdivide(make_cycle(5))
-        e = sg.edge_of.index((2, 3))
-        assert subdivision_distance(sg, 0, 5 + e) == 5
+        g = make_cycle(5)
+        e = g.edge_list.index((2, 3))
+        assert subdivision_distance_matrix(subdivide(g))[0, 5 + e] == 5
 
     def test_k4_disjoint_edges(self):
-        sg = subdivide(make_complete(4))
-        i = sg.edge_of.index((0, 1))
-        j = sg.edge_of.index((2, 3))
-        assert subdivision_distance(sg, 4 + i, 4 + j) == 4
+        g = make_complete(4)
+        i = g.edge_list.index((0, 1))
+        j = g.edge_list.index((2, 3))
+        assert subdivision_distance_matrix(subdivide(g))[4 + i, 4 + j] == 4
 
     def test_formula_equals_bfs_everywhere(self):
         for g in small_corpus():
@@ -243,9 +241,10 @@ class TestSubdivisionDistance:
 
     def test_disconnected_base_gives_unreached(self):
         sg = subdivide(Graph(4, [(0, 1), (2, 3)]))
-        assert np.array_equal(subdivision_distance_matrix(sg), sg.graph.distances_matrix())
-        assert subdivision_distance(sg, 0, 2) == UNREACHED
-        assert subdivision_distance(sg, 4, 5) == UNREACHED
+        mat = subdivision_distance_matrix(sg)
+        assert np.array_equal(mat, sg.graph.distances_matrix())
+        assert mat[0, 2] == UNREACHED
+        assert mat[4, 5] == UNREACHED
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy())
@@ -257,24 +256,13 @@ class TestSubdivisionDistance:
         sg = subdivide(g)
         formula = subdivision_distance_matrix(sg)
         assert np.array_equal(formula, sg.graph.distances_matrix())
-        for a in range(sg.graph.n):
-            for b in range(sg.graph.n):
-                assert subdivision_distance(sg, a, b) == formula[a, b]
-
-    def test_scalar_matches_matrix(self):
-        sg = subdivide(make_petersen())
-        mat = subdivision_distance_matrix(sg)
-        rng = random.Random(3)
-        for _ in range(100):
-            a = rng.randrange(sg.graph.n)
-            b = rng.randrange(sg.graph.n)
-            assert subdivision_distance(sg, a, b) == mat[a, b]
 
     def test_bfs_oracle_spot(self):
         sg = subdivide(make_complete_bipartite(3, 3))
         oracle = brute_distances(sg.graph, 1)
+        row = subdivision_distance_matrix(sg)[1]
         for b in range(sg.graph.n):
-            assert subdivision_distance(sg, 1, b) == oracle[b]
+            assert row[b] == oracle[b]
 
 
 class TestDelta:
