@@ -159,11 +159,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = CorpusConfig.from_file(args.config) if args.config else CorpusConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.heavy:
-        cfg.heavy = True
+    if args.heavy and "hoffman-singleton" not in cfg.sections:
+        cfg.sections += ("hoffman-singleton",)
     if args.budget is not None:
         cfg.budget_seconds = args.budget
-        cfg.check(lambda *keys: "--budget")  # the file's values are checked already
+        cfg.check("--budget")  # the file's values are checked already
     print(f"# effective-config: command=verify {cfg}")
     outcomes = run_corpus(cfg)
     counts = summarize(outcomes)
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the verification corpus")
     p_ver.add_argument("--config", help="key = value config file")
     p_ver.add_argument("--seed", type=int)
-    p_ver.add_argument("--heavy", action="store_true")
+    p_ver.add_argument("--heavy", action="store_true", help="add the hoffman-singleton section")
     p_ver.add_argument("--budget", type=float, help="wall-clock budget in seconds")
     p_ver.add_argument("--out")
     p_ver.set_defaults(fn=cmd_verify)

@@ -2,23 +2,25 @@
 
 Each check evaluates both sides of an equivalence (or an implication) on a
 concrete graph-and-group instance and reports confirmed / refuted / skipped.
-``run_corpus`` sweeps a deterministic corpus, one generator per section in
-``SECTIONS``: ``rows`` (the small-s classification, one ``ROWS`` entry per
-row with the K_5/A_5 counterexample next to its row, and the K_{n,n}
-conditions), ``structural`` (distance formula and
-reconstruction on named graphs), ``named-instances`` (implication checks on
-hand-picked graph-and-group pairs), ``large-cycles`` (the large-s cycles
-under the dihedral group and under one subgroup of each proper conjugacy
-class of it) and ``random`` (seeded random connected graphs under sampled
-subgroups of their automorphism groups, the only section that samples). A
-refuted outcome on the default corpus is a build failure.
+``run_corpus`` sweeps a fixed corpus, one generator per section in
+``SECTIONS``: ``rows`` (the small-s classification rows for K_n, n = 4..9,
+K_{n,n}, n = 2..4, C_5 and Petersen, with the K_5/A_5 counterexample next
+to its row, and the K_{n,n} conditions), ``hoffman-singleton`` (the HoSi
+row under Aut and its derived group; the one section not run by default),
+``structural`` (distance formula and reconstruction on named graphs),
+``named-instances`` (implication checks on hand-picked graph-and-group
+pairs), ``large-cycles`` (C_16..C_19 under the dihedral group and under one
+subgroup of each proper conjugacy class of it) and ``random`` (24 random
+connected graphs, seeded by the config, under sampled subgroups of their
+automorphism groups, the only section that samples). A refuted outcome on
+the default corpus is a build failure.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Iterator, Optional, TypeVar
 
@@ -96,8 +98,6 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
     if isinstance(x, (bool, int, float, str)) or x is None:
         return x
     return repr(x)
@@ -614,31 +614,35 @@ def check_large_s_cycles(n: int) -> CheckOutcome:
 
 _Instances = Iterator[tuple[str, str, Callable[[], "CheckOutcome | list[CheckOutcome]"]]]
 
+_S_MAX = 5  # the largest s the named-instance and random sections check
+
 
 def _rows(config: CorpusConfig) -> _Instances:
     row = "classification-row"
     exception_n, exception_label, _ = ROWS["Kn"].counterexample
     yield row, "K2", lambda: check_classification_row("K2")
     yield row, "K3", lambda: check_classification_row("K3")
-    for n in range(config.kn_range[0], config.kn_range[1] + 1):
+    for n in range(4, 10):
         yield row, f"Kn S_{n}", lambda: check_classification_row("Kn", symmetric_group(n), n)
         if n == exception_n:
             yield "classification-row-exception", f"Kn {exception_label}", check_known_exception
         else:
             yield row, f"Kn A_{n}", lambda: check_classification_row("Kn", alternating_group(n), n)
-    if config.kn_range[0] <= 9 <= config.kn_range[1]:
-        yield row, "K9 PGammaL(2,8)", lambda: check_classification_row("Kn", pgammal_2_8(), 9)
-        yield row, "K9 PGL(2,8)", lambda: check_classification_row("Kn", pgl_2_8(), 9)
-    for n in range(config.knn_range[0], config.knn_range[1] + 1):
+    yield row, "K9 PGammaL(2,8)", lambda: check_classification_row("Kn", pgammal_2_8(), 9)
+    yield row, "K9 PGL(2,8)", lambda: check_classification_row("Kn", pgl_2_8(), 9)
+    for n in range(2, 5):
         yield row, f"Knn n={n}", lambda: check_classification_row("Knn", wreath_s2(n), n)
         yield "bipartite-conditions", f"n={n} wreath", lambda: check_bipartite_conditions(n, wreath_s2(n))
     yield "bipartite-conditions", "n=3 no-swap", lambda: check_bipartite_conditions(3, _s3_times_s3())
     yield row, "C5", lambda: check_classification_row("C5")
     yield row, "P", lambda: check_classification_row("P")
-    if config.heavy:
-        yield row, "HoSi full", lambda: check_classification_row("HoSi")
-        yield row, "HoSi derived", lambda: check_classification_row(
-            "HoSi", derived_subgroup(automorphism_group(make_hoffman_singleton())))
+
+
+def _hoffman_singleton(config: CorpusConfig) -> _Instances:
+    """The HoSi row under the full and the derived group; each searches Aut(HoSi)."""
+    yield "classification-row", "HoSi full", lambda: check_classification_row("HoSi")
+    yield "classification-row", "HoSi derived", lambda: check_classification_row(
+        "HoSi", derived_subgroup(automorphism_group(make_hoffman_singleton())))
 
 
 def _structural(config: CorpusConfig) -> _Instances:
@@ -673,7 +677,7 @@ def _named_instances(config: CorpusConfig) -> _Instances:
     for label, g, G in instances:
         yield "edge-stabilizer-conditions", label, lambda: check_edge_stabilizer_conditions(g, G)
         yield "small-s-equivalences", label, lambda: check_small_s_equivalences(g, G)
-        for s in range(2, min(2 * g.diameter() - 1, config.s_max) + 1, 2):
+        for s in range(2, min(2 * g.diameter() - 1, _S_MAX) + 1, 2):
             yield "girth-bound", f"{label} s={s}", lambda: check_girth_bound(g, G, s)
         gr = g.girth()
         if gr is not None and gr >= 5:
@@ -681,37 +685,36 @@ def _named_instances(config: CorpusConfig) -> _Instances:
 
 
 def _large_cycles(config: CorpusConfig) -> _Instances:
-    for n in config.cycle_large_ns:
+    for n in (16, 17, 18, 19):
         yield "large-s-cycles", f"C_{n}", lambda: check_large_s_cycles(n)
 
 
 def _random(config: CorpusConfig) -> _Instances:
-    """Seeded random connected graphs, each checked under Aut(g) and sampled
-    subgroups by one equivalence sweep."""
+    """24 seeded random connected graphs on 3..7 vertices, each checked under
+    Aut(g) and sampled subgroups by one equivalence sweep."""
     rng = random.Random(config.seed)
-    for idx in range(config.random_graphs):
-        n = rng.randint(config.random_n_min, config.random_n_max)
-        g = random_connected_graph(rng, n)
+    for idx in range(24):
+        g = random_connected_graph(rng, rng.randint(3, 7))
         inst = f"random#{idx}(n={g.n},m={g.m})"
         # drawn here, not in the thunk, so a budget skip leaves the later graphs as they are
         seed = rng.randrange(2**30)
         yield "distance-formula", inst, lambda: check_distance_formula(g)
         yield "reconstruction", inst, lambda: check_reconstruction(g)
-        yield "equivalence-sweep", inst, lambda: _equivalence_sweep(g, config, seed, inst)
+        yield "equivalence-sweep", inst, lambda: _equivalence_sweep(g, seed, inst)
 
 
-def _equivalence_sweep(g: Graph, config: CorpusConfig, seed: int, prefix: str) -> list[CheckOutcome]:
-    """Both equivalences for s up to config.s_max on g under its
-    automorphism group and the subgroups sampled with seed.
+def _equivalence_sweep(g: Graph, seed: int, prefix: str) -> list[CheckOutcome]:
+    """Both equivalences for s up to _S_MAX on g under its automorphism
+    group and 8 subgroups sampled with seed.
 
     Sampled generators often generate the same group twice, and a verdict
     depends on the group's elements only, so equal groups on one graph share
     one evaluation: a repeat is found by equal_groups and its outcomes are
     assembled under its own label from the earlier group's verdicts."""
     aut = automorphism_group(g)
-    groups = [aut] + random_subgroups(aut, config.subgroup_samples, seed)[2:]
-    s_values = range(1, config.s_max + 1)
-    distance_s = range(1, min(config.s_max, 2 * g.diameter() - 1) + 1)
+    groups = [aut] + random_subgroups(aut, 8, seed)[2:]
+    s_values = range(1, _S_MAX + 1)
+    distance_s = range(1, min(_S_MAX, 2 * g.diameter() - 1) + 1)
     evaluated: list = []  # (group, verdicts) on this graph only
     outcomes = []
     for gi, G in enumerate(groups):
@@ -721,131 +724,64 @@ def _equivalence_sweep(g: Graph, config: CorpusConfig, seed: int, prefix: str) -
     return outcomes
 
 
-# one row per section, in run order
-SECTIONS: tuple[tuple[str, Callable[[CorpusConfig], _Instances]], ...] = (
-    ("rows", _rows),
-    ("structural", _structural),
-    ("named-instances", _named_instances),
-    ("large-cycles", _large_cycles),
-    ("random", _random),
+# one row per section, in run order: (name, instances, whether it runs by default)
+SECTIONS: tuple[tuple[str, Callable[[CorpusConfig], _Instances], bool], ...] = (
+    ("rows", _rows, True),
+    ("hoffman-singleton", _hoffman_singleton, False),
+    ("structural", _structural, True),
+    ("named-instances", _named_instances, True),
+    ("large-cycles", _large_cycles, True),
+    ("random", _random, True),
 )
-ALL_SECTIONS = tuple(name for name, _ in SECTIONS)
-
-
-# least value per config key: random graphs need >= 2 vertices (and
-# random_n_max >= random_n_min), the Kn and Knn rows their least n,
-# cycles n >= 3, s starts at 1, and a negative budget would skip every check
-_CONFIG_MINIMUMS = {
-    "random_graphs": 0, "random_n_min": 2, "subgroup_samples": 0, "s_max": 1,
-    "kn_range": ROWS["Kn"].least_n, "knn_range": ROWS["Knn"].least_n, "cycle_large_ns": 3,
-    "budget_seconds": 0,
-}
-
-_BOOLEANS = dict.fromkeys(("true", "1", "yes", "on"), True) | dict.fromkeys(("false", "0", "no", "off"), False)
+DEFAULT_SECTIONS = tuple(name for name, _, default in SECTIONS if default)
 
 
 @dataclass
 class CorpusConfig:
     seed: int = 1729
-    random_graphs: int = 24
-    random_n_min: int = 3
-    random_n_max: int = 7
-    subgroup_samples: int = 8
-    s_max: int = 5
-    kn_range: tuple[int, int] = (4, 9)
-    knn_range: tuple[int, int] = (2, 4)
-    cycle_large_ns: tuple[int, ...] = (16, 17, 18, 19)
-    sections: tuple[str, ...] = ALL_SECTIONS
-    heavy: bool = False
+    sections: tuple[str, ...] = DEFAULT_SECTIONS
     budget_seconds: Optional[float] = None
 
-    def check(self, where: Callable[..., str] = lambda *keys: "CorpusConfig",
-              spelled: Optional[dict[str, str]] = None) -> None:
-        """Raise GraphError for a value below its key's least sensible value,
-        an empty range, random_n_min above random_n_max, or an unknown
-        section. ``where(*keys)`` names the place that set the keys, such as
-        a file and line; a message quotes a budget or a range as
-        ``spelled[key]`` when given, as written there."""
-        spelled = spelled or {}
-
-        def at_least(key: str, value, shown=None) -> None:
-            least = _CONFIG_MINIMUMS[key]
-            if not value >= least:  # also rejects nan
-                shown = value if shown is None else shown
-                raise GraphError(f"{where(key)}: {key} must be >= {least}, got {shown}")
-
-        for key in ("random_graphs", "random_n_min", "subgroup_samples", "s_max"):
-            at_least(key, getattr(self, key))
-        for key in ("kn_range", "knn_range"):
-            lo, hi = getattr(self, key)
-            if lo > hi:
-                raise GraphError(f"{where(key)}: {key} = {spelled.get(key, f'{lo}..{hi}')} is empty")
-            at_least(key, lo)
-        for n in self.cycle_large_ns:
-            at_least("cycle_large_ns", n)
+    def check(self, where: str = "CorpusConfig") -> None:
+        """Raise GraphError, prefixed with where, for an unknown section or a
+        budget below 0, which would skip every check."""
         for part in self.sections:
-            if part not in ALL_SECTIONS:
-                raise GraphError(f"{where('sections')}: unknown section {part!r}")
-        if self.budget_seconds is not None:
-            at_least("budget_seconds", self.budget_seconds, spelled.get("budget_seconds"))
-        if self.random_n_min > self.random_n_max:
-            raise GraphError(
-                f"{where('random_n_min', 'random_n_max')}: random_n_min = {self.random_n_min} "
-                f"exceeds random_n_max = {self.random_n_max}"
-            )
+            if part not in (name for name, _, _ in SECTIONS):
+                raise GraphError(f"{where}: unknown section {part!r}")
+        if self.budget_seconds is not None and not self.budget_seconds >= 0:  # also rejects nan
+            raise GraphError(f"{where}: budget_seconds must be >= 0, got {self.budget_seconds}")
 
     @staticmethod
     def from_file(path: str) -> "CorpusConfig":
         """Parse ``key = value`` lines. A malformed line, an unknown key, or a
         value that ``check`` rejects raises GraphError naming the file, the
-        line that last set the key (the later of random_n_min and
-        random_n_max when they cross) and the key."""
+        line and the key."""
         cfg = CorpusConfig()
-        last_line: dict[str, int] = {}
-        spelled: dict[str, str] = {}
         for lineno, line in _data_lines(path):
             line = line.split("#", 1)[0].strip()  # drop an inline comment
             if "=" not in line:
                 raise GraphError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             try:
-                if key in ("seed", "random_graphs", "random_n_min", "random_n_max",
-                           "subgroup_samples", "s_max"):
-                    setattr(cfg, key, int(value))
-                elif key in ("kn_range", "knn_range"):
-                    lo, hi = value.split("..")
-                    setattr(cfg, key, (int(lo), int(hi)))
-                elif key == "cycle_large_ns":
-                    cfg.cycle_large_ns = tuple(int(x) for x in value.split(",") if x.strip())
+                if key == "seed":
+                    cfg.seed = int(value)
                 elif key == "sections":
                     cfg.sections = tuple(x.strip() for x in value.split(",") if x.strip())
-                elif key == "heavy":
-                    cfg.heavy = _BOOLEANS[value.lower()]
                 elif key == "budget_seconds":
                     cfg.budget_seconds = float(value)
                 else:
                     raise GraphError(f"{path}:{lineno}: unknown key {key!r}")
-            except GraphError:
+            except GraphError:  # a ValueError too, but not a bad value
                 raise
-            except (KeyError, ValueError):  # int()/float(), an "A..B" without "..", or not a boolean
+            except ValueError:  # int() or float()
                 raise GraphError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
-            last_line[key] = lineno
-            spelled[key] = value
-        cfg.check(lambda *keys: f"{path}:{max(last_line.get(k, 0) for k in keys)}", spelled)
+            cfg.check(f"{path}:{lineno}")
         return cfg
 
     def __str__(self) -> str:
-        """Every key as ``key=value``, space-separated, each value spelled as
-        from_file reads it back (a budget of None aside)."""
-        parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name.endswith("_range"):
-                value = "{}..{}".format(*value)
-            elif isinstance(value, tuple):
-                value = ",".join(map(str, value))
-            parts.append(f"{f.name}={value}")
-        return " ".join(parts)
+        """Every key as ``key=value``, spelled as from_file reads it back (a
+        budget of None aside)."""
+        return f"seed={self.seed} sections={','.join(self.sections)} budget_seconds={self.budget_seconds}"
 
 
 def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
@@ -858,7 +794,7 @@ def run_corpus(config: CorpusConfig) -> list[CheckOutcome]:
     budget = config.budget_seconds
     started = time.monotonic()
     outcomes: list[CheckOutcome] = []
-    for section, instances in SECTIONS:
+    for section, instances, _ in SECTIONS:
         if section not in config.sections:
             continue
         for name, instance, thunk in instances(config):

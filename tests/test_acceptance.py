@@ -153,8 +153,7 @@ class TestAcceptance:
         # transitivity across the random corpus with sampled subgroups,
         # s = 1..5; 100% agreement; under 5 minutes
         t0 = time.monotonic()
-        cfg = CorpusConfig(seed=ACCEPTANCE_SEED, sections=("random",), random_graphs=24,
-                           random_n_min=3, random_n_max=7, subgroup_samples=8, s_max=5)
+        cfg = CorpusConfig(seed=ACCEPTANCE_SEED, sections=("random",))
         outcomes = [oc for oc in run_corpus(cfg) if oc.name == "local-arc-equivalence"]
         refuted = [oc for oc in outcomes if oc.status == REFUTED]
         elapsed = time.monotonic() - t0
@@ -166,8 +165,7 @@ class TestAcceptance:
     def test_local_distance_equivalence_sweep(self):
         # same corpus, distance version, restricted to s <= 2*diam - 1
         t0 = time.monotonic()
-        cfg = CorpusConfig(seed=ACCEPTANCE_SEED, sections=("random",), random_graphs=24,
-                           random_n_min=3, random_n_max=7, subgroup_samples=8, s_max=5)
+        cfg = CorpusConfig(seed=ACCEPTANCE_SEED, sections=("random",))
         outcomes = [oc for oc in run_corpus(cfg) if oc.name == "local-distance-equivalence"]
         refuted = [oc for oc in outcomes if oc.status == REFUTED]
         elapsed = time.monotonic() - t0

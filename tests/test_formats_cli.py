@@ -32,11 +32,11 @@ from subsym.transforms import subdivide
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "golden_verify.jsonl")
-# the corpus GOLDEN_VERIFY was written with (343 records, all 12 check names)
-GOLDEN_CONFIG = "random_graphs = 3\nkn_range = 4..5\nknn_range = 2..3\ncycle_large_ns = 16,17\n"
-# every record of the rows section at the default ranges, heavy rows included
+# the corpus GOLDEN_VERIFY was written with: the default sections (1,641 records)
+GOLDEN_CONFIG = "seed = 1729\n"
+# every record of the rows section, the Hoffman-Singleton rows included
 GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "golden_rows.jsonl")
-GOLDEN_ROWS_CONFIG = "sections = rows\nheavy = on\n"
+GOLDEN_ROWS_CONFIG = "sections = rows, hoffman-singleton\n"
 
 
 def _verify_matches_golden(tmp_path, config: str, golden: str) -> list[str]:
@@ -452,7 +452,7 @@ class TestCli:
 
     def test_verify_report_reproducible(self, tmp_path):
         cfg = tmp_path / "corpus.cfg"
-        cfg.write_text("random_graphs = 2\nseed = 5\nsections = structural, random\n")
+        cfg.write_text("seed = 5\nsections = structural, random\n")
         rep1 = str(tmp_path / "r1.jsonl")
         rep2 = str(tmp_path / "r2.jsonl")
         assert main(["verify", "--config", str(cfg), "--out", rep1]) == 0
@@ -463,30 +463,41 @@ class TestCli:
         # the committed report pins verdicts, witnesses and details across
         # refactors; regenerate it only for an intended change of the report
         want = _verify_matches_golden(tmp_path, GOLDEN_CONFIG, GOLDEN_VERIFY)
-        assert len(want) == 343
+        assert len(want) == 1641
         assert len({json.loads(line)["name"] for line in want}) == 12
 
     def test_verify_rows_match_golden(self, tmp_path):
-        # K6-K9, PGammaL(2,8), PGL(2,8), Knn at n = 4 and both HoSi rows are
-        # outside GOLDEN_CONFIG; this pins every row the default corpus runs
+        # both HoSi rows are outside the default sections; this pins every
+        # row the default and the heavy corpus run
         want = _verify_matches_golden(tmp_path, GOLDEN_ROWS_CONFIG, GOLDEN_ROWS)
         assert len(want) == 27
 
     def test_verify_effective_config_names_every_key(self, tmp_path, capsys):
         cfg = tmp_path / "corpus.cfg"
-        cfg.write_text("sections = structural\nkn_range = 4..5\ncycle_large_ns = 16,17\nheavy = off\n")
-        assert main(["verify", "--config", str(cfg), "--seed", "7"]) == 0
-        line = capsys.readouterr().out.splitlines()[0]
-        assert line.startswith("# effective-config: command=verify ")
-        items = dict(part.split("=", 1) for part in line.split()[3:])
-        assert list(items) == [f.name for f in dataclasses.fields(CorpusConfig)]
-        assert items["sections"] == "structural" and items["budget_seconds"] == "None"
-        # the line, read back as a config file, gives the same configuration
-        again = tmp_path / "again.cfg"
-        again.write_text("".join(f"{k} = {v}\n" for k, v in items.items() if v != "None"))
-        assert CorpusConfig.from_file(str(again)) == CorpusConfig(
-            seed=7, kn_range=(4, 5), cycle_large_ns=(16, 17), sections=("structural",)
-        )
+        for budget_line, budget in (("", None), ("budget_seconds = 60\n", 60.0)):
+            cfg.write_text(f"sections = structural\n{budget_line}")
+            assert main(["verify", "--config", str(cfg), "--seed", "7"]) == 0
+            line = capsys.readouterr().out.splitlines()[0]
+            assert line.startswith("# effective-config: command=verify ")
+            items = dict(part.split("=", 1) for part in line.split()[3:])
+            assert list(items) == [f.name for f in dataclasses.fields(CorpusConfig)]
+            assert items["sections"] == "structural" and items["budget_seconds"] == str(budget)
+            # the line, read back as a config file, gives the same configuration
+            again = tmp_path / "again.cfg"
+            again.write_text("".join(f"{k} = {v}\n" for k, v in items.items() if v != "None"))
+            assert CorpusConfig.from_file(str(again)) == CorpusConfig(
+                seed=7, sections=("structural",), budget_seconds=budget
+            )
+
+    @pytest.mark.parametrize("config", ["", "sections = rows, hoffman-singleton\n"], ids=["default", "listed"])
+    def test_verify_heavy_adds_the_hoffman_singleton_section_once(self, tmp_path, capsys, config):
+        cfg, out = tmp_path / "corpus.cfg", tmp_path / "r.jsonl"
+        cfg.write_text(config)
+        assert main(["verify", "--config", str(cfg), "--heavy", "--out", str(out)]) == 0
+        sections = capsys.readouterr().out.split(" sections=", 1)[1].split()[0].split(",")
+        assert sections.count("hoffman-singleton") == 1
+        instances = [json.loads(line)["instance"] for line in out.read_text().splitlines()]
+        assert [i for i in instances if "HoSi" in i] == ["row=HoSi |G|=252000", "row=HoSi |G|=126000"]
 
     def test_verify_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -496,23 +507,20 @@ class TestCli:
 
     @pytest.mark.parametrize("line, message", [
         ("seed = abc", "bad value 'abc' for seed"),
-        ("kn_range = a..b", "bad value 'a..b' for kn_range"),
-        ("kn_range = 5", "bad value '5' for kn_range"),
+        ("seed = 1.5", "bad value '1.5' for seed"),
         ("budget_seconds = soon", "bad value 'soon' for budget_seconds"),
-        ("heavy = ture", "bad value 'ture' for heavy"),
         ("colour = blue", "unknown key 'colour'"),
+        ("heavy = on", "unknown key 'heavy'"),
+        ("kn_range = 4..5", "unknown key 'kn_range'"),
+        ("random_graphs = 3", "unknown key 'random_graphs'"),
+        ("random_n_min = 3", "unknown key 'random_n_min'"),
+        ("random_n_max = 7", "unknown key 'random_n_max'"),
+        ("subgroup_samples = 8", "unknown key 'subgroup_samples'"),
+        ("s_max = 5", "unknown key 's_max'"),
+        ("knn_range = 2..4", "unknown key 'knn_range'"),
+        ("cycle_large_ns = 16,17,18,19", "unknown key 'cycle_large_ns'"),
         ("sections = nowhere", "unknown section 'nowhere'"),
-        ("random_n_min = 8", "random_n_min = 8 exceeds random_n_max = 7"),
-        ("random_n_max = 2", "random_n_min = 3 exceeds random_n_max = 2"),
-        ("random_n_min = 1", "random_n_min must be >= 2, got 1"),
-        ("random_graphs = -1", "random_graphs must be >= 0, got -1"),
-        ("subgroup_samples = -3", "subgroup_samples must be >= 0, got -3"),
-        ("s_max = 0", "s_max must be >= 1, got 0"),
-        ("kn_range = 3..5", "kn_range must be >= 4, got 3"),
-        ("kn_range = 6..4", "kn_range = 6..4 is empty"),
-        ("knn_range = 1..3", "knn_range must be >= 2, got 1"),
-        ("cycle_large_ns = 16,2", "cycle_large_ns must be >= 3, got 2"),
-        ("budget_seconds = -1", "budget_seconds must be >= 0, got -1"),
+        ("budget_seconds = -1", "budget_seconds must be >= 0, got -1.0"),
         ("budget_seconds = nan", "budget_seconds must be >= 0, got nan"),
     ])
     def test_verify_bad_config_value(self, tmp_path, capsys, line, message):
@@ -531,9 +539,9 @@ class TestCli:
 
     def test_verify_bad_config_names_the_later_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("random_n_min = 7\nrandom_n_max = 3\n")
+        cfg.write_text("sections = rows\nseed = 3\nsections = rows, nowhere\nseed = 4\n")
         assert main(["verify", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {cfg}:2: random_n_min = 7 exceeds random_n_max = 3\n"
+        assert capsys.readouterr().err == f"error: {cfg}:3: unknown section 'nowhere'\n"
 
     @pytest.mark.parametrize("s", ["x", "3..1", "0", "1..y", "..2"])
     def test_analyze_bad_s_range(self, tmp_path, capsys, s):

@@ -1,15 +1,17 @@
 """The README's library example runs and prints what the README shows, its
 CLI block runs, its copy of the classification table is the one in
-subsym.theorems.ROWS, and the report kinds it lists are subsym.symmetry's."""
+subsym.theorems.ROWS, the report kinds it lists are subsym.symmetry's, and
+its corpus config keys and sections are subsym.theorems'."""
 
 import contextlib
+import dataclasses
 import io
 import os
 import re
 
 from subsym import cli
 from subsym.symmetry import _KINDS
-from subsym.theorems import ROWS
+from subsym.theorems import ROWS, SECTIONS, CorpusConfig
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -53,6 +55,16 @@ def test_report_kinds_match_the_kind_table():
         paragraph = fh.read().split("**Reports**", 1)[1].split("\n\n", 1)[0]
     listed = re.search(r"`kind` \(([^)]*)\)", paragraph).group(1)
     assert [name.strip(" `") for name in listed.split("|")] == list(_KINDS)
+
+
+def test_corpus_config_matches_the_config_and_its_sections():
+    with open(README, encoding="utf-8") as fh:
+        paragraph = fh.read().split("**Corpus config**", 1)[1].split("\n\n", 1)[0]
+    keys = re.search(r"The keys\s+are (.*?), e\.g\.", paragraph, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", keys) == [f.name for f in dataclasses.fields(CorpusConfig)]
+    order = re.search(r"Sections run in\s+this order:(.*?)\.\s", paragraph, re.S).group(1)
+    listed = [(name, bool(mark)) for name, mark in re.findall(r"`([^`]+)`(\s+\(default\))?", order)]
+    assert listed == [(name, default) for name, _, default in SECTIONS]
 
 
 def test_cli_block_runs(tmp_path, monkeypatch):

@@ -211,9 +211,16 @@ class TestClassificationRows:
         search = theorems.automorphism_group
         searched = []
         monkeypatch.setattr(theorems, "automorphism_group", lambda g: searched.append(g.n) or search(g))
-        outcomes = run_corpus(CorpusConfig(sections=("rows",), heavy=True))
+        outcomes = run_corpus(CorpusConfig(sections=("rows", "hoffman-singleton")))
         assert summarize(outcomes)[REFUTED] == 0
         assert searched.count(50) == 2
+
+    def test_hoffman_singleton_section_runs_the_two_hosi_rows(self):
+        outcomes = run_corpus(CorpusConfig(sections=("hoffman-singleton",)))
+        assert [(o.name, o.instance, o.status) for o in outcomes] == [
+            ("classification-row", f"row=HoSi |G|={order}", CONFIRMED) for order in (252000, 126000)
+        ]
+        assert "hoffman-singleton" not in theorems.DEFAULT_SECTIONS
 
     def test_published_table_fails_on_k5_with_a5(self):
         # The machine-found counterexample: the published table predicts the
@@ -364,13 +371,13 @@ class TestRunCorpus:
         assert run_corpus(CorpusConfig(sections=())) == []
 
     def test_default_corpus_zero_refuted(self):
-        outcomes = run_corpus(CorpusConfig(random_graphs=4))
+        outcomes = run_corpus(CorpusConfig())
         counts = summarize(outcomes)
         assert counts[REFUTED] == 0
         assert counts[CONFIRMED] > 50
 
     def test_deterministic_given_seed(self):
-        cfg = CorpusConfig(random_graphs=3, seed=99)
+        cfg = CorpusConfig(seed=99)
         a = run_corpus(cfg)
         b = run_corpus(cfg)
         assert [(o.name, o.instance, o.status) for o in a] == [
@@ -383,9 +390,8 @@ class TestRunCorpus:
 
     @pytest.mark.parametrize("values, message", [
         ({"budget_seconds": -1.0}, "budget_seconds must be >= 0, got -1.0"),
-        ({"knn_range": (3, 2)}, "knn_range = 3..2 is empty"),
-        ({"s_max": 0}, "s_max must be >= 1, got 0"),
-        ({"random_n_min": 5, "random_n_max": 3}, "random_n_min = 5 exceeds random_n_max = 3"),
+        ({"budget_seconds": float("nan")}, "budget_seconds must be >= 0, got nan"),
+        ({"sections": ("hoffman_singleton",)}, "unknown section 'hoffman_singleton'"),
     ])
     def test_rejects_what_a_config_file_may_not_say(self, values, message):
         # the same check as CorpusConfig.from_file, before any check runs
@@ -394,7 +400,7 @@ class TestRunCorpus:
         assert str(err.value) == f"CorpusConfig: {message}"
 
     def test_budget_exhaustion_reports_skips(self):
-        outcomes = run_corpus(CorpusConfig(random_graphs=3, budget_seconds=0.0))
+        outcomes = run_corpus(CorpusConfig(budget_seconds=0.0))
         counts = summarize(outcomes)
         assert counts[SKIPPED] == len(outcomes)
         assert all(o.details == {"reason": "budget exhausted", "budget_seconds": 0.0} for o in outcomes)
@@ -402,16 +408,17 @@ class TestRunCorpus:
     def test_budget_exhausted_mid_run(self, monkeypatch):
         # a clock that advances one second per reading: the start, then one
         # reading per check, its budget test
+        full = run_corpus(CorpusConfig(sections=("random",)))
         ticks = itertools.count()
         monkeypatch.setattr(theorems.time, "monotonic", lambda: float(next(ticks)))
-        cfg = CorpusConfig(sections=("random",), random_graphs=3, subgroup_samples=2, s_max=3, budget_seconds=3)
-        outcomes = run_corpus(cfg)
-        # graph 0 runs its three checks (2 outcomes + 3 groups x 3 s x 2 equivalences),
-        # graphs 1 and 2 skip theirs, the equivalences as one record per graph
-        real, skipped = outcomes[:20], outcomes[20:]
-        assert all(o.status == CONFIRMED for o in real)
+        outcomes = run_corpus(CorpusConfig(sections=("random",), budget_seconds=3))
+        # graph 0 runs its three checks (2 outcomes + its equivalence sweep),
+        # graphs 1-23 skip theirs, the equivalences as one record per graph
+        real = [o for o in outcomes if o.status != SKIPPED]
+        skipped = outcomes[len(real):]
+        assert real == full[:len(real)] and all(o.status == CONFIRMED for o in real)
         assert [(o.name, o.instance.split("(", 1)[0]) for o in skipped] == [
-            (name, f"random#{i}") for i in (1, 2)
+            (name, f"random#{i}") for i in range(1, 24)
             for name in ("distance-formula", "reconstruction", "equivalence-sweep")
         ]
         assert all(o.details == {"reason": "budget exhausted", "budget_seconds": 3} for o in skipped)
@@ -433,7 +440,7 @@ class TestRunCorpus:
             return [o.to_json_dict() for o in outcomes]
 
         full = records(run_corpus(CorpusConfig()))
-        parts = [records(run_corpus(CorpusConfig(sections=(name,)))) for name in theorems.ALL_SECTIONS]
+        parts = [records(run_corpus(CorpusConfig(sections=(name,)))) for name in theorems.DEFAULT_SECTIONS]
         assert all(parts) and sum(parts, []) == full
 
     def test_edge_stabilizers_per_default_run(self, monkeypatch):
@@ -458,16 +465,17 @@ class TestRunCorpus:
             return lifted[-1]
 
         monkeypatch.setattr(theorems, "subdivide", counting)
+        sample = theorems.random_subgroups
         counts = []
-        for samples in (1, 4):
+        for samples in (1, 8):
             lifted.clear()
-            cfg = CorpusConfig(sections=("random",), random_graphs=3, subgroup_samples=samples, s_max=3)
-            outcomes = run_corpus(cfg)
+            monkeypatch.setattr(theorems, "random_subgroups", lambda G, _, seed: sample(G, samples, seed))
+            outcomes = run_corpus(CorpusConfig(sections=("random",)))
             assert summarize(outcomes)[REFUTED] == 0
             counts.append(len({id(sg.graph) for sg in lifted}))
         # the distance formula, the reconstruction and the equivalence sweep
         # share one S(g) of each random graph, however many groups are sampled
-        assert counts == [3, 3]
+        assert counts == [24, 24]
 
     def test_random_sweep_evaluates_each_distinct_group_once(self, monkeypatch):
         make, induce, once = theorems.random_connected_graph, theorems.induced_subdivision_action, theorems._once_per_group
@@ -482,8 +490,7 @@ class TestRunCorpus:
         monkeypatch.setattr(theorems, "random_connected_graph", lambda rng, n: graphs.append(make(rng, n)) or graphs[-1])
         monkeypatch.setattr(theorems, "induced_subdivision_action", lambda G, sg: lifted.append(G) or induce(G, sg))
         monkeypatch.setattr(theorems, "_once_per_group", recording)
-        cfg = CorpusConfig(sections=("random",))
-        outcomes = run_corpus(cfg)
+        outcomes = run_corpus(CorpusConfig(sections=("random",)))
         # 184 (graph, group) pairs at seed 1729 hold 68 distinct groups
         assert len(groups) == 184 and len(lifted) == 68
         assert sum(reused for _, reused in groups) == 116
@@ -493,11 +500,11 @@ class TestRunCorpus:
                 by_label.setdefault(oc.instance.rsplit(" s=", 1)[0], []).append(oc)
         assert len(by_label) == len(groups)
         monkeypatch.setattr(theorems, "induced_subdivision_action", induce)
-        s_values = range(1, cfg.s_max + 1)
+        s_values = range(1, theorems._S_MAX + 1)
         for (label, got), (G, reused) in zip(by_label.items(), groups):
             g = graphs[int(label.split("#", 1)[1].split("(", 1)[0])]
             assert label.endswith(f"(|G|={G.order()})")
             if reused:
-                distance_s = range(1, min(cfg.s_max, 2 * g.diameter() - 1) + 1)
+                distance_s = range(1, min(theorems._S_MAX, 2 * g.diameter() - 1) + 1)
                 verdicts = theorems._equivalence_verdicts(g, G, s_values, distance_s)
                 assert got == theorems._equivalence_outcomes(verdicts, s_values, distance_s, label)
