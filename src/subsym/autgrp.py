@@ -71,9 +71,7 @@ from collections import defaultdict, deque
 from itertools import repeat
 from typing import Optional
 
-import numpy as np
-
-from .graphs import Graph, GraphError
+from .graphs import UNREACHED, Graph, GraphError
 from .groups import (
     PermGroup,
     StabilizerChain,
@@ -99,18 +97,16 @@ def _check_budget(node_budget) -> None:
 
 def _vertex_invariants(g: Graph) -> list[tuple]:
     """Per-vertex isomorphism invariant: valency plus distance distribution,
-    the sorted (distance, count) pairs of the vertex's row (-1 = unreached)."""
+    the sorted (distance, count) pairs of the vertex's row, the popcounts
+    of its spheres, led by (-1, count) when some vertices are unreached."""
     n = g.n
-    dist = g.distances_matrix()
-    # one column per distance -1 (unreached), 0, ..., max; shift row v into
-    # its own block of columns, so one bincount counts all rows
-    width = int(dist.max()) + 2 if n else 0
-    shifted = dist + (np.arange(n, dtype=np.int64)[:, None] * width + 1)
-    rows = np.bincount(shifted.ravel(), minlength=n * width).reshape(n, width).tolist()
-    return [
-        (g.degree(v), tuple((d - 1, c) for d, c in enumerate(row) if c))
-        for v, row in enumerate(rows)
-    ]
+    out = []
+    for v, row in enumerate(g.spheres()):
+        counts = list(map(int.bit_count, row))
+        pairs = tuple(enumerate(counts))
+        unreached = n - sum(counts)
+        out.append((g.degree(v), ((UNREACHED, unreached),) + pairs if unreached else pairs))
+    return out
 
 
 def _invariant_cells(g: Graph) -> dict[tuple, list[int]]:

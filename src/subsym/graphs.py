@@ -2,6 +2,12 @@
 
 Vertices are dense integer ids 0..n-1. All operations are pure; a Graph never
 changes after construction, so everything here is safe to call concurrently.
+
+Hop distances are kept as sphere bitsets: Python ints whose bits are the
+vertices at one distance from one vertex, built once per graph by a
+bit-parallel closure and cached on it. Rows, sets, the diameter, the
+girth and connectivity are all read off them, with no dependency beyond
+the standard library.
 """
 
 from __future__ import annotations
@@ -10,10 +16,7 @@ import operator
 import random
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
-UNREACHED = -1  # sentinel used by distance arrays for disconnected pairs
-_GIRTH_BLOCK = 1 << 18  # matrix entries per root block in Graph.girth
+UNREACHED = -1  # sentinel used by distance rows for disconnected pairs
 _UNKNOWN = object()  # marks a cached fact not computed yet (None is a valid girth)
 
 
@@ -42,7 +45,7 @@ class Graph:
         "n",
         "adjacency",
         "edge_list",
-        "_apsp",
+        "_spheres",
         "_diameter",
         "_girth",
         "_subdivision",
@@ -107,7 +110,7 @@ class Graph:
         self.n = n
         self.adjacency = adjacency
         self.edge_list = edge_list
-        self._apsp = None
+        self._spheres = None
         self._diameter = None  # set by the first call of diameter() that succeeds
         self._girth = _UNKNOWN
         self._subdivision = None  # S(g) as built by transforms.subdivide, once built
@@ -135,13 +138,16 @@ class Graph:
 
     # -- cached metrics -----------------------------------------------------
 
-    def distances_matrix(self) -> np.ndarray:
-        """All-pairs hop distances as an (n, n) int32 matrix, built once by
-        the bit-parallel closure ``_distance_closure``; UNREACHED (-1) marks
-        disconnected pairs. Every hop distance in the library reads it."""
-        if self._apsp is None:
-            self._apsp = _distance_closure(self.adjacency)
-        return self._apsp
+    def spheres(self) -> tuple[tuple[int, ...], ...]:
+        """Hop-distance spheres as bitsets, built once by the bit-parallel
+        closure ``_sphere_closure``: bit x of ``spheres()[v][i]`` is set
+        exactly when x is at distance i from v. Row v stops at v's
+        eccentricity in its component, so every listed sphere is nonempty,
+        and a vertex in no sphere of row v is unreached from v. Every hop
+        distance in the library reads these rows."""
+        if self._spheres is None:
+            self._spheres = _sphere_closure(self.adjacency)
+        return self._spheres
 
     def diameter(self) -> int:
         """Largest hop distance, cached after the first call. Rejects empty
@@ -149,97 +155,109 @@ class Graph:
         if self._diameter is None:
             if self.n == 0:
                 raise DisconnectedGraphError("empty graph has no diameter")
-            dist = self.distances_matrix()
-            if int(dist.min()) < 0:
+            if not self.is_connected():
                 raise DisconnectedGraphError("diameter undefined for disconnected graph")
-            self._diameter = int(dist.max())
+            self._diameter = max(map(len, self.spheres())) - 1
         return self._diameter
 
     def girth(self) -> Optional[int]:
         """Length of a shortest cycle, or None for acyclic graphs.
 
-        Read off the distance matrix D. For a root r, an edge {u, w} with
-        D[r,u] = D[r,w] closes a walk of length 2*D[r,u] + 1, and a vertex x
-        with two neighbours at distance D[r,x] - 1 closes one of length
-        2*D[r,x]; each such walk contains a cycle no longer than itself. A
-        shortest cycle is isometric, so a root on it realises its length as
-        one of these two cases, and the minimum over all roots is the girth.
-        The odd case compares D at both ends of every edge. For the even
-        case, each edge that steps one level away from r is a parent edge
-        of its far end, and one np.bincount over the flat indices
-        (r, child) counts the parent edges of every vertex for a block of
-        roots. Unreached (-1) entries never match a reached one and are
-        masked out.
+        For a root r, an edge {x, y} with d(r, x) = d(r, y) = i closes a
+        walk of length 2i + 1, and a vertex x at distance i with two
+        neighbours at distance i - 1 closes one of length 2i; each such walk
+        contains a cycle no longer than itself. A shortest cycle is
+        isometric, so a root on it realises its length as one of these two
+        cases. Since r is in S_i(x) exactly when x is in S_i(r), both cases
+        are read off the spheres around x, for every root at once: the odd
+        case is an edge {x, y} with S_i(x) & S_i(y) nonzero, the even case a
+        vertex x whose S_i(x) meets the S_{i-1} of two distinct neighbours.
+        Scanning i upwards, even before odd, the first hit is the girth; a
+        level costs O(n + m) int operations.
         """
         if self._girth is _UNKNOWN:
-            self._girth = self._girth_from_distances() if self.m else None
+            self._girth = self._girth_from_spheres() if self.m else None
         return self._girth
 
-    def _girth_from_distances(self) -> Optional[int]:
-        dist = self.distances_matrix()
-        n = self.n
-        u, w = np.array(self.edge_list, dtype=np.intp).T
-        lengths = []
-        # Root blocks bound the O(rows * m) temporaries.
-        step = max(1, _GIRTH_BLOCK // (2 * self.m))
-        for lo in range(0, n, step):
-            d = dist[lo:lo + step]
-            du = d[:, u]
-            diff = du - d[:, w]
-            level = du[(diff == 0) & (du >= 0)]
-            if level.size:
-                lengths.append(2 * int(level.min()) + 1)
-            # count each vertex's parent edges per root at flat index row * n + x:
-            # edge (u, w) leads u -> w when D[r,u] = D[r,w] - 1, w -> u when
-            # D[r,w] = D[r,u] - 1 (two unreached ends differ by 0)
-            row = np.arange(0, d.shape[0] * n, n)[:, None]
-            children = np.concatenate(((row + w)[diff == -1], (row + u)[diff == 1]))
-            parents = np.bincount(children, minlength=d.size)
-            level = d.ravel()[parents >= 2]
-            if level.size:
-                lengths.append(2 * int(level.min()))
-        return min(lengths, default=None)
+    def _girth_from_spheres(self) -> Optional[int]:
+        spheres = self.spheres()
+        prev = [row[0] for row in spheres]
+        i = 1
+        while True:
+            cur = [row[i] if len(row) > i else 0 for row in spheres]
+            if not any(cur):
+                return None
+            if i > 1:  # two neighbours never share their sphere of radius 0
+                for x, nbrs in enumerate(self.adjacency):
+                    if cur[x] and len(nbrs) > 1:
+                        once = twice = 0
+                        for w in nbrs:
+                            s = prev[w]
+                            twice |= once & s
+                            once |= s
+                        if cur[x] & twice:
+                            return 2 * i
+            for x, y in self.edge_list:
+                if cur[x] & cur[y]:
+                    return 2 * i + 1
+            prev = cur
+            i += 1
 
     def is_connected(self) -> bool:
-        return self.n == 0 or bool((self.distances_matrix()[0] != UNREACHED).all())
+        return self.n == 0 or sum(map(int.bit_count, self.spheres()[0])) == self.n
 
 
-def _distance_closure(adjacency: Sequence[Sequence[int]]) -> np.ndarray:
-    """All-pairs hop distances by a bit-parallel closure (Akiba, Iwata and
-    Yoshida, SIGMOD 2013); UNREACHED where no path exists.
+def _sphere_closure(
+    adjacency: Sequence[Sequence[int]], seeds: Optional[Sequence[int]] = None
+) -> tuple[tuple[int, ...], ...]:
+    """All-pairs hop-distance spheres by a bit-parallel closure (Akiba,
+    Iwata and Yoshida, SIGMOD 2013), with one Python int per ball.
 
-    Row v of ``reach`` is the set of vertices within ``level`` hops of v,
-    packed little-endian into 64-bit words. One level ORs the rows of v's
-    closed neighbourhood into row v: one gather and one segmented OR over
-    n + 2m rows. The bits a level adds are the vertices at distance exactly
-    ``level``; one np.unpackbits call writes them into the matrix, and the
-    closure stops at the first level that adds none.
+    ``reach[v]`` is the set of vertices within ``level`` hops of v. One
+    level ORs the balls of v's neighbours into v's, reading the previous
+    level's balls; the bits it adds are the vertices at distance exactly
+    ``level``, v's next sphere. A vertex whose ball stops growing has
+    reached its whole component and drops out of the loop.
+
+    ``seeds[v]``, when given, replaces {v} as v's ball of radius 0; each
+    row then lists the bits that first join v's ball at each level.
     """
-    n = len(adjacency)
-    # segment v of closed is v followed by its neighbours: never empty, as reduceat needs
-    closed: list[int] = []
-    starts: list[int] = []
-    for v, a in enumerate(adjacency):
-        starts.append(len(closed))
-        closed.append(v)
-        closed.extend(a)
-    closed_ix = np.array(closed, dtype=np.intp)
-    starts_ix = np.array(starts, dtype=np.intp)
-    # rows padded to whole 64-bit words, so each OR handles 8 bytes at once
-    eye = np.eye(n, 64 * -(-n // 64), dtype=bool)
-    dist = eye[:, :n].astype(np.int32) + UNREACHED  # 0 on the diagonal
-    reach = np.packbits(eye, axis=1, bitorder="little").view("<u8")
-    level = 0
-    while n:  # an empty graph has no levels (and reduceat needs a segment)
-        level += 1
-        grown = np.bitwise_or.reduceat(reach.take(closed_ix, axis=0), starts_ix)
-        new = grown ^ reach
-        if not np.count_nonzero(new):
-            break
-        bits = np.unpackbits(new.view(np.uint8), axis=1, count=n, bitorder="little")
-        np.copyto(dist, level, where=bits.view(bool))
-        reach = grown
-    return dist
+    reach = [1 << v for v in range(len(adjacency))] if seeds is None else list(seeds)
+    rows = [[b] for b in reach]
+    live = [v for v, a in enumerate(adjacency) if a]
+    while live:
+        old = reach[:]
+        grown = []
+        for v in live:
+            r = b = old[v]
+            for w in adjacency[v]:
+                r |= old[w]
+            if r != b:
+                reach[v] = r
+                rows[v].append(r ^ b)
+                grown.append(v)
+        live = grown
+    return tuple(map(tuple, rows))
+
+
+def _distance_row(spheres: Sequence[int], n: int) -> list[int]:
+    """The distances to vertices 0..n-1 that one row of spheres gives;
+    UNREACHED for a vertex in none of them."""
+    row = [UNREACHED] * n
+    for i, sphere in enumerate(spheres):
+        for x in _members(sphere):
+            row[x] = i
+    return row
+
+
+def _members(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 # -- named constructions ----------------------------------------------------
@@ -309,7 +327,7 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
     """Exact hop distances from v; UNREACHED (-1) for unreachable vertices."""
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
-    return g.distances_matrix()[v].tolist()
+    return _distance_row(g.spheres()[v], g.n)
 
 
 def girth(g: Graph) -> Optional[int]:
@@ -323,7 +341,8 @@ def distance_sphere(g: Graph, v: int, i: int) -> frozenset[int]:
         raise GraphError(f"vertex {v} out of range")
     if i < 0:
         raise GraphError("sphere radius must be nonnegative")
-    return frozenset(np.flatnonzero(g.distances_matrix()[v] == i).tolist())
+    row = g.spheres()[v]
+    return frozenset(_members(row[i]) if i < len(row) else ())
 
 
 # -- s-arc enumeration ------------------------------------------------------

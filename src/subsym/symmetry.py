@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
-from .graphs import Graph, GraphError, _arc_levels, _has_arc
+from .graphs import Graph, GraphError, _arc_levels, _has_arc, bfs_distances
 from .groups import (
     PermGroup,
     orbit_partition,
@@ -147,7 +147,7 @@ def _rep_levels(g: Graph, G: PermGroup, v: int, arcs: bool, s_max: int) -> Itera
         for level in _arc_levels(g, [v], s_max):
             yield _partition_stats(Gv, level, Perm.apply_tuple)
         return
-    dist = g.distances_matrix()[v]  # cached; checking an s range builds it
+    dist = bfs_distances(g, v)  # read off the cached spheres
     leaders: list[list[int]] = [[] for _ in range(s_max + 1)]
     # G_v fixes v, so each of its point orbits (cached on the memoised G_v,
     # listed by least element) lies in one sphere
@@ -320,7 +320,7 @@ def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[i
     """Whether x is in the level's class for the kind: a level-arc, an ordered
     pair at distance level, or (local distance) a vertex at distance level from
     vertex. Local arcs start at vertex. Membership is checked directly: the
-    arc rule of _is_arc, or one entry of the cached distance matrix."""
+    arc rule of _is_arc, or one bit of the cached spheres."""
     if kind.arcs:
         return (
             isinstance(x, tuple) and len(x) == level + 1 and all(_is_vertex(g, y) for y in x)
@@ -329,9 +329,14 @@ def _in_level_class(g: Graph, kind: PropertyKind, level: int, vertex: Optional[i
     if vertex is None:
         return (
             isinstance(x, tuple) and len(x) == 2 and all(_is_vertex(g, y) for y in x)
-            and g.distances_matrix()[x[0], x[1]] == level
+            and _at_distance(g, x[0], x[1], level)
         )
-    return _is_vertex(g, x) and g.distances_matrix()[vertex, x] == level
+    return _is_vertex(g, x) and _at_distance(g, vertex, x, level)
+
+
+def _at_distance(g: Graph, x: int, y: int, level: int) -> bool:
+    row = g.spheres()[x]
+    return level < len(row) and bool(row[level] >> y & 1)
 
 
 def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
@@ -347,7 +352,7 @@ def verify_witness(g: Graph, G: PermGroup, report: TransitivityReport) -> bool:
     if w.note == "empty":
         if kind.arcs:
             return w.vertex is None and not _has_arc(g, w.level)
-        return w.vertex is None and not (g.distances_matrix() == w.level).any()
+        return w.vertex is None and all(len(row) <= w.level for row in g.spheres())
     if not (_is_vertex(g, w.vertex) if kind.local else w.vertex is None):
         return False
     if not all(_in_level_class(g, kind, w.level, w.vertex, x) for x in (w.first, w.second)):

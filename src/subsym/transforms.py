@@ -4,22 +4,28 @@ The subdivision of a graph on n vertices and m edges keeps the original ids
 0..n-1 ("V-vertices") and assigns ids n..n+m-1 to the new mid-edge vertices
 ("E-vertices"), in sorted edge-list order. That numbering is fixed so induced
 group actions and fixture files are reproducible byte for byte. S(g)'s Graph
-is built once per g and cached on it, like g's distance matrix, so every
+is built once per g and cached on it, like g's distance spheres, so every
 caller of ``subdivide(g)`` shares it and whatever is cached on it.
+
+Distances are read off ``Graph.spheres``, one Python-int bitset per vertex
+and radius; the closed distance formula of S(g) is stated in the same form
+by ``subdivision_spheres``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_, xor
 from typing import Optional
 
-import numpy as np
-
 from .graphs import (
-    UNREACHED,
     DisconnectedGraphError,
     Graph,
     GraphError,
+    _distance_row,
+    _members,
+    _sphere_closure,
     make_cycle,
 )
 
@@ -107,9 +113,13 @@ def distance_two_graph(g: Graph) -> list[Component]:
     """
     if not g.is_connected():
         raise DisconnectedGraphError("distance-2 graph requires a connected input")
-    # argwhere walks the upper triangle in row-major order: sorted pairs u < v
-    pairs = np.argwhere(np.triu(g.distances_matrix() == 2)).tolist()
-    return split_components(Graph._trusted(g.n, map(tuple, pairs)))
+    # u ascends, and so do the members of its sphere above u: sorted pairs u < v
+    pairs = [
+        (u, u + 1 + k)
+        for u, row in enumerate(g.spheres()) if len(row) > 2
+        for k in _members(row[2] >> (u + 1))
+    ]
+    return split_components(Graph._trusted(g.n, pairs))
 
 
 def split_components(g: Graph) -> list[Component]:
@@ -156,7 +166,10 @@ def subdivision_parts(g: Graph) -> Optional[tuple[Graph, list[int], dict[tuple[i
     """
     if g.m == 0 or not g.is_connected():
         return None
-    side = (g.distances_matrix()[0] & 1).tolist()
+    odd = 0
+    for sphere in g.spheres()[0][1::2]:
+        odd |= sphere
+    side = [odd >> x & 1 for x in range(g.n)]
     v_sides = {side[x] for x, nbrs in enumerate(g.adjacency) if len(nbrs) != 2}
     if len(v_sides) != 1 or any(side[u] == side[v] for u, v in g.edge_list):
         return None  # a cycle, no class of valency-2 vertices only, or not bipartite
@@ -199,9 +212,10 @@ def reconstruct_from_ambient(gamma: Graph) -> Graph:
     return parts[0]
 
 
-def subdivision_distance_matrix(sg: SubdivisionGraph) -> np.ndarray:
-    """All subdivision-graph distances by the closed formula, not by BFS;
-    UNREACHED (-1) between vertices in different components.
+def subdivision_spheres(sg: SubdivisionGraph) -> tuple[tuple[int, ...], ...]:
+    """S(base)'s hop-distance spheres by the closed formula, not by BFS, in
+    the form of ``Graph.spheres``: bit y of row x's entry r is set when the
+    formula puts y at distance r from x.
 
     With d the base distance, the formula has three cases:
     - V-vertices x and y: 2 d(x, y);
@@ -209,37 +223,54 @@ def subdivision_distance_matrix(sg: SubdivisionGraph) -> np.ndarray:
     - the E-vertices of distinct edges (u, v) and (x, y): 2 min(d(u, x),
       d(u, y), d(v, x), d(v, y)) + 2.
 
-    near[x, j], the base distance from vertex x to the nearer end of edge j,
-    is the V/E block; for edge i = (u, v) the E/E entry is min(near[u, j],
-    near[v, j]), so two row gathers of near give that block. Its diagonal
-    is zeroed since the formula's minimum is over two distinct edges. The
-    endpoints of an edge share a component, so each minimum is over base
-    distances that are either all UNREACHED or all reached.
-
-    Each block is written into the output in place as 2 * base + offset.
-    That maps UNREACHED to UNREACHED in the V/E block only; when the base
-    is disconnected, the V/V entries 2 * UNREACHED and the off-diagonal E/E
-    entries 2 * UNREACHED + 2 are reset to UNREACHED.
+    So V-vertex x's sphere of radius 2i is its base sphere S_i(x), and its
+    sphere of radius 2i + 1 is the set of edges that meet S_i(x) but not
+    the ball B_{i-1}(x). One closure over the base gives both: x's ball of
+    radius 0 is x with its edges (edge j as bit n + j), so the bits that
+    join at level i are S_i(x) and those edges. For the E-vertex j of edge
+    (u, v), the last two cases say d(j, y) = 1 + min(d(u, y), d(v, y)) for
+    every y != j, so its ball of radius r is {j} with the balls of radius
+    r - 1 of u and v. Vertices of other components are in no sphere.
     """
-    d = sg.base.distances_matrix()
-    n, m = sg.base.n, sg.base.m
-    out = np.empty((n + m, n + m), dtype=np.int32)
-    vv, ve, ev, ee = out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:]
-    np.multiply(d, 2, out=vv)
-    if m:
-        u, v = np.array(sg.base.edge_list, dtype=np.intp).T
-        near = np.minimum(d[:, u], d[:, v])
-        np.multiply(near, 2, out=ve)
-        np.add(ve, 1, out=ve)
-        ev[...] = ve.T
-        np.minimum(near[u], near[v], out=ee)
-        np.multiply(ee, 2, out=ee)
-        np.add(ee, 2, out=ee)
-    if not sg.base.is_connected():
-        vv[vv == 2 * UNREACHED] = UNREACHED
-        ee[ee == 2 * UNREACHED + 2] = UNREACHED
-    np.fill_diagonal(ee, 0)
-    return out
+    g = sg.base
+    n = g.n
+    seeds = [1 << x for x in range(n)]
+    for j, (u, v) in enumerate(g.edge_list, n):
+        seeds[u] |= 1 << j
+        seeds[v] |= 1 << j
+    low = (1 << n) - 1
+    high = ~low
+    rows = []
+    balls = []  # balls[x][r]: V-vertex x's ball of radius r
+    for levels in _sphere_closure(g.adjacency, seeds):
+        row = [part for joined in levels for part in (joined & low, joined & high)]
+        if not row[-1]:
+            row.pop()
+        rows.append(tuple(row))
+        balls.append(list(accumulate(row, or_)))
+    for j, (u, v) in enumerate(g.edge_list, n):
+        bu, bv = balls[u], balls[v]
+        # pad the shorter list of balls with its last, whole-component ball
+        if len(bu) < len(bv):
+            bu = bu + bu[-1:] * (len(bv) - len(bu))
+        elif len(bv) < len(bu):
+            bv = bv + bv[-1:] * (len(bu) - len(bv))
+        near = list(map(or_, bu, bv))  # near[r]: within r of u or of v
+        bit = 1 << j
+        row = [bit, near[0], *map(xor, near[1:], near)]
+        row[2] ^= bit  # near[1] also holds j itself, at radius 0
+        while not row[-1]:
+            row.pop()
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def subdivision_distance_matrix(sg: SubdivisionGraph) -> list[list[int]]:
+    """All subdivision-graph distances by the closed formula, not by BFS,
+    as rows read off ``subdivision_spheres``; UNREACHED (-1) between
+    vertices in different components."""
+    size = sg.base.n + sg.base.m
+    return [_distance_row(row, size) for row in subdivision_spheres(sg)]
 
 
 def delta_of(g: Graph) -> DeltaReport:
@@ -266,18 +297,19 @@ def delta2_witness(g: Graph) -> Optional[tuple[tuple[int, int], tuple[int, int]]
     """An edge pair witnessing delta=2, or None: the first pair (e_i, e_j),
     i < j in edge-list order, whose four cross distances all equal diam(g).
 
-    With edge i = (x[i], y[i]), both[i, u] says that u is at distance
-    diam(g) from x[i] and from y[i], so witness[i, j] holds exactly when
-    edges i and j form such a pair. witness is symmetric with a false
-    diagonal (diam(g) >= 1 once there is an edge), so its first true entry
-    in row-major order lies above the diagonal: it is that first pair.
+    For edge i = (x, y), ``both`` holds the vertices at distance diam(g)
+    from x and from y; edge j pairs with edge i exactly when both its ends
+    are in it. The relation is symmetric and no edge pairs with itself
+    (diam(g) >= 1 once there is an edge), so the first edge i with a
+    partner has none before it, and its least partner in edge-list order,
+    the least pair (u, w), completes the first pair.
     """
-    at_diameter = g.distances_matrix() == g.diameter()
-    x, y = np.array(g.edge_list, dtype=np.intp).reshape(-1, 2).T
-    both = at_diameter[x] & at_diameter[y]
-    witness = both[:, x] & both[:, y]
-    hits = np.flatnonzero(witness)
-    if not hits.size:
-        return None
-    i, j = divmod(int(hits[0]), g.m)
-    return (g.edge_list[i], g.edge_list[j])
+    d = g.diameter()
+    far = [row[d] if len(row) > d else 0 for row in g.spheres()]
+    for x, y in g.edge_list:
+        both = far[x] & far[y]
+        if both:
+            partners = [(u, w) for u in _members(both) for w in g.adjacency[u] if u < w and both >> w & 1]
+            if partners:
+                return (x, y), min(partners)
+    return None

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subsym import graphs
 from subsym.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -161,29 +160,40 @@ def oracle_row(g, source):
     return [dist.get(v, -1) for v in range(g.n)]
 
 
+def oracle_spheres(g, source):
+    """The dict BFS's distances from source as sphere bitsets, in the form
+    of Graph.spheres: one int per distance 0..eccentricity."""
+    dist = brute_distances(g, source)
+    row = [0] * (max(dist.values()) + 1)
+    for v, d in dist.items():
+        row[d] |= 1 << v
+    return tuple(row)
+
+
 class TestDistances:
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=12))
     def test_bfs_and_matrix_match_oracle_on_any_edge_set(self, g):
-        # any edge set: disconnected graphs and isolated vertices included
-        mat = g.distances_matrix()
-        assert mat.shape == (g.n, g.n) and mat.dtype == np.int32
+        # any edge set: disconnected graphs and isolated vertices included;
+        # the rows of bfs_distances are the distance matrix
         for s in range(g.n):
-            assert bfs_distances(g, s) == oracle_row(g, s) == mat[s].tolist()
+            assert bfs_distances(g, s) == oracle_row(g, s)
+            assert g.spheres()[s] == oracle_spheres(g, s)
 
     def test_matrix_matches_oracle(self):
         cases = [make_petersen(), subdivide(make_complete_bipartite(4, 4)).graph]
         rng = random.Random(5)
         cases += [random_connected_graph(rng, rng.randint(4, 25)) for _ in range(6)]
         for g in cases:
-            assert g.distances_matrix().tolist() == [oracle_row(g, s) for s in range(g.n)]
+            assert [bfs_distances(g, s) for s in range(g.n)] == [oracle_row(g, s) for s in range(g.n)]
 
     def test_unreachable_is_minus_one(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert bfs_distances(g, 0) == [0, 1, -1, -1]
-        assert g.distances_matrix().tolist() == [[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]]
-        empty = Graph(0, []).distances_matrix()
-        assert empty.shape == (0, 0) and empty.dtype == np.int32
+        assert [bfs_distances(g, s) for s in range(4)] == [[0, 1, -1, -1], [1, 0, -1, -1], [-1, -1, 0, 1], [-1, -1, 1, 0]]
+        # an unreached vertex is in no sphere of the row
+        assert g.spheres() == ((0b0001, 0b0010), (0b0010, 0b0001), (0b0100, 0b1000), (0b1000, 0b0100))
+        assert Graph(0, []).spheres() == ()
 
 
 @st.composite
@@ -199,14 +209,14 @@ def relabelled_paths_and_cycles(draw):
 
 
 class TestDistanceClosure:
-    """The bit-parallel closure behind Graph.distances_matrix against the
-    dict BFS oracle, row by row."""
+    """The bit-parallel closure behind Graph.spheres against the dict BFS
+    oracle, row by row."""
 
     @staticmethod
     def assert_matches_oracle(g):
-        mat = g.distances_matrix()
-        assert mat.shape == (g.n, g.n) and mat.dtype == np.int32
-        assert mat.tolist() == [oracle_row(g, s) for s in range(g.n)]
+        assert g.spheres() == tuple(oracle_spheres(g, s) for s in range(g.n))
+        # every listed sphere is nonempty
+        assert all(all(row) for row in g.spheres())
 
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy(max_n=14, min_n=0))
@@ -218,26 +228,49 @@ class TestDistanceClosure:
     @given(relabelled_paths_and_cycles())
     def test_many_levels(self, g):
         self.assert_matches_oracle(g)
+        # a cycle's girth shows only at its last level, and a path's never
+        assert girth(g) == brute_girth(g)
 
     def test_tiny_graphs(self):
         for n in (0, 1):
             self.assert_matches_oracle(Graph(n, []))
             assert Graph(n, []).is_connected()
-        assert Graph(1, []).distances_matrix().tolist() == [[0]]
+        assert Graph(1, []).spheres() == ((1,),)
         assert not Graph(2, []).is_connected()
 
     def test_word_boundaries(self):
-        # rows are packed into 64-bit words: cross the first word boundaries
-        for n in (63, 64, 65, 127, 128, 129):
+        # cross the first boundaries of Python's 30-bit int digits and of
+        # 64-bit words
+        for n in (29, 30, 31, 63, 64, 65, 127, 128, 129):
             self.assert_matches_oracle(make_cycle(n))
             self.assert_matches_oracle(Graph(n, [(v, v + 1) for v in range(n - 2)]))
 
     def test_spheres_read_the_matrix(self):
         g = make_cycle(9)
-        mat = g.distances_matrix()
+        mat = [oracle_row(g, v) for v in range(g.n)]
         for v in range(g.n):
             for i in range(6):
-                assert distance_sphere(g, v, i) == {w for w in range(g.n) if mat[v, w] == i}
+                assert distance_sphere(g, v, i) == {w for w in range(g.n) if mat[v][w] == i}
+
+
+@st.composite
+def forests_and_cycle_unions(draw):
+    """One to four disjoint pieces, each a cycle on 3..6 vertices or a
+    random tree on 1..6, with up to two extra edges anywhere, under a
+    random relabelling."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            k = draw(st.integers(min_value=3, max_value=6))
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        else:
+            k = draw(st.integers(min_value=1, max_value=6))
+            edges += [(n + draw(st.integers(min_value=0, max_value=i - 1)), n + i) for i in range(1, k)]
+        n += k
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    label = draw(st.permutations(range(n)))
+    return Graph(n, {tuple(sorted((label[u], label[v]))) for u, v in edges})
 
 
 class TestMetrics:
@@ -265,7 +298,7 @@ class TestMetrics:
     def test_diameter_is_cached(self, monkeypatch):
         g = make_petersen()
         assert g.diameter() == 2
-        monkeypatch.setattr(Graph, "distances_matrix", lambda self: pytest.fail("matrix read again"))
+        monkeypatch.setattr(Graph, "spheres", lambda self: pytest.fail("spheres read again"))
         assert g.diameter() == 2
 
     def test_acyclic_girth_is_none(self):
@@ -285,13 +318,12 @@ class TestMetrics:
         # disconnected graphs and forests included
         assert girth(g) == brute_girth(g)
 
-    def test_girth_in_one_root_block_per_root(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_GIRTH_BLOCK", 1)
-        rng = random.Random(77)
-        cases = [make_petersen(), make_complete_bipartite(2, 3), Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])]
-        cases += [random_connected_graph(rng, rng.randint(3, 9)) for _ in range(20)]
-        for g in cases:
-            assert girth(g) == brute_girth(g)
+    @settings(max_examples=150, deadline=None)
+    @given(forests_and_cycle_unions())
+    def test_transposed_girth_on_forests_and_cycle_unions(self, g):
+        # the first level whose spheres close a walk: even cycles, odd
+        # cycles, trees and isolated vertices side by side
+        assert girth(g) == brute_girth(g)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy())

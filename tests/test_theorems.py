@@ -49,6 +49,7 @@ from subsym.theorems import (
     summarize,
     _s3_times_s3,
 )
+from subsym.transforms import subdivide
 
 from _oracles import brute_bipartite_conditions, brute_closure
 
@@ -173,6 +174,24 @@ class TestStructuralChecks:
         for g in [make_complete(4), make_cycle(9), make_petersen(), make_complete_bipartite(2, 3)]:
             oc = check_distance_formula(g)
             assert oc.status == CONFIRMED and oc.details["mismatches"] == 0
+            # every ordered pair of S(g)'s vertices, itself with itself included
+            assert oc.details["pairs"] == (g.n + g.m) ** 2
+
+    def test_distance_formula_counts_mismatched_ordered_pairs(self, monkeypatch):
+        g = make_petersen()
+        sg = subdivide(g)
+        spheres = [list(row) for row in sg.graph.spheres()]
+        # claim V-vertex 0 and its first edge point x at distance 2, not 1,
+        # in both rows; the eccentricities, and so delta, do not move
+        assert g.edge_list[0][0] == 0
+        x = g.n
+        for a, b in ((0, x), (x, 0)):
+            spheres[a][1] ^= 1 << b
+            spheres[a][2] |= 1 << b
+        monkeypatch.setattr(sg.graph, "_spheres", tuple(map(tuple, spheres)))
+        oc = check_distance_formula(g)
+        assert oc.status == REFUTED
+        assert oc.details["mismatches"] == 2 and oc.details["pairs"] == 25 ** 2
 
     def test_reconstruction_named(self):
         for g in [make_cycle(5), make_petersen(), make_complete(2)]:

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -10,6 +9,7 @@ from subsym.graphs import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    bfs_distances,
     girth,
     make_complete,
     make_complete_bipartite,
@@ -27,6 +27,7 @@ from subsym.transforms import (
     split_components,
     subdivide,
     subdivision_distance_matrix,
+    subdivision_spheres,
 )
 
 from _oracles import brute_delta2_witness, brute_distances
@@ -170,7 +171,7 @@ class TestDistanceTwo:
         comps = split_components(g)
         assert [c.vertices for c in comps] == [(0, 4, 6), (1,), (2, 5), (3,)]
         assert [c.graph.edge_list for c in comps] == [((0, 1), (1, 2)), (), ((0, 1),), ()]
-        assert g._apsp is None
+        assert g._spheres is None
         assert split_components(Graph(0, [])) == []
 
 
@@ -216,35 +217,41 @@ class TestReconstruct:
         assert len(builds) == 1
 
 
+def bfs_rows(g):
+    return [bfs_distances(g, v) for v in range(g.n)]
+
+
 class TestSubdivisionDistance:
     def test_same_vertex_zero(self):
         mat = subdivision_distance_matrix(subdivide(make_complete(4)))
-        assert mat[0, 0] == 0
-        assert mat[5, 5] == 0
+        assert mat[0][0] == 0
+        assert mat[5][5] == 0
 
     def test_c5_example(self):
         g = make_cycle(5)
         e = g.edge_list.index((2, 3))
-        assert subdivision_distance_matrix(subdivide(g))[0, 5 + e] == 5
+        assert subdivision_distance_matrix(subdivide(g))[0][5 + e] == 5
 
     def test_k4_disjoint_edges(self):
         g = make_complete(4)
         i = g.edge_list.index((0, 1))
         j = g.edge_list.index((2, 3))
-        assert subdivision_distance_matrix(subdivide(g))[4 + i, 4 + j] == 4
+        assert subdivision_distance_matrix(subdivide(g))[4 + i][4 + j] == 4
 
     def test_formula_equals_bfs_everywhere(self):
         for g in small_corpus():
             sg = subdivide(g)
-            formula = subdivision_distance_matrix(sg)
-            assert np.array_equal(formula, sg.graph.distances_matrix())
+            assert subdivision_spheres(sg) == sg.graph.spheres()
+            assert subdivision_distance_matrix(sg) == bfs_rows(sg.graph)
 
     def test_disconnected_base_gives_unreached(self):
         sg = subdivide(Graph(4, [(0, 1), (2, 3)]))
         mat = subdivision_distance_matrix(sg)
-        assert np.array_equal(mat, sg.graph.distances_matrix())
-        assert mat[0, 2] == UNREACHED
-        assert mat[4, 5] == UNREACHED
+        assert mat == bfs_rows(sg.graph)
+        assert mat[0][2] == UNREACHED
+        assert mat[4][5] == UNREACHED
+        # V-vertex 0 reaches only its own edge point 4 and vertex 1
+        assert subdivision_spheres(sg)[0] == (1 << 0, 1 << 4, 1 << 1)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy())
@@ -254,8 +261,8 @@ class TestSubdivisionDistance:
     @example(Graph(5, [(0, 1), (2, 3)]))
     def test_formula_equals_bfs_on_any_edge_set(self, g):
         sg = subdivide(g)
-        formula = subdivision_distance_matrix(sg)
-        assert np.array_equal(formula, sg.graph.distances_matrix())
+        assert subdivision_spheres(sg) == sg.graph.spheres()
+        assert subdivision_distance_matrix(sg) == bfs_rows(sg.graph)
 
     def test_bfs_oracle_spot(self):
         sg = subdivide(make_complete_bipartite(3, 3))
@@ -295,7 +302,11 @@ class TestDelta:
 
     def test_delta2_witness_examples(self):
         assert delta2_witness(make_complete(4)) == ((0, 1), (2, 3))
-        assert delta2_witness(make_petersen()) == brute_delta2_witness(make_petersen())
+        cases = [make_petersen(), subdivide(make_petersen()).graph]
+        for n in range(2, 13):
+            cases += [make_complete(n), make_complete_bipartite(n, n), make_cycle(n + 1)]
+        for g in cases:
+            assert delta2_witness(g) == brute_delta2_witness(g)
         assert delta2_witness(make_complete_bipartite(20, 20)) is None
         for g in (Graph(1, []), make_complete(2), make_cycle(5), make_cycle(6)):
             assert delta2_witness(g) is None  # fewer than 2 edges, or no witness
@@ -314,16 +325,18 @@ class TestDelta:
     def test_formula_and_reconstruction_share_one_subdivision(self, monkeypatch):
         from subsym import graphs, theorems
 
-        closure = graphs._distance_closure
+        closure = graphs._sphere_closure
         sizes = []
 
-        def counting(adjacency):
+        def counting(adjacency, seeds=None):
             sizes.append(len(adjacency))
-            return closure(adjacency)
+            return closure(adjacency, seeds)
 
-        monkeypatch.setattr(graphs, "_distance_closure", counting)
+        # counts the closures Graph.spheres caches; the formula's own closure
+        # over g is bound in transforms and is not counted
+        monkeypatch.setattr(graphs, "_sphere_closure", counting)
         g = make_complete_bipartite(3, 4)
         assert theorems.check_distance_formula(g).status == theorems.CONFIRMED
         assert theorems.check_reconstruction(g).status == theorems.CONFIRMED
-        # one distance matrix of g and one of S(g), shared by delta_of and both checks
+        # one set of spheres of g and one of S(g), shared by delta_of and both checks
         assert sizes == [g.n, g.n + g.m]
